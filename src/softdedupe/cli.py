@@ -10,7 +10,7 @@ import sys
 
 import click
 
-from . import clustering, evaluation, pipeline, similarity, synth
+from . import evaluation, pipeline, synth
 from .clustering import ClusterSet, read_clusters, write_clusters
 from .corpus import DataSet, TokenizerConfig, load_dataset, load_stop_words
 from .evaluation import MetricsReport
@@ -32,17 +32,30 @@ def _fmt(value) -> str:
 
 
 def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
-    """Fill in parameters from a JSON config file; explicit flags win."""
+    """Fill in parameters from a JSON config file; explicit flags win.
+
+    Keys are parameter names. Each value is converted and checked by its
+    parameter's type, as a flag would be.
+    """
     if not config_path:
         return
     with open(config_path, encoding="utf-8") as fh:
         data = json.load(fh)
+    params = {p.name: p for p in ctx.command.params if p.name != "config"}
     for key, value in data.items():
-        if key not in ctx.params or key == "config":
-            continue
+        if key not in params:
+            raise click.UsageError(f"unknown config key: {key!r}")
         source = ctx.get_parameter_source(key)
         if source is None or source.name == "DEFAULT":
-            ctx.params[key] = value
+            ctx.params[key] = params[key].type_cast_value(ctx, value)
+
+
+def _read(reader, path: str, **kwargs):
+    """reader(path, **kwargs), reporting malformed input as a usage error."""
+    try:
+        return reader(path, **kwargs)
+    except ValueError as exc:
+        raise click.UsageError(f"{path}: {exc}") from exc
 
 
 def pipeline_options(fn):
@@ -110,9 +123,8 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
         raise click.UsageError("--input is required")
     if not os.path.exists(p["input_path"]):
         raise click.UsageError(f"input file not found: {p['input_path']}")
-    full = load_dataset(
-        p["input_path"], header=not p["no_header"], delimiter=p["delimiter"]
-    )
+    full = _read(load_dataset, p["input_path"], header=not p["no_header"],
+                 delimiter=p["delimiter"])
     truth_col = p.get("truth_column")
     if truth_col and truth_col not in full.schema:
         raise click.UsageError(f"unknown field name: {truth_col!r}")
@@ -129,7 +141,7 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
     if truth_col:
         truth = ClusterSet.from_labels(full.column(full.field_index(truth_col)))
     elif p.get("truth_file"):
-        truth = _read_truth_file(p["truth_file"])
+        truth = _read(read_clusters, p["truth_file"])
     if truth is not None and truth.n != dataset.n:
         raise click.UsageError(
             f"ground truth covers {truth.n} records, dataset has {dataset.n}"
@@ -137,25 +149,29 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
     if require_truth and truth is None:
         raise click.UsageError("ground truth required (--truth-column/--truth-file)")
 
-    tok_config = TokenizerConfig(
-        mode=p["mode"],
-        ngram_size=int(p["ngram_size"]),
-        case_fold=not p["no_case_fold"],
-    )
-    if p.get("stop_words_path"):
-        tok_config = tok_config.with_stop_words(load_stop_words(p["stop_words_path"]))
     weights = None
     if p.get("weights"):
-        weights = tuple(float(w) for w in str(p["weights"]).split(","))
+        try:
+            weights = tuple(float(w) for w in str(p["weights"]).split(","))
+        except ValueError as exc:
+            raise click.UsageError(f"--weights: {exc}") from exc
         if len(weights) != dataset.a:
             raise click.UsageError("weights length does not match field count")
-    params = SimilarityParams(
-        prefix_factor=float(p["prefix_factor"]),
-        max_prefix=int(p["max_prefix"]),
-        theta=float(p["theta"]),
-        method=p["method"],
-        weights=weights,
-    )
+    try:
+        tok_config = TokenizerConfig(
+            mode=p["mode"], ngram_size=p["ngram_size"], case_fold=not p["no_case_fold"]
+        )
+        params = SimilarityParams(
+            prefix_factor=p["prefix_factor"],
+            max_prefix=p["max_prefix"],
+            theta=p["theta"],
+            method=p["method"],
+            weights=weights,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    if p.get("stop_words_path"):
+        tok_config = tok_config.with_stop_words(load_stop_words(p["stop_words_path"]))
     manifest = {
         key: p.get(key)
         for key in (
@@ -173,27 +189,22 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
         tok_config=tok_config,
         params=params,
         sparsity=p["sparsity"],
-        refine=bool(p["refine"]),
-        iterate=bool(p["iterate_refine"]),
-        seed=int(p["seed"]),
+        refine=p["refine"],
+        iterate=p["iterate_refine"],
+        seed=p["seed"],
         output_dir=p["output_dir"],
         manifest=manifest,
     )
 
 
-def _read_truth_file(path: str) -> ClusterSet:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            idx, label = line.split()
-            pairs.append((int(idx), label))
-    pairs.sort()
-    if [i for i, _ in pairs] != list(range(len(pairs))):
-        raise click.UsageError("truth file must cover records 0..n-1 exactly once")
-    return ClusterSet.from_labels([label for _, label in pairs])
+def _build_similarity(run: ResolvedRun) -> pipeline.SimilarityBundle:
+    try:
+        return pipeline.build_similarity(
+            run.dataset, run.tok_config, run.params,
+            sparsity_mode=run.sparsity, seed=run.seed,
+        )
+    except ValueError as exc:  # e.g. a field with no features in any record
+        raise click.UsageError(str(exc)) from exc
 
 
 def _write_manifest(run: ResolvedRun, extra: dict) -> None:
@@ -231,10 +242,7 @@ def run(ctx, **kwargs):
     _apply_config_file(ctx, ctx.params.get("config"))
     p = ctx.params
     run_spec = _resolve(p)
-    bundle = pipeline.build_similarity(
-        run_spec.dataset, run_spec.tok_config, run_spec.params,
-        sparsity_mode=run_spec.sparsity, seed=run_spec.seed,
-    )
+    bundle = _build_similarity(run_spec)
     tau_arg = None if str(p["tau"]) == "auto" else float(p["tau"])
     clusters, tau_used = pipeline.cluster_records(
         bundle.adjusted, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
@@ -264,10 +272,7 @@ def sweep(ctx, **kwargs):
     _apply_config_file(ctx, ctx.params.get("config"))
     p = ctx.params
     run_spec = _resolve(p, require_truth=True)
-    bundle = pipeline.build_similarity(
-        run_spec.dataset, run_spec.tok_config, run_spec.params,
-        sparsity_mode=run_spec.sparsity, seed=run_spec.seed,
-    )
+    bundle = _build_similarity(run_spec)
     taus = None
     if p["tau_start"] is not None or p["tau_stop"] is not None:
         if p["tau_start"] is None or p["tau_stop"] is None or not p["tau_step"]:
@@ -288,7 +293,7 @@ def sweep(ctx, **kwargs):
     _write_manifest(run_spec, {
         "tau_start": p["tau_start"], "tau_stop": p["tau_stop"],
         "tau_step": p["tau_step"], "grid": p["grid"],
-        "tau_auto": clustering.auto_threshold(bundle.adjusted),
+        "tau_auto": next(tau for tau, is_auto, _ in rows if is_auto),
     })
     _write_sweep_table(os.path.join(run_spec.output_dir, "sweep.csv"), rows)
     click.echo(f"wrote {len(rows)} sweep rows to {run_spec.output_dir}/sweep.csv")
@@ -305,7 +310,8 @@ def sweep(ctx, **kwargs):
 @click.option("--no-header", is_flag=True, default=False)
 def degrade(input_path, output_path, fields, fraction, seed, delimiter, no_header):
     """Blank a random fraction of entries per field to induce sparsity."""
-    dataset = load_dataset(input_path, header=not no_header, delimiter=delimiter)
+    dataset = _read(load_dataset, input_path, header=not no_header,
+                    delimiter=delimiter)
     names = [f.strip() for f in fields.split(",") if f.strip()]
     for name in names:
         if name not in dataset.schema:
@@ -325,8 +331,8 @@ def degrade(input_path, output_path, fields, fraction, seed, delimiter, no_heade
 @click.option("--output", "output_path", type=click.Path(), default=None)
 def eval_cmd(clusters_path, truth_path, output_path):
     """Score a clustering file against a ground-truth clustering file."""
-    clusters = read_clusters(clusters_path)
-    truth = read_clusters(truth_path)
+    clusters = _read(read_clusters, clusters_path)
+    truth = _read(read_clusters, truth_path)
     if clusters.n != truth.n:
         raise click.UsageError(
             f"clusterings cover different record counts: {clusters.n} vs {truth.n}"

@@ -3,57 +3,38 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .similarity import CompositeSimilarity
 
 # refinement is an exhaustive search; clusters beyond this size are skipped
 REFINE_SIZE_CAP = 2000
-
-
-class DisjointSet:
-    """Union-find with path compression and union by rank."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.rank = [0] * size
-
-    def find(self, u: int) -> int:
-        root = u
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[u] != root:
-            self.parent[u], u = root, self.parent[u]
-        return root
-
-    def union(self, u: int, v: int) -> None:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return
-        if self.rank[ru] < self.rank[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        if self.rank[ru] == self.rank[rv]:
-            self.rank[ru] += 1
+# _splits stacks removal graphs until they hold this many adjacency entries or
+# vertices, which bounds the memory of one connected_components call
+SPLIT_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
 class ThresholdedGraph:
-    """Record graph with an edge wherever similarity >= tau."""
+    """Record graph with an edge wherever similarity >= tau.
 
-    n: int
+    adjacency is a symmetric boolean CSR matrix with no self-loops.
+    """
+
     tau: float
-    adjacency: tuple[frozenset[int], ...]
+    adjacency: sparse.csr_matrix = field(compare=False)
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.adjacency) // 2
+        return self.adjacency.nnz // 2
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency[i]
+        return bool(self.adjacency[i, j])
 
 
 @dataclass(frozen=True)
@@ -111,8 +92,10 @@ class HStatistics:
 
 
 def _offdiag_dense(sim: CompositeSimilarity) -> np.ndarray:
+    """Dense similarities with NaN on the diagonal, which the NaN-skipping
+    reductions and every comparison with tau leave out."""
     dense = sim.dense()
-    np.fill_diagonal(dense, 0.0)
+    np.fill_diagonal(dense, np.nan)
     return dense
 
 
@@ -120,7 +103,7 @@ def h_statistics(sim: CompositeSimilarity) -> HStatistics:
     """H_i = max over j != i of SIM_{i,j}; absent entries count as 0."""
     if sim.n < 2:
         raise ValueError("need at least two records")
-    h = _offdiag_dense(sim).max(axis=1)
+    h = np.nanmax(_offdiag_dense(sim), axis=1)
     return HStatistics(
         values=h, mean=float(h.mean()), std=float(h.std(ddof=1)), max=float(h.max())
     )
@@ -139,100 +122,131 @@ def auto_threshold(sim: CompositeSimilarity) -> float:
     return threshold_from_h(h_statistics(sim).values)
 
 
+def _offdiag_range(offdiag: np.ndarray) -> tuple[float, float]:
+    return float(np.nanmin(offdiag)), float(np.nanmax(offdiag))
+
+
 def nontrivial_interval(sim: CompositeSimilarity) -> tuple[float, float]:
     """Half-open (min, max] off-diagonal similarity range for useful taus."""
-    offdiag = _offdiag_dense(sim)
-    mask = ~np.eye(sim.n, dtype=bool)
-    return float(offdiag[mask].min()), float(offdiag[mask].max())
+    return _offdiag_range(_offdiag_dense(sim))
 
 
 def threshold(sim: CompositeSimilarity, tau: float) -> ThresholdedGraph:
     """Link every record pair whose similarity is >= tau."""
-    lo, hi = nontrivial_interval(sim)
+    dense = _offdiag_dense(sim)
+    lo, hi = _offdiag_range(dense)
     if not lo < tau <= hi:
         warnings.warn(
             f"tau={tau} outside the nontrivial interval ({lo}, {hi}]; "
             "clustering will be trivial",
             stacklevel=2,
         )
-    dense = _offdiag_dense(sim)
-    neighbors = [frozenset(np.flatnonzero(row >= tau).tolist()) for row in dense]
-    return ThresholdedGraph(n=sim.n, tau=tau, adjacency=tuple(neighbors))
+    return ThresholdedGraph(tau=tau, adjacency=sparse.csr_matrix(dense >= tau))
 
 
 def graph_from_edges(
     n: int, edges: Iterable[tuple[int, int]], tau: float = 0.0
 ) -> ThresholdedGraph:
     """Build a record graph directly from an undirected edge list."""
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
-        if i == j:
-            continue
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-    return ThresholdedGraph(
-        n=n, tau=tau, adjacency=tuple(frozenset(nb) for nb in neighbors)
-    )
+    i, j = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    i, j = i[i != j], j[i != j]
+    ones = np.ones(2 * len(i), dtype=bool)
+    coo = sparse.coo_matrix((ones, (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+    return ThresholdedGraph(tau=tau, adjacency=coo.tocsr())
+
+
+def _labels(adjacency: sparse.csr_matrix) -> list[int]:
+    return csgraph.connected_components(adjacency, directed=False)[1].tolist()
 
 
 def group(graph: ThresholdedGraph) -> ClusterSet:
     """Connected components of the thresholded graph."""
-    ds = DisjointSet(graph.n)
-    for i, nb in enumerate(graph.adjacency):
-        for j in nb:
-            if j > i:
-                ds.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(graph.n):
-        groups.setdefault(ds.find(i), []).append(i)
-    return ClusterSet.from_groups(groups.values())
+    return ClusterSet.from_labels(_labels(graph.adjacency))
+
+
+def _induced(
+    adjacency: sparse.csr_matrix, members: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stored entries of `adjacency` among the sorted `members`, as
+    (row, column) arrays of positions in `members`."""
+    rows = adjacency[members].tocoo()
+    pos = np.searchsorted(members, rows.col)
+    inside = np.take(members, np.minimum(pos, len(members) - 1)) == rows.col
+    return rows.row[inside], pos[inside]
+
+
+def _share(entries: int, p: int) -> float:
+    """Strength of p records whose induced adjacency stores `entries`."""
+    return entries // 2 / comb(p, 2) if p >= 2 else 0.0
 
 
 def strength(cluster: Sequence[int], graph: ThresholdedGraph) -> float:
     """Fraction of linked pairs inside the cluster; 0 for singletons."""
-    p = len(cluster)
-    if p < 2:
-        return 0.0
-    edges = 0
-    members = list(cluster)
-    for idx, i in enumerate(members):
-        nb = graph.adjacency[i]
-        edges += sum(1 for j in members[idx + 1 :] if j in nb)
-    return edges / comb(p, 2)
+    rows, _ = _induced(graph.adjacency, sorted(cluster))
+    return _share(len(rows), len(cluster))
 
 
-def _subclusters(members: Sequence[int], graph: ThresholdedGraph) -> list[list[int]]:
-    """Connected components of the subgraph induced by `members`."""
-    member_set = set(members)
-    seen: set[int] = set()
-    comps = []
-    for start in members:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in graph.adjacency[u]:
-                if v in member_set and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+def _splits(
+    i: np.ndarray, j: np.ndarray, p: int
+) -> list[tuple[list[list[int]], float]]:
+    """For each of the p vertices of the graph with adjacency entries (i, j)
+    in turn, the components left by removing it (ordered by smallest vertex,
+    each sorted) and their mean strength.
+
+    The graphs left by a batch of removals are stacked block-diagonally, so
+    that one connected_components call labels the whole batch.
+    """
+    step = max(1, SPLIT_BATCH_ENTRIES // max(len(i), p))
+    out = []
+    for lo in range(0, p, step):
+        count = min(step, p - lo)
+        copy = np.repeat(np.arange(count), len(i))
+        ci, cj = np.tile(i, count) + copy * p, np.tile(j, count) + copy * p
+        gone = lo + copy * (p + 1)  # the removed vertex in each copy
+        keep = (ci != gone) & (cj != gone)
+        ci, cj = ci[keep], cj[keep]
+        size = count * p
+        # float entries, which connected_components takes without a copy
+        labels = _labels(sparse.csr_matrix((np.ones(len(ci)), (ci, cj)), (size, size)))
+        entries = np.bincount(np.take(labels, ci), minlength=size).tolist()
+        pieces: list[list[list[int]]] = [[] for _ in range(count)]
+        shares: list[list[float]] = [[] for _ in range(count)]
+        for vertices in ClusterSet.from_labels(labels).clusters:
+            c = vertices[0] // p
+            if vertices[0] != lo + c * (p + 1):
+                pieces[c].append([v - c * p for v in vertices])
+                shares[c].append(_share(entries[labels[vertices[0]]], len(vertices)))
+        out.extend((ps, sum(ss) / len(ss)) for ps, ss in zip(pieces, shares))
+    return out
+
+
+def _refine(members: list[int], graph: ThresholdedGraph) -> list[list[int]] | None:
+    """refine_cluster on the sorted `members`, or None for a stable cluster."""
+    p = len(members)
+    if p <= 2:
+        return None
+    i, j = _induced(graph.adjacency, members)
+    splits = _splits(i, j, p)
+    if all(len(pieces) == 1 for pieces, _ in splits):
+        return None
+    # max() keeps the first best, so ties go to the lowest record
+    removed = max(range(p), key=lambda r: splits[r][1])
+    pieces = splits[removed][0]
+
+    def joined(k: int) -> float:
+        inside = np.zeros(p, dtype=bool)
+        inside[pieces[k] + [removed]] = True
+        entries = int(np.count_nonzero(inside[i] & inside[j]))
+        return _share(entries, len(pieces[k]) + 1)
+
+    join = max(range(len(pieces)), key=lambda k: (joined(k), -k))
+    pieces[join] = sorted(pieces[join] + [removed])
+    return [[members[v] for v in piece] for piece in pieces]
 
 
 def needs_refinement(cluster: Sequence[int], graph: ThresholdedGraph) -> bool:
     """True when removing some single record disconnects the remainder."""
-    members = sorted(cluster)
-    if len(members) <= 2:
-        return False
-    for removed in members:
-        rest = [r for r in members if r != removed]
-        if len(_subclusters(rest, graph)) > 1:
-            return True
-    return False
+    return _refine(sorted(cluster), graph) is not None
 
 
 def refine_cluster(cluster: Sequence[int], graph: ThresholdedGraph) -> list[list[int]]:
@@ -242,25 +256,10 @@ def refine_cluster(cluster: Sequence[int], graph: ThresholdedGraph) -> list[list
     subclusters; it is then re-added to the subcluster maximizing the
     strength of the union. Ties pick the lowest record / subcluster index.
     """
-    members = sorted(cluster)
-    if not needs_refinement(members, graph):
+    pieces = _refine(sorted(cluster), graph)
+    if pieces is None:
         raise ValueError("refine_cluster called on a stable cluster")
-    best_score = -1.0
-    best_removed = None
-    best_subs: list[list[int]] = []
-    for removed in members:
-        rest = [r for r in members if r != removed]
-        subs = _subclusters(rest, graph)
-        score = sum(strength(s, graph) for s in subs) / len(subs)
-        if score > best_score:
-            best_score, best_removed, best_subs = score, removed, subs
-    best_join = max(
-        range(len(best_subs)),
-        key=lambda j: (strength(best_subs[j] + [best_removed], graph), -j),
-    )
-    result = [list(s) for s in best_subs]
-    result[best_join] = sorted(result[best_join] + [best_removed])
-    return result
+    return pieces
 
 
 def refine_all(
@@ -271,31 +270,29 @@ def refine_all(
     By default one pass is made; with iterate=True the pass repeats until
     no cluster is unstable.
     """
-    current = [list(c) for c in clusters.clusters]
-    while True:
-        out: list[list[int]] = []
-        changed = False
-        for cluster in current:
+    pending = [list(c) for c in clusters.clusters]
+    done: list[list[int]] = []
+    while pending:
+        split: list[list[int]] = []
+        for cluster in pending:
             if len(cluster) > REFINE_SIZE_CAP:
                 warnings.warn(
                     f"skipping refinement of cluster with {len(cluster)} records "
                     f"(cap {REFINE_SIZE_CAP})",
                     stacklevel=2,
                 )
-                out.append(cluster)
+                done.append(cluster)
                 continue
-            if needs_refinement(cluster, graph):
-                pieces = refine_cluster(cluster, graph)
-                out.extend(pieces)
-                # a refinement returning the cluster intact is a fixed point
-                if len(pieces) > 1:
-                    changed = True
+            pieces = _refine(sorted(cluster), graph)
+            # stable, or refined back into itself: either way a fixed point
+            if pieces is None or len(pieces) == 1:
+                done.append(cluster)
             else:
-                out.append(cluster)
-        current = out
-        if not iterate or not changed:
-            break
-    return ClusterSet.from_groups(current)
+                split.extend(pieces)
+        if not iterate:
+            return ClusterSet.from_groups(done + split)
+        pending = split
+    return ClusterSet.from_groups(done)
 
 
 def write_clusters(clusters: ClusterSet, path: str) -> None:

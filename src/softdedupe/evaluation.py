@@ -44,46 +44,44 @@ class MetricsReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _contingency(c: ClusterSet, c_true: ClusterSet) -> dict[tuple[int, int], int]:
+_Table = dict[tuple[int, int], int]
+
+
+def _contingency(c: ClusterSet, c_true: ClusterSet) -> _Table:
+    """Record counts per (cluster, truth cluster), keyed in order of first record."""
     labels = c.labels()
     labels_true = c_true.labels()
-    table: dict[tuple[int, int], int] = {}
+    table: _Table = {}
     for li, lj in zip(labels, labels_true):
         key = (int(li), int(lj))
         table[key] = table.get(key, 0) + 1
     return table
 
 
-def _check_same_n(c: ClusterSet, c_true: ClusterSet) -> int:
-    if c.n != c_true.n:
-        raise ValueError("partitions cover different numbers of records")
-    return c.n
+def _purity(table: _Table, n: int, side: int) -> float:
+    best: dict[int, int] = {}
+    for key, cnt in table.items():
+        if cnt > best.get(key[side], 0):
+            best[key[side]] = cnt
+    return sum(best.values()) / n
 
 
 def purity(c: ClusterSet, c_true: ClusterSet) -> float:
     """Fraction of records falling in their cluster's best-matching truth cluster."""
-    n = _check_same_n(c, c_true)
-    best: dict[int, int] = {}
-    for (i, _j), cnt in _contingency(c, c_true).items():
-        if cnt > best.get(i, 0):
-            best[i] = cnt
-    return sum(best.values()) / n
+    return evaluate(c, c_true).purity
 
 
 def inverse_purity(c: ClusterSet, c_true: ClusterSet) -> float:
-    return purity(c_true, c)
+    return evaluate(c, c_true).inverse_purity
 
 
 def harmonic_mean(c: ClusterSet, c_true: ClusterSet) -> float:
-    p = purity(c, c_true)
-    i = inverse_purity(c, c_true)
-    return 2 * p * i / (p + i) if p + i > 0 else 0.0
+    return evaluate(c, c_true).harmonic_mean
 
 
 def rel_cluster_error(c: ClusterSet, c_true: ClusterSet) -> float:
     """|c - c'| / c'."""
-    _check_same_n(c, c_true)
-    return abs(c.c - c_true.c) / c_true.c
+    return evaluate(c, c_true).rel_cluster_error
 
 
 def _pair_count(clusters: ClusterSet) -> int:
@@ -98,24 +96,14 @@ def pair_metrics(
     Precision and F1 are None when the clustering has no co-clustered
     pairs; recall is None when the ground truth has none.
     """
-    _check_same_n(c, c_true)
-    n_c = _pair_count(c)
-    n_g = _pair_count(c_true)
-    overlap = sum(comb(cnt, 2) for cnt in _contingency(c, c_true).values())
-    pre = overlap / n_c if n_c > 0 else None
-    rec = overlap / n_g if n_g > 0 else None
-    f1 = 2 * overlap / (n_c + n_g) if n_c > 0 and n_g > 0 else None
-    return pre, rec, f1
+    report = evaluate(c, c_true)
+    return report.precision, report.recall, report.f1
 
 
-def _z_rand_raw(c: ClusterSet, c_true: ClusterSet) -> float | None:
-    n = _check_same_n(c, c_true)
+def _z_rand(n: int, n_c: int, n_g: int, w: int) -> float | None:
     t = comb(n, 2)
-    n_c = _pair_count(c)
-    n_g = _pair_count(c_true)
     if t < 2 or n_c == 0 or n_g == 0:
         return None
-    w = sum(comb(cnt, 2) for cnt in _contingency(c, c_true).values())
     mean = n_c * n_g / t
     var = n_g * (n_c / t) * (1 - n_c / t) * (t - n_g) / (t - 1)
     if var <= 0:
@@ -129,16 +117,12 @@ def z_rand(c: ClusterSet, c_true: ClusterSet) -> float | None:
     The null model draws |C| co-clustered pairs uniformly from the C(n,2)
     possible pairs (hypergeometric), with cluster sizes fixed.
     """
-    return _z_rand_raw(c, c_true)
+    return evaluate(c, c_true).z_rand
 
 
 def rel_z_rand(c: ClusterSet, c_true: ClusterSet) -> float | None:
     """z-Rand of the clustering divided by the ground truth's self z-Rand."""
-    num = _z_rand_raw(c, c_true)
-    den = _z_rand_raw(c_true, c_true)
-    if num is None or den is None or den == 0:
-        return None
-    return num / den
+    return evaluate(c, c_true).rel_z_rand
 
 
 def _entropy(clusters: ClusterSet, n: int) -> float:
@@ -147,13 +131,11 @@ def _entropy(clusters: ClusterSet, n: int) -> float:
     return float(max(-(frac * np.log(frac + ENTROPY_EPS)).sum(), 0.0))
 
 
-def nmi(c: ClusterSet, c_true: ClusterSet) -> float:
-    """Mutual information normalized by the geometric mean of the entropies."""
-    n = _check_same_n(c, c_true)
+def _nmi(table: _Table, c: ClusterSet, c_true: ClusterSet, n: int) -> float:
     sizes_c = [len(r) for r in c.clusters]
     sizes_t = [len(r) for r in c_true.clusters]
     info = 0.0
-    for (i, j), cnt in _contingency(c, c_true).items():
+    for (i, j), cnt in table.items():
         info += (cnt / n) * math.log(n * cnt / (sizes_c[i] * sizes_t[j]))
     denom = math.sqrt(_entropy(c, n) * _entropy(c_true, n))
     if denom <= 0:
@@ -161,23 +143,37 @@ def nmi(c: ClusterSet, c_true: ClusterSet) -> float:
     return float(min(max(info / denom, 0.0), 1.0))
 
 
+def nmi(c: ClusterSet, c_true: ClusterSet) -> float:
+    """Mutual information normalized by the geometric mean of the entropies."""
+    return evaluate(c, c_true).nmi
+
+
 def evaluate(
     c: ClusterSet, c_true: ClusterSet, tau: float | None = None
 ) -> MetricsReport:
     """Compute the full metric suite for a clustering against ground truth."""
-    pre, rec, f1 = pair_metrics(c, c_true)
+    if c.n != c_true.n:
+        raise ValueError("partitions cover different numbers of records")
+    n = c.n
+    table = _contingency(c, c_true)
+    pur, inv = _purity(table, n, 0), _purity(table, n, 1)
+    n_c, n_g = _pair_count(c), _pair_count(c_true)
+    overlap = sum(comb(cnt, 2) for cnt in table.values())
+    z = _z_rand(n, n_c, n_g, overlap)
+    # the ground truth overlaps itself in all of its n_g pairs
+    z_self = _z_rand(n, n_g, n_g, n_g)
     return MetricsReport(
-        purity=purity(c, c_true),
-        inverse_purity=inverse_purity(c, c_true),
-        harmonic_mean=harmonic_mean(c, c_true),
-        rel_cluster_error=rel_cluster_error(c, c_true),
-        precision=pre,
-        recall=rec,
-        f1=f1,
-        z_rand=z_rand(c, c_true),
-        rel_z_rand=rel_z_rand(c, c_true),
-        nmi=nmi(c, c_true),
-        n=c.n,
+        purity=pur,
+        inverse_purity=inv,
+        harmonic_mean=2 * pur * inv / (pur + inv) if pur + inv > 0 else 0.0,
+        rel_cluster_error=abs(c.c - c_true.c) / c_true.c,
+        precision=overlap / n_c if n_c > 0 else None,
+        recall=overlap / n_g if n_g > 0 else None,
+        f1=2 * overlap / (n_c + n_g) if n_c > 0 and n_g > 0 else None,
+        z_rand=z,
+        rel_z_rand=None if z is None or not z_self else z / z_self,
+        nmi=_nmi(table, c, c_true, n),
+        n=n,
         c=c.c,
         c_true=c_true.c,
         tau=tau,

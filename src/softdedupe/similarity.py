@@ -8,6 +8,7 @@ one). Per-field similarities are then summed into a composite score.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,8 +45,10 @@ class SimilarityParams:
             raise ValueError("theta must lie in [0, 1)")
         if self.method not in (METHOD_TFIDF, METHOD_SOFT_TFIDF):
             raise ValueError(f"unknown method: {self.method!r}")
-        if self.weights is not None and any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
+        if self.weights is not None and not all(
+            math.isfinite(w) and w > 0 for w in self.weights
+        ):
+            raise ValueError("weights must be finite and positive")
 
 
 def jaro(s1: str, s2: str) -> float:
@@ -261,11 +264,3 @@ def composite(
     return CompositeSimilarity(
         matrix=total.tocsr(), max_score=float(sum(weights)), adjusted=False
     )
-
-
-def dump_triplets(matrix: sparse.spmatrix, path: str) -> None:
-    """Write a sparse matrix as 'i j value' lines (0-based indices)."""
-    coo = matrix.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v:.12g}\n")

@@ -39,7 +39,9 @@ def presence_mask(tokenized_fields: Sequence[Sequence]) -> PresenceMask:
         [[0 if entry.missing else 1 for entry in col] for col in tokenized_fields],
         dtype=np.int64,
     ).T
-    return PresenceMask(mask=b, shared_counts=b @ b.T)
+    # counts never exceed a, so the smallest type holding a stores them exactly
+    small = b.astype(np.min_scalar_type(b.shape[1]))
+    return PresenceMask(mask=b, shared_counts=small @ small.T)
 
 
 def adjust(st: CompositeSimilarity, mask: PresenceMask) -> CompositeSimilarity:

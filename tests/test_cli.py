@@ -102,6 +102,52 @@ class TestRun:
         assert manifest["theta"] == 0.5  # from the config file
         assert manifest["seed"] == 4  # explicit flag wins
 
+    def test_config_values_are_typed(self, runner, small_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"refine": "false", "theta": "0.5"}))
+        out = tmp_path / "out"
+        result = run_cli(runner, [
+            "run", "--input", small_csv, "--config", str(config),
+            "--output-dir", str(out),
+        ])
+        assert result.exit_code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["refine"] is False
+        assert manifest["theta"] == 0.5
+
+    @pytest.mark.parametrize("config, message", [
+        ({"weights": [1, 2]}, "--weights: could not convert"),
+        ({"bogus": 1}, "unknown config key"),
+        ({"seed": "many"}, "not a valid integer"),
+    ], ids=["weights_list", "unknown_key", "untyped_seed"])
+    def test_bad_config_is_usage_error(
+        self, runner, small_csv, tmp_path, config, message
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, [
+            "run", "--input", small_csv, "--truth-column", "id",
+            "--config", str(path), "--output-dir", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2
+        assert message in result.output
+
+    @pytest.mark.parametrize("text, args, message", [
+        ("name,city\nJoe,Westwood\nJoan\n", [], "row 1 has 1 columns"),
+        ("name,city\nJoe,\nJoan,\n", [], "no features"),
+        (SMALL_CSV, ["--truth-column", "id", "--weights", "nan,1"],
+         "finite and positive"),
+    ], ids=["ragged_csv", "empty_field", "nan_weight"])
+    def test_bad_input_is_usage_error(self, runner, tmp_path, text, args, message):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        result = runner.invoke(main, [
+            "run", "--input", str(path), "--output-dir", str(tmp_path / "out"),
+            *args,
+        ])
+        assert result.exit_code == 2
+        assert message in result.output
+
 
 class TestSweep:
     def test_writes_table_with_auto_row(self, runner, small_csv, tmp_path):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from softdedupe import clustering
 from softdedupe.clustering import (
     ClusterSet,
-    DisjointSet,
     auto_threshold,
     graph_from_edges,
     group,
@@ -42,18 +44,6 @@ FOUR = sim_from_dense(
         [0.0, 0.1, 0.8, 1.0],
     ]
 )
-
-
-class TestDisjointSet:
-    def test_union_find(self):
-        ds = DisjointSet(5)
-        ds.union(0, 1)
-        ds.union(3, 4)
-        assert ds.find(0) == ds.find(1)
-        assert ds.find(3) == ds.find(4)
-        assert ds.find(0) != ds.find(3)
-        ds.union(1, 3)
-        assert ds.find(0) == ds.find(4)
 
 
 class TestClusterSet:
@@ -230,6 +220,71 @@ class TestRefineAll:
 matrix_strategy = st.integers(min_value=0, max_value=2**31 - 1)
 
 
+def oracle_components(linked, vertices):
+    """Components of the graph induced by `vertices`, by set search over the
+    dense boolean adjacency, ordered by smallest vertex and each sorted."""
+    left = set(vertices)
+    comps = []
+    for start in sorted(vertices):
+        if start not in left:
+            continue
+        comp, frontier = {start}, {start}
+        while frontier:
+            frontier = {v for u in frontier for v in left if linked[u][v]} - comp
+            comp |= frontier
+        left -= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def oracle_strength(linked, members):
+    p = len(members)
+    if p < 2:
+        return 0.0
+    pairs = itertools.combinations(members, 2)
+    return sum(1 for u, v in pairs if linked[u][v]) / math.comb(p, 2)
+
+
+def oracle_refine(linked, cluster):
+    """The refinement rule from its definition; None for a stable cluster.
+
+    Remove the record (lowest on ties) whose removal leaves the pieces of
+    highest mean strength, then join it to the piece (first on ties) whose
+    union with it is strongest.
+    """
+    members = sorted(cluster)
+    splits = [
+        (r, oracle_components(linked, [m for m in members if m != r]))
+        for r in members
+    ]
+    if len(members) <= 2 or all(len(pieces) == 1 for _, pieces in splits):
+        return None
+    removed, pieces = max(
+        splits,
+        key=lambda split: sum(oracle_strength(linked, s) for s in split[1])
+        / len(split[1]),
+    )
+    join = max(
+        range(len(pieces)),
+        key=lambda j: oracle_strength(linked, pieces[j] + [removed]),
+    )
+    pieces[join] = sorted(pieces[join] + [removed])
+    return pieces
+
+
+def oracle_refine_fixed_point(linked, clusters):
+    current = [list(c) for c in clusters]
+    while True:
+        out, changed = [], False
+        for cluster in current:
+            pieces = oracle_refine(linked, cluster)
+            out.extend([cluster] if pieces is None else pieces)
+            changed |= pieces is not None and len(pieces) > 1
+        current = out
+        if not changed:
+            return tuple(sorted((tuple(c) for c in current), key=lambda c: c[0]))
+
+
 class TestPartitionProperties:
     @given(matrix_strategy)
     @settings(max_examples=60, deadline=None)
@@ -251,11 +306,19 @@ class TestPartitionProperties:
             if not lo < tau <= hi:
                 continue
             graph = threshold(sim, tau)
+            linked = ((arr >= tau) & ~np.eye(n, dtype=bool)).tolist()
             clusters = group(graph)
             assert sorted(i for c in clusters.clusters for i in c) == list(range(n))
+            expected = oracle_components(linked, range(n))
+            assert clusters.clusters == tuple(map(tuple, expected))
             refined = refine_all(clusters, graph)
             assert sorted(i for c in refined.clusters for i in c) == list(range(n))
             assert refined.c >= clusters.c
+            fixed = refine_all(clusters, graph, iterate=True)
+            assert fixed.clusters == oracle_refine_fixed_point(linked, expected)
+            # one removal per connected_components call must not change a thing
+            with mock.patch.object(clustering, "SPLIT_BATCH_ENTRIES", 1):
+                assert refine_all(clusters, graph, iterate=True) == fixed
             counts.append(clusters.c)
         assert counts == sorted(counts)
 

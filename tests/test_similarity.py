@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -261,3 +262,8 @@ class TestSimilarityParams:
             SimilarityParams(theta=1.0)
         with pytest.raises(ValueError):
             SimilarityParams(theta=-0.1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_weights_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SimilarityParams(weights=(1.0, bad))
