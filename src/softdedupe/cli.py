@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv as csv_module
 import dataclasses
 import json
+import math
 import os
 import sys
+from decimal import Decimal
 
 import click
 
@@ -39,8 +41,13 @@ def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
     """
     if not config_path:
         return
-    with open(config_path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(config_path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"{config_path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise click.UsageError(f"{config_path}: top level must be a JSON object")
     params = {p.name: p for p in ctx.command.params if p.name != "config"}
     for key, value in data.items():
         if key not in params:
@@ -48,6 +55,35 @@ def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
         source = ctx.get_parameter_source(key)
         if source is None or source.name == "DEFAULT":
             ctx.params[key] = params[key].type_cast_value(ctx, value)
+
+
+def _parse_tau(value) -> float | None:
+    """--tau as a number, or None for 'auto'."""
+    if str(value) == "auto":
+        return None
+    try:
+        tau = float(value)
+    except ValueError:
+        tau = math.nan  # rejected below, with the same message
+    if not math.isfinite(tau):
+        raise click.UsageError(
+            f"--tau must be 'auto' or a finite number, got {value!r}"
+        )
+    return tau
+
+
+def tau_grid(start: float, stop: float, step: float) -> list[float]:
+    """Thresholds start + k*step for k = 0, 1, ... up to stop.
+
+    Each point is computed on its own in decimal arithmetic from the
+    numbers as given, then rounded once: 0.1 to 0.3 by 0.1 ends at 0.3,
+    where float accumulation (or 0.1 + 2*0.1) gives 0.30000000000000004.
+    """
+    start_d, stop_d, step_d = (Decimal(repr(x)) for x in (start, stop, step))
+    if stop_d < start_d:
+        return []
+    count = int((stop_d - start_d) / step_d) + 1
+    return [float(start_d + k * step_d) for k in range(count)]
 
 
 def _read(reader, path: str, **kwargs):
@@ -242,8 +278,8 @@ def run(ctx, **kwargs):
     _apply_config_file(ctx, ctx.params.get("config"))
     p = ctx.params
     run_spec = _resolve(p)
+    tau_arg = _parse_tau(p["tau"])
     bundle = _build_similarity(run_spec)
-    tau_arg = None if str(p["tau"]) == "auto" else float(p["tau"])
     clusters, tau_used = pipeline.cluster_records(
         bundle.adjusted, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
     )
@@ -272,20 +308,18 @@ def sweep(ctx, **kwargs):
     _apply_config_file(ctx, ctx.params.get("config"))
     p = ctx.params
     run_spec = _resolve(p, require_truth=True)
-    bundle = _build_similarity(run_spec)
     taus = None
     if p["tau_start"] is not None or p["tau_stop"] is not None:
         if p["tau_start"] is None or p["tau_stop"] is None or not p["tau_step"]:
             raise click.UsageError("--tau-start/--tau-stop/--tau-step go together")
+        if not all(map(math.isfinite, (p["tau_start"], p["tau_stop"], p["tau_step"]))):
+            raise click.UsageError("--tau-start/--tau-stop/--tau-step must be finite")
         if p["tau_step"] <= 0:
             raise click.UsageError("--tau-step must be positive")
-        taus = []
-        t = p["tau_start"]
-        while t <= p["tau_stop"] + 1e-12:
-            taus.append(t)
-            t += p["tau_step"]
+        taus = tau_grid(p["tau_start"], p["tau_stop"], p["tau_step"])
         if not taus:
             raise click.UsageError("empty threshold range")
+    bundle = _build_similarity(run_spec)
     rows = pipeline.sweep_thresholds(
         bundle.adjusted, run_spec.truth, taus=taus, grid_size=int(p["grid"]),
         refine=run_spec.refine, iterate=run_spec.iterate,

@@ -19,6 +19,10 @@ from .corpus import FeatureLexicon, TokenizedEntry
 
 # values smaller than this are not stored in sparse similarity matrices
 SPARSE_FLOOR = 1e-12
+# build_jw_matrix bounds feature pairs a block of rows at a time; a block's
+# character-count minima, one per pair and character, stop at this many,
+# which bounds the memory of every temporary of the block
+JW_BLOCK_ENTRIES = 1 << 18
 
 METHOD_TFIDF = "tfidf"
 METHOD_SOFT_TFIDF = "soft_tfidf"
@@ -39,6 +43,8 @@ class SimilarityParams:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if not self.prefix_factor >= 0.0 or self.max_prefix < 0:
+            raise ValueError("prefix_factor and max_prefix must be >= 0")
         if self.prefix_factor * self.max_prefix > 1.0 + 1e-12:
             raise ValueError("prefix_factor * max_prefix must be <= 1")
         if not 0.0 <= self.theta < 1.0:
@@ -108,38 +114,85 @@ class JaroWinklerMatrix:
         return self.matrix.shape[0]
 
 
+def _character_tables(features: Sequence[str], max_width: int):
+    """Lengths, m x alphabet character counts and the first characters'
+    ids, at most max_width of them, padded with -1, of the features."""
+    m = len(features)
+    lens = np.fromiter(map(len, features), dtype=np.int64, count=m)
+    width = min(max_width, int(lens.max(initial=0)))
+    codes = np.frombuffer("".join(features).encode("utf-32-le"), dtype=np.uint32)
+    alphabet, chars = np.unique(codes, return_inverse=True)
+    owner = np.repeat(np.arange(m), lens)
+    counts = np.bincount(
+        owner * len(alphabet) + chars, minlength=m * len(alphabet)
+    ).reshape(m, len(alphabet))
+    counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
+    offsets = np.arange(width)
+    at = np.minimum((np.cumsum(lens) - lens)[:, None] + offsets, len(chars) - 1)
+    heads = np.where(offsets < lens[:, None], chars[at], -1)
+    return lens, counts, heads
+
+
+def _jw_upper_bound(lo, hi, lens, counts, heads, prefix_factor):
+    """Upper bound on JW for features lo..hi-1 against features lo..m-1."""
+    shared = np.minimum(counts[lo:hi, None, :], counts[None, lo:, :]).sum(
+        axis=2, dtype=np.int64
+    )
+    length = np.maximum(lens, 1).astype(float)
+    j_ub = np.where(
+        shared > 0,
+        (shared / length[lo:hi, None] + shared / length[None, lo:] + 1.0) / 3.0,
+        0.0,
+    )
+    # -1 pads each head, so two distinct features agree on a padded position
+    # only after disagreeing on a real one: runs stop where jaro_winkler's do
+    prefix = np.zeros(shared.shape)
+    run = np.ones(shared.shape, dtype=bool)
+    for k in range(heads.shape[1]):
+        run &= heads[lo:hi, k, None] == heads[None, lo:, k]
+        prefix += run
+    return j_ub + prefix_factor * prefix * (1.0 - j_ub)
+
+
 def build_jw_matrix(lexicon: FeatureLexicon, params: SimilarityParams) -> JaroWinklerMatrix:
     """All-pairs thresholded Jaro-Winkler matrix over a feature lexicon.
 
-    Pairs whose length ratio already bounds JW below theta are skipped;
-    the bound is exact, so the result equals the naive double loop.
+    Only pairs whose upper bound reaches theta are scored. Jaro matches
+    pair identical characters one to one, so the match count of s1 and s2
+    is at most M = sum over characters c of min(count1[c], count2[c]), and
+    J <= (M/l1 + M/l2 + 1)/3, or 0 when M = 0. JW = J + p*l*(1 - J) grows
+    with J when 0 <= p*l <= 1, which SimilarityParams ensures, so with the
+    exact shared prefix l the bound never drops a pair with JW >= theta.
+    A slack of 1e-9 below theta covers float rounding. Survivors are scored
+    exactly, so the result equals the naive double loop.
     """
     feats = lexicon.features
     m = len(feats)
     p, cap, theta = params.prefix_factor, params.max_prefix, params.theta
-    order = sorted(range(m), key=lambda i: len(feats[i]))
-    rows = list(range(m))
-    cols = list(range(m))
-    vals = [1.0] * m  # JW(f, f) = 1
-    for a in range(m):
-        i = order[a]
-        fi = feats[i]
-        li = len(fi)
-        lmax = min(cap, li)
-        for b in range(a + 1, m):
-            j = order[b]
-            fj = feats[j]
-            # upper bound from lengths alone: J <= (2 + min/max) / 3
-            j_ub = (2.0 + li / len(fj)) / 3.0
-            if j_ub + p * lmax * (1.0 - j_ub) < theta:
-                break  # features only get longer from here
-            jw = jaro_winkler(fi, fj, p, cap)
-            if jw >= theta:
-                rows.extend((i, j))
-                cols.extend((j, i))
-                vals.extend((jw, jw))
+    lens, counts, heads = _character_tables(feats, cap if p > 0 else 0)
+    step = max(1, JW_BLOCK_ENTRIES // max(counts.size, 1))
+    first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        bound = _jw_upper_bound(lo, hi, lens, counts, heads, p)
+        a, b = np.nonzero(np.triu(bound >= theta - 1e-9, 1))
+        first.append(lo + a)
+        second.append(lo + b)
+    first, second = np.concatenate(first), np.concatenate(second)
+    scores = np.array([
+        jaro_winkler(feats[i], feats[j], p, cap)
+        for i, j in zip(first.tolist(), second.tolist())
+    ], dtype=float)
+    hit = scores >= theta
+    first, second, scores = first[hit], second[hit], scores[hit]
+    diag = np.arange(m)
     mat = sparse.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))), shape=(m, m)
+        (
+            np.concatenate([np.ones(m), scores, scores]),  # JW(f, f) = 1
+            (np.concatenate([diag, first, second]),
+             np.concatenate([diag, second, first])),
+        ),
+        shape=(m, m),
     )
     return JaroWinklerMatrix(field_index=lexicon.field_index, theta=theta, matrix=mat)
 

@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from softdedupe.cli import SWEEP_COLUMNS, main
+from softdedupe.cli import SWEEP_COLUMNS, main, tau_grid
 from softdedupe.clustering import ClusterSet, write_clusters
 
 SMALL_CSV = """id,name,city
@@ -132,12 +132,32 @@ class TestRun:
         assert result.exit_code == 2
         assert message in result.output
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        ("[1, 2]", "top level must be a JSON object"),
+    ], ids=["invalid_json", "list_top_level"])
+    def test_unreadable_config_is_usage_error(
+        self, runner, small_csv, tmp_path, text, message
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        result = runner.invoke(main, [
+            "run", "--input", small_csv, "--config", str(path),
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2
+        assert message in result.output
+
     @pytest.mark.parametrize("text, args, message", [
         ("name,city\nJoe,Westwood\nJoan\n", [], "row 1 has 1 columns"),
         ("name,city\nJoe,\nJoan,\n", [], "no features"),
         (SMALL_CSV, ["--truth-column", "id", "--weights", "nan,1"],
          "finite and positive"),
-    ], ids=["ragged_csv", "empty_field", "nan_weight"])
+        (SMALL_CSV, ["--prefix-factor", "-0.2"], "must be >= 0"),
+        (SMALL_CSV, ["--tau", "abc"], "'auto' or a finite number"),
+        (SMALL_CSV, ["--tau", "nan"], "'auto' or a finite number"),
+    ], ids=["ragged_csv", "empty_field", "nan_weight", "negative_prefix_factor",
+            "text_tau", "nan_tau"])
     def test_bad_input_is_usage_error(self, runner, tmp_path, text, args, message):
         path = tmp_path / "input.csv"
         path.write_text(text)
@@ -182,6 +202,26 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         explicit = [float(r["tau"]) for r in rows if r["auto"] != "auto"]
         assert explicit == pytest.approx([0.2, 0.45, 0.7])
+
+    def test_nonfinite_range_is_error(self, runner, small_csv):
+        result = runner.invoke(main, [
+            "sweep", "--input", small_csv, "--truth-column", "id",
+            "--tau-start", "0.2", "--tau-stop", "inf", "--tau-step", "0.1",
+        ])
+        assert result.exit_code == 2
+        assert "must be finite" in result.output
+
+    @pytest.mark.parametrize("start, stop, step, want", [
+        (0.1, 0.3, 0.1, [0.1, 0.2, 0.3]),
+        (0.2, 0.7, 0.25, [0.2, 0.45, 0.7]),
+        (0.0, 1.0, 0.1, [k / 10 for k in range(11)]),
+        (0.5, 0.5, 0.1, [0.5]),
+        (0.5, 0.4, 0.1, []),
+    ])
+    def test_tau_grid_is_integer_indexed(self, start, stop, step, want):
+        # float accumulation ends 0.1..0.3 at 0.30000000000000004, which as
+        # a threshold drops a pair scored exactly 0.3
+        assert tau_grid(start, stop, step) == want
 
     def test_partial_range_is_error(self, runner, small_csv):
         result = runner.invoke(main, [

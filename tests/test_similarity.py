@@ -1,11 +1,13 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softdedupe import similarity
 from softdedupe.corpus import (
     DataSet,
     FeatureLexicon,
@@ -82,6 +84,38 @@ class TestJaroWinkler:
         assert jaro_winkler(s, s) == 1.0
 
 
+@st.composite
+def jw_cases(draw):
+    """A lexicon of distinct features and JW parameters for the prefilter.
+
+    Lexicons mix lengths, share one length (like phone numbers), or share
+    a stem longer than the longest prefix scored; alphabets run from two
+    letters, so characters repeat, to non-ASCII ones. theta is a fixed
+    level or a JW value the lexicon attains.
+    """
+    alphabet = draw(st.sampled_from(["ab", "abc", "abcdefghij", "aé-ß中😀"]))
+    shape = draw(st.sampled_from(["mixed", "equal", "stem"]))
+    if shape == "mixed":
+        words = st.text(alphabet, min_size=1, max_size=10)
+    elif shape == "equal":
+        size = draw(st.integers(1, 8))
+        words = st.text(alphabet, min_size=size, max_size=size)
+    else:
+        stem = draw(st.text(alphabet, min_size=5, max_size=6))
+        words = st.text(alphabet, max_size=4).map(lambda tail: stem + tail)
+    feats = tuple(draw(st.lists(words, min_size=1, max_size=20, unique=True)))
+    prefix_factor = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    max_prefix = draw(st.sampled_from([0, 1, 4]))
+    attained = sorted(
+        {jaro_winkler(a, b, prefix_factor, max_prefix) for a in feats for b in feats}
+        - {1.0}
+    )
+    theta = draw(st.sampled_from([0.0, 0.5, 0.9, *attained]))
+    return feats, SimilarityParams(
+        prefix_factor=prefix_factor, max_prefix=max_prefix, theta=theta
+    )
+
+
 class TestJaroWinklerMatrix:
     def test_single_feature(self):
         lex = FeatureLexicon(field_index=0, features=("abc",))
@@ -110,6 +144,27 @@ class TestJaroWinklerMatrix:
                 if v >= theta:
                     want[i, j] = v
         assert np.allclose(got, want, atol=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_prefilter_matches_naive_double_loop(self, data):
+        feats, params = data.draw(jw_cases())
+        m = len(feats)
+        want = np.zeros((m, m))
+        for i in range(m):
+            for j in range(m):
+                v = 1.0 if i == j else jaro_winkler(
+                    feats[i], feats[j], params.prefix_factor, params.max_prefix
+                )
+                if v >= params.theta:
+                    want[i, j] = v
+        lex = FeatureLexicon(field_index=0, features=feats)
+        # a block of r rows takes r * m * alphabet entries: from one row to all
+        rows = data.draw(st.integers(1, m), label="rows_per_block")
+        block_entries = rows * m * len(set("".join(feats)))
+        with mock.patch.object(similarity, "JW_BLOCK_ENTRIES", block_entries):
+            got = build_jw_matrix(lex, params).matrix.toarray()
+        assert np.array_equal(got, want)
 
     def test_symmetric_with_unit_diagonal(self):
         lex = FeatureLexicon(
@@ -256,6 +311,17 @@ class TestSimilarityParams:
     def test_prefix_bound(self):
         with pytest.raises(ValueError):
             SimilarityParams(prefix_factor=0.3, max_prefix=4)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"prefix_factor": -0.2, "theta": 0.9},
+        {"prefix_factor": math.nan},
+        {"max_prefix": -1},
+    ], ids=["negative_factor", "nan_factor", "negative_prefix"])
+    def test_prefix_parameters_non_negative(self, kwargs):
+        # build_jw_matrix's bound assumes 0 <= factor * prefix <= 1, and a
+        # negative max_prefix would score s[:-1] as the prefix
+        with pytest.raises(ValueError, match="must be >= 0"):
+            SimilarityParams(**kwargs)
 
     def test_theta_range(self):
         with pytest.raises(ValueError):
