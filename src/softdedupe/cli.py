@@ -86,6 +86,17 @@ def tau_grid(start: float, stop: float, step: float) -> list[float]:
     return [float(start_d + k * step_d) for k in range(count)]
 
 
+class _Delimiter(click.ParamType):
+    """A field delimiter: one character, as the csv module requires."""
+
+    name = "character"
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str) or len(value) != 1:
+            self.fail(f"must be one character, got {value!r}", param, ctx)
+        return value
+
+
 def _read(reader, path: str, **kwargs):
     """reader(path, **kwargs), reporting malformed input as a usage error."""
     try:
@@ -100,7 +111,8 @@ def pipeline_options(fn):
                      help="JSON file with option defaults (flags override)."),
         click.option("--input", "input_path", type=click.Path(), default=None,
                      help="Delimited input file."),
-        click.option("--delimiter", default=",", show_default=True),
+        click.option("--delimiter", type=_Delimiter(), default=",",
+                     show_default=True),
         click.option("--no-header", is_flag=True, default=False,
                      help="Input has no header row."),
         click.option("--fields", default=None,
@@ -168,6 +180,8 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
         names = [f.strip() for f in str(p["fields"]).split(",") if f.strip()]
     else:
         names = [f for f in full.schema if f != truth_col]
+    if not names:
+        raise click.UsageError("no fields to compare (see --fields)")
     for name in names:
         if name not in full.schema:
             raise click.UsageError(f"unknown field name: {name!r}")
@@ -300,7 +314,7 @@ def run(ctx, **kwargs):
 @click.option("--tau-start", type=float, default=None)
 @click.option("--tau-stop", type=float, default=None)
 @click.option("--tau-step", type=float, default=None)
-@click.option("--grid", default=200, show_default=True,
+@click.option("--grid", type=click.IntRange(min=1), default=200, show_default=True,
               help="Grid size over the nontrivial interval when no explicit range.")
 @click.pass_context
 def sweep(ctx, **kwargs):
@@ -321,7 +335,7 @@ def sweep(ctx, **kwargs):
             raise click.UsageError("empty threshold range")
     bundle = _build_similarity(run_spec)
     rows = pipeline.sweep_thresholds(
-        bundle.adjusted, run_spec.truth, taus=taus, grid_size=int(p["grid"]),
+        bundle.adjusted, run_spec.truth, taus=taus, grid_size=p["grid"],
         refine=run_spec.refine, iterate=run_spec.iterate,
     )
     _write_manifest(run_spec, {
@@ -340,7 +354,7 @@ def sweep(ctx, **kwargs):
               help="Comma-separated fields to blank entries from.")
 @click.option("--fraction", type=float, default=0.30, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--delimiter", default=",", show_default=True)
+@click.option("--delimiter", type=_Delimiter(), default=",", show_default=True)
 @click.option("--no-header", is_flag=True, default=False)
 def degrade(input_path, output_path, fields, fraction, seed, delimiter, no_header):
     """Blank a random fraction of entries per field to induce sparsity."""

@@ -11,8 +11,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .similarity import CompositeSimilarity
-
 # refinement is an exhaustive search; clusters beyond this size are skipped
 REFINE_SIZE_CAP = 2000
 # _splits stacks removal graphs until they hold this many adjacency entries or
@@ -91,19 +89,11 @@ class HStatistics:
     max: float
 
 
-def _offdiag_dense(sim: CompositeSimilarity) -> np.ndarray:
-    """Dense similarities with NaN on the diagonal, which the NaN-skipping
-    reductions and every comparison with tau leave out."""
-    dense = sim.dense()
-    np.fill_diagonal(dense, np.nan)
-    return dense
-
-
-def h_statistics(sim: CompositeSimilarity) -> HStatistics:
-    """H_i = max over j != i of SIM_{i,j}; absent entries count as 0."""
-    if sim.n < 2:
+def h_statistics(sim: np.ndarray) -> HStatistics:
+    """H_i = max over j != i of SIM_{i,j}; sim has NaN on its diagonal."""
+    if len(sim) < 2:
         raise ValueError("need at least two records")
-    h = np.nanmax(_offdiag_dense(sim), axis=1)
+    h = np.nanmax(sim, axis=1)
     return HStatistics(
         values=h, mean=float(h.mean()), std=float(h.std(ddof=1)), max=float(h.max())
     )
@@ -117,31 +107,26 @@ def threshold_from_h(h: np.ndarray) -> float:
     return tau if tau < float(h.max()) else mean
 
 
-def auto_threshold(sim: CompositeSimilarity) -> float:
+def auto_threshold(sim: np.ndarray) -> float:
     """Automatic threshold from the per-record maximum similarities."""
     return threshold_from_h(h_statistics(sim).values)
 
 
-def _offdiag_range(offdiag: np.ndarray) -> tuple[float, float]:
-    return float(np.nanmin(offdiag)), float(np.nanmax(offdiag))
-
-
-def nontrivial_interval(sim: CompositeSimilarity) -> tuple[float, float]:
+def nontrivial_interval(sim: np.ndarray) -> tuple[float, float]:
     """Half-open (min, max] off-diagonal similarity range for useful taus."""
-    return _offdiag_range(_offdiag_dense(sim))
+    return float(np.nanmin(sim)), float(np.nanmax(sim))
 
 
-def threshold(sim: CompositeSimilarity, tau: float) -> ThresholdedGraph:
+def threshold(sim: np.ndarray, tau: float) -> ThresholdedGraph:
     """Link every record pair whose similarity is >= tau."""
-    dense = _offdiag_dense(sim)
-    lo, hi = _offdiag_range(dense)
+    lo, hi = nontrivial_interval(sim)
     if not lo < tau <= hi:
         warnings.warn(
             f"tau={tau} outside the nontrivial interval ({lo}, {hi}]; "
             "clustering will be trivial",
             stacklevel=2,
         )
-    return ThresholdedGraph(tau=tau, adjacency=sparse.csr_matrix(dense >= tau))
+    return ThresholdedGraph(tau=tau, adjacency=sparse.csr_matrix(sim >= tau))
 
 
 def graph_from_edges(
@@ -313,6 +298,8 @@ def read_clusters(path: str) -> ClusterSet:
                 continue
             idx, lab = line.split()
             pairs.append((int(idx), lab))
+    if not pairs:
+        raise ValueError("cluster file has no records")
     pairs.sort()
     if [i for i, _ in pairs] != list(range(len(pairs))):
         raise ValueError("cluster file does not cover records 0..n-1 exactly once")

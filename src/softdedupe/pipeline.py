@@ -23,7 +23,7 @@ class SimilarityBundle:
     """Everything the similarity stage produced for one dataset/config."""
 
     raw: CompositeSimilarity
-    adjusted: CompositeSimilarity
+    adjusted: np.ndarray = field(compare=False)  # n x n, NaN diagonal
     mask: sparsity.PresenceMask
     field_sims: tuple[similarity.FieldSimilarity, ...]
     dataset: DataSet = field(compare=False)
@@ -71,7 +71,7 @@ def build_similarity(
 
 
 def cluster_records(
-    sim: CompositeSimilarity,
+    sim: np.ndarray,
     tau: float | None = None,
     refine: bool = False,
     iterate: bool = False,
@@ -87,7 +87,7 @@ def cluster_records(
 
 
 def sweep_thresholds(
-    sim: CompositeSimilarity,
+    sim: np.ndarray,
     truth: ClusterSet,
     taus: Sequence[float] | None = None,
     grid_size: int = 200,

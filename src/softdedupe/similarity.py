@@ -263,7 +263,6 @@ class CompositeSimilarity:
 
     matrix: sparse.csr_matrix = field(compare=False)
     max_score: float  # a (or sum of weights)
-    adjusted: bool = False
 
     @property
     def n(self) -> int:
@@ -314,6 +313,4 @@ def composite(
     if len(weights) != len(field_sims):
         raise ValueError("weights length does not match number of fields")
     total = sum(w * fs.matrix for w, fs in zip(weights, field_sims))
-    return CompositeSimilarity(
-        matrix=total.tocsr(), max_score=float(sum(weights)), adjusted=False
-    )
+    return CompositeSimilarity(matrix=total.tocsr(), max_score=float(sum(weights)))

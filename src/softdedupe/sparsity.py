@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import DataSet, TokenizerConfig, tokenize
 from .similarity import CompositeSimilarity
@@ -44,32 +43,23 @@ def presence_mask(tokenized_fields: Sequence[Sequence]) -> PresenceMask:
     return PresenceMask(mask=b, shared_counts=small @ small.T)
 
 
-def adjust(st: CompositeSimilarity, mask: PresenceMask) -> CompositeSimilarity:
-    """Divide each pair's composite score by its shared-field count.
+def adjust(raw: CompositeSimilarity, mask: PresenceMask) -> np.ndarray:
+    """Dense scores: each pair's composite score over its shared-field count.
 
-    Pairs with no shared fields have score 0 already and stay 0. The
-    diagonal is pinned at 1. Adjusting twice is an error.
+    Pairs with no shared fields score 0. The diagonal is NaN, so that
+    NaN-skipping reductions and comparisons with a threshold leave self-pairs
+    out. Adjusting twice is an error.
     """
-    if st.adjusted:
-        raise ValueError("composite similarity is already adjusted")
-    if mask.n != st.n:
+    if isinstance(raw, np.ndarray):
+        raise ValueError("similarity is already adjusted")
+    if mask.n != raw.n:
         raise ValueError("presence mask size does not match similarity matrix")
-    coo = st.matrix.tocoo()
-    off = coo.row != coo.col
-    rows, cols, vals = coo.row[off], coo.col[off], coo.data[off]
-    shared = mask.shared_counts[rows, cols]
-    nz = shared > 0
-    rows, cols = rows[nz], cols[nz]
-    vals = vals[nz] / shared[nz]
-    n = st.n
-    mat = sparse.csr_matrix(
-        (
-            np.concatenate([vals, np.ones(n)]),
-            (np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)])),
-        ),
-        shape=(n, n),
-    )
-    return CompositeSimilarity(matrix=mat, max_score=1.0, adjusted=True)
+    counts = mask.shared_counts
+    scores = raw.dense()
+    np.divide(scores, counts, out=scores, where=counts > 0)
+    scores[counts == 0] = 0.0
+    np.fill_diagonal(scores, np.nan)
+    return scores
 
 
 def impute_mode(

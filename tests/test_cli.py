@@ -119,7 +119,8 @@ class TestRun:
         ({"weights": [1, 2]}, "--weights: could not convert"),
         ({"bogus": 1}, "unknown config key"),
         ({"seed": "many"}, "not a valid integer"),
-    ], ids=["weights_list", "unknown_key", "untyped_seed"])
+        ({"delimiter": ";;"}, "must be one character"),
+    ], ids=["weights_list", "unknown_key", "untyped_seed", "long_delimiter"])
     def test_bad_config_is_usage_error(
         self, runner, small_csv, tmp_path, config, message
     ):
@@ -156,8 +157,10 @@ class TestRun:
         (SMALL_CSV, ["--prefix-factor", "-0.2"], "must be >= 0"),
         (SMALL_CSV, ["--tau", "abc"], "'auto' or a finite number"),
         (SMALL_CSV, ["--tau", "nan"], "'auto' or a finite number"),
+        (SMALL_CSV, ["--fields", ","], "no fields to compare"),
+        ("id\ne1\ne2\n", ["--truth-column", "id"], "no fields to compare"),
     ], ids=["ragged_csv", "empty_field", "nan_weight", "negative_prefix_factor",
-            "text_tau", "nan_tau"])
+            "text_tau", "nan_tau", "no_fields", "only_truth_column"])
     def test_bad_input_is_usage_error(self, runner, tmp_path, text, args, message):
         path = tmp_path / "input.csv"
         path.write_text(text)
@@ -230,6 +233,32 @@ class TestSweep:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_must_be_positive(self, runner, small_csv, grid):
+        result = runner.invoke(main, [
+            "sweep", "--input", small_csv, "--truth-column", "id", "--grid", grid,
+        ])
+        assert result.exit_code == 2
+        assert "not in the range x>=1" in result.output
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two_chars"])
+@pytest.mark.parametrize("command", ["run", "sweep", "degrade"])
+def test_delimiter_must_be_one_character(
+    runner, small_csv, tmp_path, command, delimiter
+):
+    args = {
+        "run": [],
+        "sweep": ["--truth-column", "id"],
+        "degrade": ["--output", str(tmp_path / "x.csv"), "--fields", "city",
+                    "--seed", "1"],
+    }[command]
+    result = runner.invoke(main, [
+        command, "--input", small_csv, "--delimiter", delimiter, *args,
+    ])
+    assert result.exit_code == 2
+    assert "must be one character" in result.output
+
 
 class TestDegrade:
     def test_blanks_listed_fields_only(self, runner, small_csv, tmp_path):
@@ -284,6 +313,15 @@ class TestEval:
         write_clusters(ClusterSet.from_labels([0, 0]), b)
         result = runner.invoke(main, ["eval", "--clusters", a, "--truth", b])
         assert result.exit_code == 2
+
+    def test_empty_files_are_usage_error(self, runner, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        result = runner.invoke(main, [
+            "eval", "--clusters", str(empty), "--truth", str(empty),
+        ])
+        assert result.exit_code == 2
+        assert "no records" in result.output
 
 
 class TestSynthCommand:

@@ -1,13 +1,13 @@
 import itertools
 import math
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from softdedupe import clustering
 from softdedupe.clustering import (
@@ -26,14 +26,13 @@ from softdedupe.clustering import (
     threshold_from_h,
     write_clusters,
 )
-from softdedupe.similarity import CompositeSimilarity
 
 
-def sim_from_dense(rows, max_score=1.0):
+def sim_from_dense(rows):
+    """Adjusted scores as the clustering functions take them: NaN diagonal."""
     arr = np.array(rows, dtype=float)
-    return CompositeSimilarity(
-        matrix=sparse.csr_matrix(arr), max_score=max_score, adjusted=True
-    )
+    np.fill_diagonal(arr, np.nan)
+    return arr
 
 
 FOUR = sim_from_dense(
@@ -323,6 +322,43 @@ class TestPartitionProperties:
         assert counts == sorted(counts)
 
 
+@st.composite
+def scores_and_tau(draw):
+    """A symmetric adjusted score array with NaN on the diagonal, on a coarse
+    grid so that ties are common, and a threshold that often equals a score."""
+    n = draw(st.integers(2, 9))
+    grid = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+    values = draw(st.lists(grid, min_size=n * n, max_size=n * n))
+    sim = np.array(values).reshape(n, n)
+    sim = np.triu(sim, 1) + np.triu(sim, 1).T
+    np.fill_diagonal(sim, np.nan)
+    tau = draw(st.one_of(grid, st.floats(-0.5, 1.5)))
+    return sim, tau
+
+
+class TestDenseScoreOracles:
+    """h_statistics, nontrivial_interval and threshold against loops over
+    the pairs i != j."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores_and_tau())
+    def test_match_pair_loops(self, case):
+        sim, tau = case
+        n = len(sim)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        h = [max(sim[i, j] for j in range(n) if j != i) for i in range(n)]
+        stats = h_statistics(sim)
+        assert np.array_equal(stats.values, h) and stats.max == max(h)
+        off = [sim[i, j] for i, j in pairs]
+        assert nontrivial_interval(sim) == (min(off), max(off))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            graph = threshold(sim, tau)
+        edges = set(zip(*graph.adjacency.nonzero()))
+        assert edges == {(i, j) for i, j in pairs if sim[i, j] >= tau}
+        assert graph.edge_count() * 2 == len(edges)
+
+
 class TestClusterFiles:
     def test_round_trip(self, tmp_path):
         cs = ClusterSet.from_labels([0, 1, 0, 2, 1, 2])
@@ -334,4 +370,10 @@ class TestClusterFiles:
         path = tmp_path / "bad.txt"
         path.write_text("0 0\n2 1\n")
         with pytest.raises(ValueError, match="0..n-1"):
+            read_clusters(str(path))
+
+    def test_empty_file_is_error(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="no records"):
             read_clusters(str(path))

@@ -26,7 +26,7 @@ class TestBuildSimilarity:
         bundle = pipeline.build_similarity(data, WORD, SimilarityParams())
         assert len(bundle.field_sims) == data.a
         assert bundle.raw.max_score == float(data.a)
-        assert not bundle.raw.adjusted and bundle.adjusted.adjusted
+        assert bundle.adjusted.shape == (data.n, data.n)
         assert bundle.mask.mask.shape == (data.n, data.a)
 
     def test_unknown_sparsity_mode(self):
@@ -43,7 +43,7 @@ class TestBuildSimilarity:
 
     def test_duplicates_score_higher_than_strangers(self):
         bundle = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
-        adj = bundle.adjusted.dense()
+        adj = bundle.adjusted
         assert adj[0, 1] > adj[0, 2]
         assert adj[3, 4] > adj[3, 5]
 

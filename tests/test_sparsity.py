@@ -1,7 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from softdedupe import pipeline
@@ -41,6 +44,32 @@ class TestPresenceMask:
             presence_mask([[FakeEntry(False)], [FakeEntry(False), FakeEntry(False)]])
 
 
+@st.composite
+def raw_and_bits(draw):
+    """A small raw composite (dense rows) and presence bits[k][i], with
+    unstored zero scores and, often, records that share no field."""
+    n = draw(st.integers(1, 8))
+    a = draw(st.integers(1, 4))
+    score = st.one_of(st.just(0.0), st.floats(0.0, float(a)))
+    rows = [draw(st.lists(score, min_size=n, max_size=n)) for _ in range(n)]
+    bits = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(a)]
+    return rows, bits
+
+
+def naive_adjust(rows, bits):
+    """Each pair's score over its shared-field count, one pair at a time."""
+    n = len(rows)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            shared = sum(col[i] and col[j] for col in bits)
+            if i == j:
+                out[i, j] = math.nan
+            elif shared:
+                out[i, j] = rows[i][j] / shared
+    return out
+
+
 class TestAdjust:
     def small_sim(self, dense, max_score):
         return CompositeSimilarity(
@@ -52,25 +81,33 @@ class TestAdjust:
             [[1.0, 1.6, 0.0], [1.6, 1.0, 0.5], [0.0, 0.5, 1.0]], max_score=2.0
         )
         pm = mask_from_bits([[1, 1, 0], [1, 1, 1]])
-        adj = adjust(raw, pm).dense()
+        adj = adjust(raw, pm)
         assert adj[0, 1] == pytest.approx(1.6 / 2)
         assert adj[1, 2] == pytest.approx(0.5 / 1)
-        assert np.array_equal(np.diag(adj), np.ones(3))
+        assert np.isnan(np.diag(adj)).all()
 
     def test_zero_shared_pair_stays_zero(self):
         raw = self.small_sim([[1.0, 0.0], [0.0, 1.0]], max_score=2.0)
         pm = mask_from_bits([[1, 0], [0, 1]])
         assert pm.shared_counts[0, 1] == 0
-        adj = adjust(raw, pm).dense()
+        adj = adjust(raw, pm)
         assert adj[0, 1] == 0.0
 
     def test_double_adjust_is_error(self):
         raw = self.small_sim([[1.0, 0.4], [0.4, 1.0]], max_score=1.0)
         pm = mask_from_bits([[1, 1]])
         once = adjust(raw, pm)
-        assert once.adjusted and once.max_score == 1.0
         with pytest.raises(ValueError, match="already adjusted"):
             adjust(once, pm)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_and_bits())
+    def test_matches_naive_per_pair_loop(self, case):
+        rows, bits = case
+        raw = self.small_sim(rows, max_score=float(len(bits)))
+        adj = adjust(raw, mask_from_bits(bits))
+        assert adj.dtype == np.float64
+        assert np.array_equal(adj, naive_adjust(rows, bits), equal_nan=True)
 
     def test_size_mismatch(self):
         raw = self.small_sim([[1.0, 0.4], [0.4, 1.0]], max_score=1.0)
@@ -97,7 +134,7 @@ class TestAdjust:
         raw = bundle.raw.dense()
         off = ~np.eye(data.n, dtype=bool)
         assert (raw[off] <= bundle.mask.shared_counts[off] + 1e-9).all()
-        adj = bundle.adjusted.dense()
+        adj = bundle.adjusted
         assert (adj[off] <= 1.0 + 1e-9).all() and (adj[off] >= 0).all()
 
 
@@ -126,7 +163,7 @@ class TestExactMatchPair:
 
     def test_adjusted_score_is_exactly_one(self):
         bundle = self.build()
-        assert bundle.adjusted.dense()[0, 1] == 1.0
+        assert bundle.adjusted[0, 1] == 1.0
 
 
 class TestImputeMode:
