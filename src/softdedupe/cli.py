@@ -186,6 +186,8 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
         if name not in full.schema:
             raise click.UsageError(f"unknown field name: {name!r}")
     dataset = full.select_fields(names)
+    if dataset.n < 2:
+        raise click.UsageError(f"need at least two records, got {dataset.n}")
 
     truth = None
     if truth_col:

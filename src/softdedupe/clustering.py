@@ -9,9 +9,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
-# refinement is an exhaustive search; clusters beyond this size are skipped
+# refine_all leaves clusters beyond this size unrefined, with a warning; a
+# cluster costs one DFS plus a component pass for each removal that splits it
 REFINE_SIZE_CAP = 2000
 # _splits stacks removal graphs until they hold this many adjacency entries or
 # vertices, which bounds the memory of one connected_components call
@@ -141,6 +141,10 @@ def graph_from_edges(
 
 
 def _labels(adjacency: sparse.csr_matrix) -> list[int]:
+    # imported on first use: csgraph loads scipy.linalg (about 12 MB and
+    # 0.2 s of CPU per process), which eval, degrade and synth never need
+    from scipy.sparse import csgraph
+
     return csgraph.connected_components(adjacency, directed=False)[1].tolist()
 
 
@@ -171,23 +175,71 @@ def strength(cluster: Sequence[int], graph: ThresholdedGraph) -> float:
     return _share(len(rows), len(cluster))
 
 
+def _removal_pieces(i: np.ndarray, j: np.ndarray, p: int) -> list[int]:
+    """For each of the p vertices of the graph with adjacency entries (i, j),
+    i sorted, the number of components left by removing it.
+
+    One iterative lowpoint DFS (Tarjan 1972; Hopcroft & Tarjan 1973) per
+    component: removing a vertex v cuts off the subtree of each DFS child c
+    with low[c] >= disc[v], and a non-root v also leaves the rest of its
+    component. The other components stay whole.
+    """
+    start = np.searchsorted(i, np.arange(p + 1)).tolist()
+    nbr = j.tolist()
+    nxt = start[:p]
+    disc = [-1] * p
+    low = [0] * p
+    pieces = [1] * p
+    clock = components = 0
+    for root in range(p):
+        if disc[root] >= 0:
+            continue
+        components += 1
+        disc[root] = low[root] = clock
+        clock += 1
+        pieces[root] = 0  # a root has no part of its component above it
+        path = [root]
+        while path:
+            v = path[-1]
+            k = nxt[v]
+            if k < start[v + 1]:
+                nxt[v] = k + 1
+                w = nbr[k]
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    path.append(w)
+                elif disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                path.pop()
+                if path:
+                    u = path[-1]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        pieces[u] += 1
+    return [k + components - 1 for k in pieces]
+
+
 def _splits(
-    i: np.ndarray, j: np.ndarray, p: int
+    i: np.ndarray, j: np.ndarray, p: int, removed: list[int]
 ) -> list[tuple[list[list[int]], float]]:
-    """For each of the p vertices of the graph with adjacency entries (i, j)
-    in turn, the components left by removing it (ordered by smallest vertex,
-    each sorted) and their mean strength.
+    """For each vertex in `removed`, the components left by removing it from
+    the graph on 0..p-1 with adjacency entries (i, j) (ordered by smallest
+    vertex, each sorted) and their mean strength.
 
     The graphs left by a batch of removals are stacked block-diagonally, so
     that one connected_components call labels the whole batch.
     """
     step = max(1, SPLIT_BATCH_ENTRIES // max(len(i), p))
     out = []
-    for lo in range(0, p, step):
-        count = min(step, p - lo)
+    for lo in range(0, len(removed), step):
+        batch = removed[lo : lo + step]
+        count = len(batch)
         copy = np.repeat(np.arange(count), len(i))
         ci, cj = np.tile(i, count) + copy * p, np.tile(j, count) + copy * p
-        gone = lo + copy * (p + 1)  # the removed vertex in each copy
+        gone = np.take(batch, copy) + copy * p  # the removed vertex in each copy
         keep = (ci != gone) & (cj != gone)
         ci, cj = ci[keep], cj[keep]
         size = count * p
@@ -198,7 +250,7 @@ def _splits(
         shares: list[list[float]] = [[] for _ in range(count)]
         for vertices in ClusterSet.from_labels(labels).clusters:
             c = vertices[0] // p
-            if vertices[0] != lo + c * (p + 1):
+            if vertices[0] != batch[c] + c * p:
                 pieces[c].append([v - c * p for v in vertices])
                 shares[c].append(_share(entries[labels[vertices[0]]], len(vertices)))
         out.extend((ps, sum(ss) / len(ss)) for ps, ss in zip(pieces, shares))
@@ -211,11 +263,19 @@ def _refine(members: list[int], graph: ThresholdedGraph) -> list[list[int]] | No
     if p <= 2:
         return None
     i, j = _induced(graph.adjacency, members)
-    splits = _splits(i, j, p)
-    if all(len(pieces) == 1 for pieces, _ in splits):
+    cuts = [v for v, k in enumerate(_removal_pieces(i, j, p)) if k > 1]
+    if not cuts:
         return None
+    splits = dict(zip(cuts, _splits(i, j, p, cuts)))
+    # removing any other record leaves one piece, with every entry not at it
+    kept = (len(i) - 2 * np.bincount(i, minlength=p)).tolist()
+    scores = [
+        splits[v][1] if v in splits else _share(kept[v], p - 1) for v in range(p)
+    ]
     # max() keeps the first best, so ties go to the lowest record
-    removed = max(range(p), key=lambda r: splits[r][1])
+    removed = max(range(p), key=scores.__getitem__)
+    if removed not in splits:
+        return [members]  # it rejoins its one piece: the cluster comes back whole
     pieces = splits[removed][0]
 
     def joined(k: int) -> float:

@@ -1,9 +1,11 @@
 import csv
 import json
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
+from softdedupe import pipeline
 from softdedupe.cli import SWEEP_COLUMNS, main, tau_grid
 from softdedupe.clustering import ClusterSet, write_clusters
 
@@ -170,6 +172,20 @@ class TestRun:
         ])
         assert result.exit_code == 2
         assert message in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["run"], ["run", "--tau", "0.5"], ["sweep", "--truth-column", "id"],
+], ids=["run_auto_tau", "run_tau", "sweep"])
+def test_single_record_is_usage_error(runner, tmp_path, args):
+    path = tmp_path / "one.csv"
+    path.write_text("id,name\ne1,Joe Bruin\n")
+    with mock.patch.object(pipeline, "build_similarity", side_effect=AssertionError):
+        result = runner.invoke(main, [
+            *args, "--input", str(path), "--output-dir", str(tmp_path / "out"),
+        ])
+    assert result.exit_code == 2
+    assert "need at least two records, got 1" in result.output
 
 
 class TestSweep:

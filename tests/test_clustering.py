@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -377,3 +378,168 @@ class TestClusterFiles:
         path.write_text("\n")
         with pytest.raises(ValueError, match="no records"):
             read_clusters(str(path))
+
+
+# The refinement before cut vertices, kept as the oracle: every one of the
+# p removals goes through a block-diagonal connected_components batch.
+ORACLE_BATCH_ENTRIES = 1 << 18
+
+
+def oracle_splits(i, j, p):
+    step = max(1, ORACLE_BATCH_ENTRIES // max(len(i), p))
+    out = []
+    for lo in range(0, p, step):
+        count = min(step, p - lo)
+        copy = np.repeat(np.arange(count), len(i))
+        ci, cj = np.tile(i, count) + copy * p, np.tile(j, count) + copy * p
+        gone = lo + copy * (p + 1)
+        keep = (ci != gone) & (cj != gone)
+        ci, cj = ci[keep], cj[keep]
+        size = count * p
+        labels = clustering._labels(
+            scipy.sparse.csr_matrix((np.ones(len(ci)), (ci, cj)), (size, size))
+        )
+        entries = np.bincount(np.take(labels, ci), minlength=size).tolist()
+        pieces = [[] for _ in range(count)]
+        shares = [[] for _ in range(count)]
+        for vertices in ClusterSet.from_labels(labels).clusters:
+            c = vertices[0] // p
+            if vertices[0] != lo + c * (p + 1):
+                pieces[c].append([v - c * p for v in vertices])
+                shares[c].append(
+                    clustering._share(entries[labels[vertices[0]]], len(vertices))
+                )
+        out.extend((ps, sum(ss) / len(ss)) for ps, ss in zip(pieces, shares))
+    return out
+
+
+def oracle_batched_refine(members, graph):
+    p = len(members)
+    if p <= 2:
+        return None
+    i, j = clustering._induced(graph.adjacency, members)
+    splits = oracle_splits(i, j, p)
+    if all(len(pieces) == 1 for pieces, _ in splits):
+        return None
+    removed = max(range(p), key=lambda r: splits[r][1])
+    pieces = splits[removed][0]
+
+    def joined(k):
+        inside = np.zeros(p, dtype=bool)
+        inside[pieces[k] + [removed]] = True
+        entries = int(np.count_nonzero(inside[i] & inside[j]))
+        return clustering._share(entries, len(pieces[k]) + 1)
+
+    join = max(range(len(pieces)), key=lambda k: (joined(k), -k))
+    pieces[join] = sorted(pieces[join] + [removed])
+    return [[members[v] for v in piece] for piece in pieces]
+
+
+def oracle_batched_refine_all(clusters, graph, iterate):
+    pending = [list(c) for c in clusters.clusters]
+    done = []
+    while pending:
+        split = []
+        for cluster in pending:
+            pieces = oracle_batched_refine(sorted(cluster), graph)
+            if pieces is None or len(pieces) == 1:
+                done.append(cluster)
+            else:
+                split.extend(pieces)
+        if not iterate:
+            return ClusterSet.from_groups(done + split)
+        pending = split
+    return ClusterSet.from_groups(done)
+
+
+@st.composite
+def refinement_graphs(draw):
+    """An edge list over randomly relabelled records: an Erdos-Renyi graph, a
+    path, a star or cliques chained through shared records, plus a few
+    random edges, so that ties and several cut vertices are common."""
+    kind = draw(st.sampled_from(["er", "path", "star", "cliques"]))
+    if kind == "cliques":
+        sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
+        edges, first = [], 0
+        for size in sizes:
+            block = range(first, first + size)
+            edges += list(itertools.combinations(block, 2))
+            first += size - 1  # the next clique shares this one's last record
+        n = first + 1
+    else:
+        n = draw(st.integers(1, 14))
+        if kind == "er":
+            prob = draw(st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.8]))
+            coins = draw(st.lists(st.floats(0, 1), min_size=n * n, max_size=n * n))
+            edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if coins[u * n + v] < prob]
+        elif kind == "path":
+            edges = [(v, v + 1) for v in range(n - 1)]
+        else:
+            edges = [(0, v) for v in range(1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    names = draw(st.permutations(range(n)))
+    return n, [(names[u], names[v]) for u, v in edges]
+
+
+class TestRefineAgainstBatchedOracle:
+    """needs_refinement, refine_cluster and refine_all against the refinement
+    that labels the components left by every single removal."""
+
+    @staticmethod
+    def check(n, edges, labels):
+        graph = graph_from_edges(n, edges)
+        partitions = [group(graph), ClusterSet.from_labels(labels)]
+        for members in [c for cs in partitions for c in cs.clusters] + [range(n)]:
+            want = oracle_batched_refine(sorted(members), graph)
+            assert needs_refinement(members, graph) == (want is not None)
+            if want is None:
+                with pytest.raises(ValueError, match="stable"):
+                    refine_cluster(members, graph)
+            else:
+                assert refine_cluster(members, graph) == want
+        for clusters in partitions:
+            for iterate in (False, True):
+                want = oracle_batched_refine_all(clusters, graph, iterate)
+                assert refine_all(clusters, graph, iterate=iterate) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(refinement_graphs(), st.data())
+    def test_matches_oracle(self, graph, data):
+        n, edges = graph
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        self.check(n, edges, labels)
+        # one removal per connected_components call must not change a thing
+        with mock.patch.object(clustering, "SPLIT_BATCH_ENTRIES", 1):
+            self.check(n, edges, labels)
+
+
+class TestRefineKnownAnswers:
+    def test_long_path_splits_off_first_triple(self):
+        # removing record r of a path of p records leaves paths of r and
+        # p-1-r records, and a path of m >= 2 records has strength 2/m (a
+        # single record 0). Removing 2 gives (1 + 2/(p-3))/2, tied with
+        # removing p-3 and above every other removal, so 2 is removed; it
+        # rejoins {0, 1} (strength 2/3) rather than {3..p-1} (2/(p-2)).
+        p = 1500
+        graph = graph_from_edges(p, [(v, v + 1) for v in range(p - 1)])
+        want = [[0, 1, 2], list(range(3, p))]
+        assert refine_cluster(range(p), graph) == want
+        assert refine_all(group(graph), graph).clusters == tuple(map(tuple, want))
+
+    def test_star_of_triangles_splits_into_triangles(self):
+        # triangles {3t, 3t+1, 3t+2}, t < 500, with every 3t tied to record
+        # 0. Removing 0 leaves 501 fully linked pieces (mean strength 1);
+        # any other removal leaves a piece of 1,497 or more sparse records.
+        # Record 0 then rejoins {1, 2} (strength 1), not a triangle (2/3).
+        p = 1500
+        edges = [(0, 3 * t) for t in range(1, p // 3)]
+        for t in range(p // 3):
+            edges += list(itertools.combinations(range(3 * t, 3 * t + 3), 2))
+        graph = graph_from_edges(p, edges)
+        triangles = [list(range(3 * t, 3 * t + 3)) for t in range(p // 3)]
+        assert refine_cluster(range(p), graph) == triangles
+        fixed = refine_all(group(graph), graph, iterate=True)
+        assert fixed.clusters == tuple(map(tuple, triangles))
