@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import comb
-from typing import Iterable, Sequence
+from itertools import chain
+from math import comb, inf
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -61,9 +62,10 @@ class ClusterSet:
         return len(self.clusters)
 
     def labels(self) -> np.ndarray:
-        lab = np.empty(self.n, dtype=np.int64)
-        for cid, members in enumerate(self.clusters):
-            lab[list(members)] = cid
+        sizes = np.fromiter(map(len, self.clusters), dtype=np.int64, count=self.c)
+        members = np.fromiter(chain.from_iterable(self.clusters), dtype=np.int64)
+        lab = np.empty(len(members), dtype=np.int64)
+        lab[members] = np.repeat(np.arange(self.c), sizes)
         return lab
 
     @staticmethod
@@ -117,16 +119,104 @@ def nontrivial_interval(sim: np.ndarray) -> tuple[float, float]:
     return float(np.nanmin(sim)), float(np.nanmax(sim))
 
 
+def warn_trivial(taus: Iterable[float], interval: tuple[float, float]) -> None:
+    """Warn, in order, for each tau outside the nontrivial interval (lo, hi].
+
+    The warning points at the caller of the function that calls this one.
+    """
+    lo, hi = interval
+    for tau in taus:
+        if not lo < tau <= hi:
+            warnings.warn(
+                f"tau={tau} outside the nontrivial interval ({lo}, {hi}]; "
+                "clustering will be trivial",
+                stacklevel=3,
+            )
+
+
 def threshold(sim: np.ndarray, tau: float) -> ThresholdedGraph:
     """Link every record pair whose similarity is >= tau."""
-    lo, hi = nontrivial_interval(sim)
-    if not lo < tau <= hi:
-        warnings.warn(
-            f"tau={tau} outside the nontrivial interval ({lo}, {hi}]; "
-            "clustering will be trivial",
-            stacklevel=2,
-        )
+    warn_trivial([tau], nontrivial_interval(sim))
     return ThresholdedGraph(tau=tau, adjacency=sparse.csr_matrix(sim >= tau))
+
+
+def max_spanning_forest(sim: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges (i, j, w) of a maximum spanning forest of the records, heaviest first.
+
+    sim is read as a complete graph, as threshold reads it: the diagonal is
+    skipped and an off-diagonal NaN is no edge. The forest spans each
+    connected component with one tree, and every edge u-v outside it is
+    joined by a tree path whose edges all weigh at least sim[u, v]. So for
+    every tau the forest edges with w >= tau have the components of
+    threshold(sim, tau), ties included (single linkage; Gower & Ross 1969).
+    Without NaN the forest is a tree of n - 1 edges.
+
+    Prim's algorithm (Prim 1957) on the dense array: O(n^2) time, one row
+    read per record and O(n) temporaries.
+    """
+    rest = np.arange(1, len(sim))  # records not yet in the forest
+    best = np.full(len(rest), -np.inf)  # weight of each one's heaviest edge into it
+    linked = np.zeros(len(rest), dtype=bool)  # whether it has an edge into it at all
+    via = np.zeros(len(rest), dtype=np.int64)  # the forest end of that edge
+    ends: list[int] = []
+    starts: list[int] = []
+    weights: list[float] = []
+    v = 0
+    while len(rest):
+        row = sim[v, rest]
+        better = row > best
+        # an unlinked record's best is -inf, which row > best cannot beat
+        better |= ~linked & (row == best)
+        np.copyto(best, row, where=better)
+        np.copyto(via, v, where=better)
+        linked |= better
+        k = int(np.argmax(best))
+        if not linked[k]:
+            # best[k] is -inf: take a record linked by a -inf edge, if any,
+            # else start a new tree at record rest[k]
+            k = int(np.argmax(linked)) if linked.any() else k
+        v = int(rest[k])
+        if linked[k]:
+            starts.append(int(via[k]))
+            ends.append(v)
+            weights.append(float(best[k]))
+        last = len(rest) - 1  # drop position k by moving the last record there
+        for a in (rest, best, linked, via):
+            a[k] = a[last]
+        rest, best, linked, via = rest[:last], best[:last], linked[:last], via[:last]
+    w = np.array(weights, dtype=float)
+    order = np.argsort(-w, kind="stable")
+    return (np.array(starts, dtype=np.int64)[order],
+            np.array(ends, dtype=np.int64)[order], w[order])
+
+
+def single_linkage(sim: np.ndarray, taus: Sequence[float]) -> Iterator[ClusterSet]:
+    """group(threshold(sim, tau)) for each tau of the descending `taus`, in
+    that order, from one maximum spanning forest, without threshold's warning.
+
+    Each tau merges the forest edges with w >= tau not taken yet, moving the
+    smaller cluster's records into the larger one. A merge cannot be undone,
+    so a tau above the one before it, or NaN, is a ValueError.
+    """
+    i, j, w = max_spanning_forest(sim)
+    pairs, weights = list(zip(i.tolist(), j.tolist())), w.tolist()
+    label = list(range(len(sim)))
+    members = {v: [v] for v in label}
+    merged = 0
+    previous = inf
+    for tau in taus:
+        if not tau <= previous:
+            raise ValueError(f"thresholds must descend, got {tau} after {previous}")
+        previous = tau
+        while merged < len(weights) and weights[merged] >= tau:
+            a, b = (label[v] for v in pairs[merged])
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for v in members[b]:
+                label[v] = a
+            members[a].extend(members.pop(b))
+            merged += 1
+        yield ClusterSet.from_groups(members.values())
 
 
 def graph_from_edges(

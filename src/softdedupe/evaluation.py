@@ -49,13 +49,11 @@ _Table = dict[tuple[int, int], int]
 
 def _contingency(c: ClusterSet, c_true: ClusterSet) -> _Table:
     """Record counts per (cluster, truth cluster), keyed in order of first record."""
-    labels = c.labels()
-    labels_true = c_true.labels()
-    table: _Table = {}
-    for li, lj in zip(labels, labels_true):
-        key = (int(li), int(lj))
-        table[key] = table.get(key, 0) + 1
-    return table
+    keys = c.labels() * c_true.c + c_true.labels()
+    found, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    rows, cols = np.divmod(found[order], c_true.c)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), counts[order].tolist()))
 
 
 def _purity(table: _Table, n: int, side: int) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -97,21 +98,37 @@ def sweep_thresholds(
     """Evaluate the clustering at each tau, plus a row at the auto threshold.
 
     Returns (tau, is_auto, metrics) tuples sorted by tau.
+
+    Without refinement the clusterings come from one maximum spanning forest
+    (clustering.single_linkage): one O(n^2) pass over sim, then one evaluate
+    per tau. A refined sweep still thresholds, groups and refines at each tau.
     """
+    interval = clustering.nontrivial_interval(sim)
     if taus is None:
-        lo, hi = clustering.nontrivial_interval(sim)
+        lo, hi = interval
         taus = np.linspace(lo, hi, grid_size + 1)[1:]  # half-open (lo, hi]
     taus = [float(t) for t in taus]
     if not taus:
         raise ValueError("empty threshold range")
+    if any(math.isnan(t) for t in taus):
+        raise ValueError("thresholds must not be NaN")
     tau_auto = clustering.auto_threshold(sim)
-    rows = []
-    for tau, is_auto in sorted(
-        [(t, False) for t in taus] + [(tau_auto, True)]
-    ):
-        clusters, _ = cluster_records(sim, tau, refine=refine, iterate=iterate)
-        rows.append((tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau)))
-    return rows
+    points = sorted([(t, False) for t in taus] + [(tau_auto, True)])
+    if refine:
+        return [
+            (tau, is_auto, evaluation.evaluate(
+                cluster_records(sim, tau, refine=True, iterate=iterate)[0],
+                truth, tau=tau))
+            for tau, is_auto in points
+        ]
+    clustering.warn_trivial([tau for tau, _ in points], interval)
+    points.reverse()  # the forest merges from the highest tau down
+    forest = clustering.single_linkage(sim, [tau for tau, _ in points])
+    rows = [
+        (tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau))
+        for (tau, is_auto), clusters in zip(points, forest)
+    ]
+    return rows[::-1]
 
 
 def degrade(

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
+import softdedupe
 from softdedupe import pipeline
 from softdedupe.cli import SWEEP_COLUMNS, main, tau_grid
 from softdedupe.clustering import ClusterSet, write_clusters
@@ -256,6 +261,28 @@ class TestSweep:
         ])
         assert result.exit_code == 2
         assert "not in the range x>=1" in result.output
+
+    @pytest.mark.parametrize("refine, loaded", [(False, False), (True, True)],
+                             ids=["plain", "refined"])
+    def test_csgraph_loaded_only_by_refined_sweep(self, small_csv, tmp_path,
+                                                  refine, loaded):
+        # a plain sweep clusters from a spanning forest, so it never loads
+        # scipy.sparse.csgraph (and with it scipy.linalg)
+        code = (
+            "import sys\n"
+            "from softdedupe.cli import main\n"
+            "main(sys.argv[1:], standalone_mode=False)\n"
+            "print('scipy.sparse.csgraph' in sys.modules)\n"
+        )
+        args = ["sweep", "--input", small_csv, "--truth-column", "id",
+                "--output-dir", str(tmp_path / "out"), "--method", "tfidf"]
+        if refine:
+            args.append("--refine")
+        src = str(Path(softdedupe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == str(loaded)
 
 
 @pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two_chars"])

@@ -17,11 +17,13 @@ from softdedupe.clustering import (
     graph_from_edges,
     group,
     h_statistics,
+    max_spanning_forest,
     needs_refinement,
     nontrivial_interval,
     read_clusters,
     refine_all,
     refine_cluster,
+    single_linkage,
     strength,
     threshold,
     threshold_from_h,
@@ -358,6 +360,50 @@ class TestDenseScoreOracles:
         edges = set(zip(*graph.adjacency.nonzero()))
         assert edges == {(i, j) for i, j in pairs if sim[i, j] >= tau}
         assert graph.edge_count() * 2 == len(edges)
+
+
+@st.composite
+def extreme_scores_and_taus(draw):
+    """A symmetric array with NaN on the diagonal whose off-diagonal entries
+    include NaN (no edge), -inf and inf, and descending taus that include
+    -inf, the one tau at which a NaN entry and a -inf edge differ."""
+    n = draw(st.integers(1, 9))
+    grid = [0.0, 0.5, 1.0, -np.inf, np.inf]
+    values = draw(st.lists(st.sampled_from(grid + [np.nan]),
+                           min_size=n * n, max_size=n * n))
+    sim = np.array(values).reshape(n, n)
+    sim = np.where(np.triu(np.ones((n, n), dtype=bool), 1), sim, sim.T)
+    np.fill_diagonal(sim, np.nan)
+    taus = draw(st.lists(st.one_of(st.sampled_from(grid), st.floats(-0.5, 1.5)),
+                         max_size=6))
+    return sim, sorted(taus, reverse=True)
+
+
+class TestSingleLinkage:
+    @settings(max_examples=300, deadline=None)
+    @given(extreme_scores_and_taus())
+    def test_matches_threshold_and_group(self, case):
+        sim, taus = case
+        n = len(sim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = [group(threshold(sim, tau)) for tau in taus]
+        assert list(single_linkage(sim, taus)) == expected
+        i, j, w = max_spanning_forest(sim)
+        assert len(w) == n - group(threshold(sim, -np.inf)).c
+        assert np.all(w[:-1] >= w[1:])
+        assert all(sim[a, b] == x for a, b, x in zip(i, j, w))
+
+    @pytest.mark.parametrize("taus", [[0.5, 0.8], [0.5, math.nan]])
+    def test_taus_must_descend(self, taus):
+        with pytest.raises(ValueError, match="descend"):
+            list(single_linkage(FOUR, taus))
+
+    def test_tree_of_complete_graph(self):
+        i, j, w = max_spanning_forest(FOUR)
+        assert w.tolist() == [0.9, 0.8, 0.3]
+        assert sorted(map(sorted, zip(i.tolist(), j.tolist()))) == [
+            [0, 1], [1, 2], [2, 3]]
 
 
 class TestClusterFiles:

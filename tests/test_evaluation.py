@@ -196,3 +196,27 @@ class TestEvaluate:
         r = evaluate(cs([0], [1]), cs([0, 1]))
         payload = json.loads(r.to_json())
         assert payload["precision"] is None and payload["f1"] is None
+
+
+def loop_contingency(c, c_true):
+    """The contingency table built record by record with a dict."""
+    labels, labels_true = c.labels(), c_true.labels()
+    table = {}
+    for li, lj in zip(labels, labels_true):
+        key = (int(li), int(lj))
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+class TestContingency:
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_dict_loop(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=40))
+        labels = st.lists(st.integers(0, 6), min_size=n, max_size=n)
+        c = ClusterSet.from_labels(data.draw(labels))
+        c_true = ClusterSet.from_labels(data.draw(labels))
+        table = _contingency(c, c_true)
+        # the keys' order is the order of NMI's float sum
+        assert list(table.items()) == list(loop_contingency(c, c_true).items())
+        assert all(type(v) is int for key in table for v in (*key, table[key]))

@@ -1,7 +1,12 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softdedupe import clustering, pipeline
+from softdedupe import clustering, evaluation, pipeline
 from softdedupe.corpus import DataSet, TokenizerConfig
 from softdedupe.similarity import SimilarityParams
 
@@ -96,6 +101,82 @@ class TestSweepThresholds:
     def test_empty_range_is_error(self):
         with pytest.raises(ValueError, match="empty threshold"):
             pipeline.sweep_thresholds(self.bundle.adjusted, self.truth, taus=[])
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_nan_threshold_is_error(self, refine):
+        with pytest.raises(ValueError, match="NaN"):
+            pipeline.sweep_thresholds(
+                self.bundle.adjusted, self.truth, taus=[0.5, float("nan")],
+                refine=refine)
+
+
+def oracle_sweep(sim, truth, taus, grid_size):
+    """The per-tau path: threshold, group and evaluate at every tau."""
+    if taus is None:
+        lo, hi = clustering.nontrivial_interval(sim)
+        taus = np.linspace(lo, hi, grid_size + 1)[1:]
+    taus = [float(t) for t in taus]
+    tau_auto = clustering.auto_threshold(sim)
+    rows = []
+    for tau, is_auto in sorted([(t, False) for t in taus] + [(tau_auto, True)]):
+        clusters = clustering.group(clustering.threshold(sim, tau))
+        rows.append((tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau)))
+    return rows
+
+
+def with_warnings(fn, *args, **kwargs):
+    """fn's result and the text of every warning it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+@st.composite
+def tied_sweeps(draw):
+    """A symmetric score array of 2-12 records on a coarse grid, so that ties
+    are common, with NaN on the diagonal and, in half the cases, off-diagonal
+    NaN (often enough to disconnect the records), but never a whole row of it;
+    a truth partition; and a grid size or explicit taus around both ends of
+    the nontrivial interval."""
+    n = draw(st.integers(2, 12))
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    sim = np.array(draw(st.lists(st.sampled_from(grid), min_size=n * n,
+                                 max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):  # holes in about 3 of 4 pairs
+        hole = st.sampled_from([False, True, True, True])
+        holes = draw(st.lists(hole, min_size=n * n, max_size=n * n))
+        sim[np.reshape(holes, (n, n))] = np.nan
+    sim = np.triu(sim, 1) + np.triu(sim, 1).T
+    np.fill_diagonal(sim, np.nan)
+    for i in range(n):
+        if np.isnan(sim[i]).all():
+            j = (i + 1) % n
+            sim[i, j] = sim[j, i] = draw(st.sampled_from(grid))
+    truth = clustering.ClusterSet.from_labels(
+        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return sim, truth, None, draw(st.integers(1, 8))
+    lo, hi = clustering.nontrivial_interval(sim)
+    near = [lo - 0.125, lo, (lo + hi) / 2, hi, hi + 0.125] + grid
+    taus = draw(st.lists(st.one_of(st.sampled_from(near), st.floats(-0.5, 1.5)),
+                         min_size=1, max_size=8))
+    return sim, truth, taus, 200
+
+
+class TestOnePassSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_sweeps())
+    def test_matches_per_tau_path(self, case):
+        sim, truth, taus, grid_size = case
+        expected, expected_warnings = with_warnings(
+            oracle_sweep, sim, truth, taus, grid_size)
+        with mock.patch.object(clustering, "threshold", side_effect=AssertionError), \
+                mock.patch.object(clustering, "group", side_effect=AssertionError):
+            rows, warned = with_warnings(
+                pipeline.sweep_thresholds, sim, truth, taus=taus, grid_size=grid_size)
+        assert rows == expected
+        assert warned == expected_warnings
 
 
 class TestDegrade:
