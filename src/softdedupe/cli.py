@@ -11,6 +11,7 @@ import sys
 from decimal import Decimal
 
 import click
+import numpy as np
 
 from . import evaluation, pipeline, synth
 from .clustering import ClusterSet, read_clusters, write_clusters
@@ -249,7 +250,7 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
     )
 
 
-def _build_similarity(run: ResolvedRun) -> pipeline.SimilarityBundle:
+def _build_similarity(run: ResolvedRun) -> np.ndarray:
     try:
         return pipeline.build_similarity(
             run.dataset, run.tok_config, run.params,
@@ -295,9 +296,9 @@ def run(ctx, **kwargs):
     p = ctx.params
     run_spec = _resolve(p)
     tau_arg = _parse_tau(p["tau"])
-    bundle = _build_similarity(run_spec)
+    scores = _build_similarity(run_spec)
     clusters, tau_used = pipeline.cluster_records(
-        bundle.adjusted, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
+        scores, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
     )
     _write_manifest(run_spec, {"tau": p["tau"], "tau_used": tau_used})
     write_clusters(clusters, os.path.join(run_spec.output_dir, "clusters.txt"))
@@ -335,9 +336,9 @@ def sweep(ctx, **kwargs):
         taus = tau_grid(p["tau_start"], p["tau_stop"], p["tau_step"])
         if not taus:
             raise click.UsageError("empty threshold range")
-    bundle = _build_similarity(run_spec)
+    scores = _build_similarity(run_spec)
     rows = pipeline.sweep_thresholds(
-        bundle.adjusted, run_spec.truth, taus=taus, grid_size=p["grid"],
+        scores, run_spec.truth, taus=taus, grid_size=p["grid"],
         refine=run_spec.refine, iterate=run_spec.iterate,
     )
     _write_manifest(run_spec, {

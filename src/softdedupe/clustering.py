@@ -81,24 +81,11 @@ class ClusterSet:
         return ClusterSet(clusters=tuple(clusters))
 
 
-@dataclass(frozen=True)
-class HStatistics:
-    """Per-record maximum similarity and its summary statistics."""
-
-    values: np.ndarray
-    mean: float
-    std: float
-    max: float
-
-
-def h_statistics(sim: np.ndarray) -> HStatistics:
+def h_statistics(sim: np.ndarray) -> np.ndarray:
     """H_i = max over j != i of SIM_{i,j}; sim has NaN on its diagonal."""
     if len(sim) < 2:
         raise ValueError("need at least two records")
-    h = np.nanmax(sim, axis=1)
-    return HStatistics(
-        values=h, mean=float(h.mean()), std=float(h.std(ddof=1)), max=float(h.max())
-    )
+    return np.nanmax(sim, axis=1)
 
 
 def threshold_from_h(h: np.ndarray) -> float:
@@ -111,7 +98,7 @@ def threshold_from_h(h: np.ndarray) -> float:
 
 def auto_threshold(sim: np.ndarray) -> float:
     """Automatic threshold from the per-record maximum similarities."""
-    return threshold_from_h(h_statistics(sim).values)
+    return threshold_from_h(h_statistics(sim))
 
 
 def nontrivial_interval(sim: np.ndarray) -> tuple[float, float]:

@@ -89,7 +89,6 @@ class TokenizerConfig:
 class FeatureLexicon:
     """Ordered set of distinct features for one field, with reverse lookup."""
 
-    field_index: int
     features: tuple[str, ...]
     lookup: dict[str, int] = field(compare=False, default_factory=dict)
 
@@ -107,13 +106,11 @@ class FeatureLexicon:
 class TokenizedEntry:
     """Sparse feature counts for one entry.
 
-    counts maps lexicon index -> occurrence count. raw_token_total also
-    counts out-of-lexicon tokens, so an empty entry can be told apart from
-    one containing only unknown tokens (both count as missing).
+    counts maps lexicon index -> occurrence count; an entry with no
+    in-lexicon feature is missing.
     """
 
     counts: dict[int, int]
-    raw_token_total: int = 0
 
     @property
     def missing(self) -> bool:
@@ -190,7 +187,7 @@ def build_lexicon(dataset: DataSet, k: int, config: TokenizerConfig) -> FeatureL
         seen.update(tokenize(entry, config))
     if not seen:
         raise ValueError(f"field {k} has no features after stop-word removal")
-    return FeatureLexicon(field_index=k, features=tuple(sorted(seen)))
+    return FeatureLexicon(features=tuple(sorted(seen)))
 
 
 def tokenize_field(
@@ -200,11 +197,10 @@ def tokenize_field(
     out = []
     lookup = lexicon.lookup
     for entry in dataset.column(k):
-        tokens = tokenize(entry, config)
         counts: dict[int, int] = {}
-        for t in tokens:
+        for t in tokenize(entry, config):
             j = lookup.get(t)
             if j is not None:
                 counts[j] = counts.get(j, 0) + 1
-        out.append(TokenizedEntry(counts=counts, raw_token_total=len(tokens)))
+        out.append(TokenizedEntry(counts=counts))
     return out

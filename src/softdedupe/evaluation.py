@@ -25,6 +25,17 @@ ENTROPY_EPS = 2.0**-52
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """Every metric of one clustering against the ground truth.
+
+    purity is the fraction of records in their cluster's best-matching
+    truth cluster (inverse_purity swaps the roles); rel_cluster_error is
+    |c - c_true| / c_true. Precision, recall and F1 count co-clustered
+    record pairs: precision and F1 are None when the clustering has no
+    such pairs, recall and F1 when the truth has none. rel_z_rand divides
+    z_rand by the truth's own z-Rand; nmi is the mutual information over
+    the geometric mean of the two entropies.
+    """
+
     purity: float
     inverse_purity: float
     harmonic_mean: float
@@ -64,38 +75,8 @@ def _purity(table: _Table, n: int, side: int) -> float:
     return sum(best.values()) / n
 
 
-def purity(c: ClusterSet, c_true: ClusterSet) -> float:
-    """Fraction of records falling in their cluster's best-matching truth cluster."""
-    return evaluate(c, c_true).purity
-
-
-def inverse_purity(c: ClusterSet, c_true: ClusterSet) -> float:
-    return evaluate(c, c_true).inverse_purity
-
-
-def harmonic_mean(c: ClusterSet, c_true: ClusterSet) -> float:
-    return evaluate(c, c_true).harmonic_mean
-
-
-def rel_cluster_error(c: ClusterSet, c_true: ClusterSet) -> float:
-    """|c - c'| / c'."""
-    return evaluate(c, c_true).rel_cluster_error
-
-
 def _pair_count(clusters: ClusterSet) -> int:
     return sum(comb(len(r), 2) for r in clusters.clusters)
-
-
-def pair_metrics(
-    c: ClusterSet, c_true: ClusterSet
-) -> tuple[float | None, float | None, float | None]:
-    """(precision, recall, F1) over co-clustered record pairs.
-
-    Precision and F1 are None when the clustering has no co-clustered
-    pairs; recall is None when the ground truth has none.
-    """
-    report = evaluate(c, c_true)
-    return report.precision, report.recall, report.f1
 
 
 def _z_rand(n: int, n_c: int, n_g: int, w: int) -> float | None:
@@ -118,11 +99,6 @@ def z_rand(c: ClusterSet, c_true: ClusterSet) -> float | None:
     return evaluate(c, c_true).z_rand
 
 
-def rel_z_rand(c: ClusterSet, c_true: ClusterSet) -> float | None:
-    """z-Rand of the clustering divided by the ground truth's self z-Rand."""
-    return evaluate(c, c_true).rel_z_rand
-
-
 def _entropy(clusters: ClusterSet, n: int) -> float:
     sizes = np.array([len(r) for r in clusters.clusters], dtype=float)
     frac = sizes / n
@@ -139,11 +115,6 @@ def _nmi(table: _Table, c: ClusterSet, c_true: ClusterSet, n: int) -> float:
     if denom <= 0:
         return 0.0
     return float(min(max(info / denom, 0.0), 1.0))
-
-
-def nmi(c: ClusterSet, c_true: ClusterSet) -> float:
-    """Mutual information normalized by the geometric mean of the entropies."""
-    return evaluate(c, c_true).nmi
 
 
 def evaluate(

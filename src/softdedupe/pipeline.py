@@ -1,9 +1,12 @@
-"""End-to-end orchestration: tokenize, score, adjust, cluster, evaluate."""
+"""End-to-end orchestration: tokenize, score, adjust, cluster, evaluate.
+
+build_similarity turns a data set into one dense n x n score array; the
+clustering and sweep functions here read only that array.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -12,22 +15,29 @@ from . import clustering, evaluation, similarity, sparsity
 from .clustering import ClusterSet
 from .corpus import DataSet, TokenizerConfig, build_lexicon, tokenize_field
 from .evaluation import MetricsReport
-from .similarity import (
-    METHOD_SOFT_TFIDF,
-    CompositeSimilarity,
-    SimilarityParams,
-)
+from .similarity import METHOD_SOFT_TFIDF, SimilarityParams
 
 
-@dataclass(frozen=True)
-class SimilarityBundle:
-    """Everything the similarity stage produced for one dataset/config."""
+def _composite_and_mask(
+    dataset: DataSet, tok_config: TokenizerConfig, params: SimilarityParams
+) -> tuple[similarity.CompositeSimilarity, sparsity.PresenceMask]:
+    """The raw composite of every field's similarity, and the presence mask.
 
-    raw: CompositeSimilarity
-    adjusted: np.ndarray = field(compare=False)  # n x n, NaN diagonal
-    mask: sparsity.PresenceMask
-    field_sims: tuple[similarity.FieldSimilarity, ...]
-    dataset: DataSet = field(compare=False)
+    The per-field matrices go when this returns, before anything is adjusted.
+    """
+    fields, tokenized_fields = [], []
+    for k in range(dataset.a):
+        lexicon = build_lexicon(dataset, k, tok_config)
+        tokenized = tokenize_field(dataset, k, lexicon, tok_config)
+        tokenized_fields.append(tokenized)
+        tfidf = similarity.build_tfidf(tokenized, lexicon, dataset.n)
+        if params.method == METHOD_SOFT_TFIDF:
+            jw = similarity.build_jw_matrix(lexicon, params)
+            fields.append(similarity.soft_tfidf_field(tfidf, jw))
+        else:
+            fields.append(similarity.tfidf_field(tfidf))
+    mask = sparsity.presence_mask(tokenized_fields)
+    return similarity.composite(fields, params.weights), mask
 
 
 def build_similarity(
@@ -36,8 +46,8 @@ def build_similarity(
     params: SimilarityParams,
     sparsity_mode: str = "adjust",
     seed: int | None = None,
-) -> SimilarityBundle:
-    """Run the similarity stage of the pipeline on every field.
+) -> np.ndarray:
+    """Score every record pair: a dense float64 n x n array, NaN diagonal.
 
     sparsity_mode "adjust" divides composite scores by shared-field
     counts; "impute" first fills missing entries with each field's mode
@@ -47,28 +57,8 @@ def build_similarity(
         raise ValueError(f"unknown sparsity mode: {sparsity_mode!r}")
     if sparsity_mode == "impute":
         dataset = sparsity.impute_mode(dataset, tok_config, seed=seed)
-    field_sims = []
-    tokenized_fields = []
-    for k in range(dataset.a):
-        lexicon = build_lexicon(dataset, k, tok_config)
-        tokenized = tokenize_field(dataset, k, lexicon, tok_config)
-        tokenized_fields.append(tokenized)
-        tfidf = similarity.build_tfidf(tokenized, lexicon, dataset.n)
-        if params.method == METHOD_SOFT_TFIDF:
-            jw = similarity.build_jw_matrix(lexicon, params)
-            field_sims.append(similarity.soft_tfidf_field(tfidf, jw))
-        else:
-            field_sims.append(similarity.tfidf_field(tfidf))
-    raw = similarity.composite(field_sims, params.weights)
-    mask = sparsity.presence_mask(tokenized_fields)
-    adjusted = sparsity.adjust(raw, mask)
-    return SimilarityBundle(
-        raw=raw,
-        adjusted=adjusted,
-        mask=mask,
-        field_sims=tuple(field_sims),
-        dataset=dataset,
-    )
+    raw, mask = _composite_and_mask(dataset, tok_config, params)
+    return sparsity.adjust(raw, mask)
 
 
 def cluster_records(

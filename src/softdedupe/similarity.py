@@ -1,9 +1,10 @@
 """Character, feature and hybrid similarity scores.
 
 Per field the pipeline builds a thresholded Jaro-Winkler matrix over the
-feature lexicon, a log-scaled l1-normalized TF-IDF matrix over entries,
-and combines them into a soft TF-IDF record similarity (or a plain TF-IDF
-one). Per-field similarities are then summed into a composite score.
+feature lexicon and a log-scaled l1-normalized n x m TF-IDF matrix over
+entries, and combines them into an n x n soft TF-IDF record similarity (or
+a plain TF-IDF one). Both are scipy CSR matrices. The per-field matrices
+are then summed into a composite score.
 """
 
 from __future__ import annotations
@@ -105,13 +106,8 @@ def jaro_winkler(
 class JaroWinklerMatrix:
     """Sparse symmetric m x m matrix of JW values >= theta (others absent)."""
 
-    field_index: int
     theta: float
     matrix: sparse.csr_matrix = field(compare=False)
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _character_tables(features: Sequence[str], max_width: int):
@@ -194,29 +190,14 @@ def build_jw_matrix(lexicon: FeatureLexicon, params: SimilarityParams) -> JaroWi
         ),
         shape=(m, m),
     )
-    return JaroWinklerMatrix(field_index=lexicon.field_index, theta=theta, matrix=mat)
-
-
-@dataclass(frozen=True)
-class TfIdfMatrix:
-    """Sparse n x m TF-IDF weights, nonzero rows l1-normalized."""
-
-    field_index: int
-    matrix: sparse.csr_matrix = field(compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[1]
+    return JaroWinklerMatrix(theta=theta, matrix=mat)
 
 
 def build_tfidf(
     tokenized: Sequence[TokenizedEntry], lexicon: FeatureLexicon, n: int
-) -> TfIdfMatrix:
-    """Log-scaled TF times IDF (natural log), rows scaled to unit l1 norm."""
+) -> sparse.csr_matrix:
+    """n x m log-scaled TF times IDF (natural log), nonzero rows scaled to
+    unit l1 norm."""
     if len(tokenized) != n:
         raise ValueError("tokenized entry count does not match n")
     m = len(lexicon)
@@ -242,34 +223,14 @@ def build_tfidf(
     # divide in place so single-feature rows normalize to exactly 1.0
     row_of = np.repeat(np.arange(n), np.diff(mat.indptr))
     mat.data /= row_sums[row_of]
-    return TfIdfMatrix(field_index=lexicon.field_index, matrix=mat)
-
-
-@dataclass(frozen=True)
-class FieldSimilarity:
-    """Sparse symmetric n x n per-field similarity, diagonal fixed at 1."""
-
-    field_index: int
-    matrix: sparse.csr_matrix = field(compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    return mat
 
 
 @dataclass(frozen=True)
 class CompositeSimilarity:
-    """Sum of per-field similarities for every record pair."""
+    """Sum of per-field similarities for every record pair, not yet adjusted."""
 
     matrix: sparse.csr_matrix = field(compare=False)
-    max_score: float  # a (or sum of weights)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def _finish_field_matrix(mat: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -284,33 +245,35 @@ def _finish_field_matrix(mat: sparse.csr_matrix) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=mat.shape)
 
 
-def soft_tfidf_field(tfidf: TfIdfMatrix, jw: JaroWinklerMatrix) -> FieldSimilarity:
-    """Hybrid similarity: TFIDF . M . TFIDF^T with the thresholded JW matrix."""
-    if tfidf.m != jw.m:
+def soft_tfidf_field(
+    tfidf: sparse.csr_matrix, jw: JaroWinklerMatrix
+) -> sparse.csr_matrix:
+    """Hybrid similarity: TFIDF . M . TFIDF^T with the thresholded JW matrix.
+
+    Symmetric n x n, diagonal fixed at 1.
+    """
+    if tfidf.shape[1] != jw.matrix.shape[0]:
         raise ValueError("TF-IDF and JW matrix dimensions disagree")
-    mat = tfidf.matrix @ jw.matrix @ tfidf.matrix.T
-    return FieldSimilarity(tfidf.field_index, _finish_field_matrix(mat))
+    return _finish_field_matrix(tfidf @ jw.matrix @ tfidf.T)
 
 
-def tfidf_field(tfidf: TfIdfMatrix) -> FieldSimilarity:
+def tfidf_field(tfidf: sparse.csr_matrix) -> sparse.csr_matrix:
     """Exact-match similarity: TFIDF . TFIDF^T (off-diagonal), diagonal 1."""
-    mat = tfidf.matrix @ tfidf.matrix.T
-    return FieldSimilarity(tfidf.field_index, _finish_field_matrix(mat))
+    return _finish_field_matrix(tfidf @ tfidf.T)
 
 
 def composite(
-    field_sims: Sequence[FieldSimilarity],
+    fields: Sequence[sparse.csr_matrix],
     weights: Sequence[float] | None = None,
 ) -> CompositeSimilarity:
     """Weighted sum of per-field similarities (unit weights by default)."""
-    if not field_sims:
+    if not fields:
         raise ValueError("no field similarities given")
-    n = field_sims[0].n
-    if any(fs.n != n for fs in field_sims):
+    if any(f.shape != fields[0].shape for f in fields):
         raise ValueError("field similarities have mismatched record counts")
     if weights is None:
-        weights = [1.0] * len(field_sims)
-    if len(weights) != len(field_sims):
+        weights = [1.0] * len(fields)
+    if len(weights) != len(fields):
         raise ValueError("weights length does not match number of fields")
-    total = sum(w * fs.matrix for w, fs in zip(weights, field_sims))
-    return CompositeSimilarity(matrix=total.tocsr(), max_score=float(sum(weights)))
+    total = sum(w * f for w, f in zip(weights, fields))
+    return CompositeSimilarity(matrix=total.tocsr())

@@ -20,14 +20,6 @@ class PresenceMask:
     mask: np.ndarray
     shared_counts: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.mask.shape[0]
-
-    @property
-    def a(self) -> int:
-        return self.mask.shape[1]
-
 
 def presence_mask(tokenized_fields: Sequence[Sequence]) -> PresenceMask:
     """B[i, k] = 0 exactly when entry (i, k) has no in-lexicon features."""
@@ -52,10 +44,10 @@ def adjust(raw: CompositeSimilarity, mask: PresenceMask) -> np.ndarray:
     """
     if isinstance(raw, np.ndarray):
         raise ValueError("similarity is already adjusted")
-    if mask.n != raw.n:
-        raise ValueError("presence mask size does not match similarity matrix")
     counts = mask.shared_counts
-    scores = raw.dense()
+    if counts.shape != raw.matrix.shape:
+        raise ValueError("presence mask size does not match similarity matrix")
+    scores = raw.matrix.toarray()
     np.divide(scores, counts, out=scores, where=counts > 0)
     scores[counts == 0] = 0.0
     np.fill_diagonal(scores, np.nan)

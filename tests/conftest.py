@@ -2,8 +2,49 @@ import pytest
 
 from softdedupe import pipeline, synth
 from softdedupe.clustering import ClusterSet
-from softdedupe.corpus import TokenizerConfig
-from softdedupe.similarity import SimilarityParams
+from softdedupe.corpus import TokenizerConfig, build_lexicon, tokenize_field
+from softdedupe.similarity import (
+    METHOD_SOFT_TFIDF,
+    SimilarityParams,
+    build_jw_matrix,
+    build_tfidf,
+    composite,
+    soft_tfidf_field,
+    tfidf_field,
+)
+from softdedupe.sparsity import presence_mask
+
+
+def tokenized_fields(data, tok_config):
+    """Each field's lexicon and tokenized entries."""
+    out = []
+    for k in range(data.a):
+        lexicon = build_lexicon(data, k, tok_config)
+        out.append((lexicon, tokenize_field(data, k, lexicon, tok_config)))
+    return out
+
+
+def raw_composite(data, tok_config, params):
+    """The unadjusted composite score of every record pair, as a dense array.
+
+    Built from the similarity stage's public functions, the steps that
+    pipeline.build_similarity takes before it adjusts.
+    """
+    fields = []
+    for lexicon, tokenized in tokenized_fields(data, tok_config):
+        tfidf = build_tfidf(tokenized, lexicon, data.n)
+        if params.method == METHOD_SOFT_TFIDF:
+            fields.append(soft_tfidf_field(tfidf, build_jw_matrix(lexicon, params)))
+        else:
+            fields.append(tfidf_field(tfidf))
+    return composite(fields, params.weights).matrix.toarray()
+
+
+def presence(data, tok_config):
+    """The presence mask of the data set's entries."""
+    return presence_mask(
+        [tokenized for _, tokenized in tokenized_fields(data, tok_config)]
+    )
 
 
 @pytest.fixture(scope="session")
@@ -31,8 +72,8 @@ def restaurants_degraded(restaurants):
     return degraded, truth
 
 
-class BundleCache:
-    """Lazily built, session-cached similarity bundles keyed by config."""
+class ScoreCache:
+    """Lazily built, session-cached adjusted score arrays keyed by config."""
 
     def __init__(self, datasets):
         self.datasets = datasets
@@ -56,8 +97,8 @@ class BundleCache:
 
 
 @pytest.fixture(scope="session")
-def bundles(restaurants, citations, restaurants_degraded):
-    return BundleCache(
+def scores(restaurants, citations, restaurants_degraded):
+    return ScoreCache(
         {
             "restaurants": restaurants,
             "citations": citations,

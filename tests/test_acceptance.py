@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion.
 
 Each test prints a single pass/fail line; run with `pytest -s` to see them
-even when everything passes. The heavier fixtures (similarity bundles and
-threshold sweeps) are cached per session.
+even when everything passes. The heavier fixtures (adjusted score arrays
+and threshold sweeps) are cached per session.
 """
 
 import math
@@ -32,6 +32,9 @@ from softdedupe.similarity import (
     soft_tfidf_field,
     tfidf_field,
 )
+from softdedupe.sparsity import impute_mode
+
+from conftest import presence, raw_composite
 
 WORD = TokenizerConfig(mode="word")
 
@@ -47,13 +50,13 @@ def check(criterion, ok, detail=""):
 _SWEEPS = {}
 
 
-def max_f1(bundles, name, mode, method):
+def max_f1(scores, name, mode, method):
     """Best pairwise F1 over a threshold sweep, cached per configuration."""
     key = (name, mode, method)
     if key not in _SWEEPS:
-        bundle = bundles.get(name, mode=mode, method=method)
         rows = pipeline.sweep_thresholds(
-            bundle.adjusted, bundles.truth(name), grid_size=60
+            scores.get(name, mode=mode, method=method), scores.truth(name),
+            grid_size=60,
         )
         _SWEEPS[key] = rows
     scores = [r.f1 for _, _, r in _SWEEPS[key] if r.f1 is not None]
@@ -75,9 +78,8 @@ def test_criterion_02_exact_match_on_single_shared_field():
         ("Joe Qqqq", "female", "Westwood"),
     )
     data = DataSet(records=records, schema=("name", "gender", "city"))
-    bundle = pipeline.build_similarity(data, WORD, SimilarityParams())
-    raw = bundle.raw.dense()[0, 1]
-    adj = bundle.adjusted[0, 1]
+    raw = raw_composite(data, WORD, SimilarityParams())[0, 1]
+    adj = pipeline.build_similarity(data, WORD, SimilarityParams())[0, 1]
     ok = raw == 1.0 and adj == 1.0
     check("C2 exact pair scores exactly 1.0", ok, f"raw={raw!r} adjusted={adj!r}")
 
@@ -106,7 +108,7 @@ def test_criterion_03_matrix_form_matches_direct_summation():
         tfidf = build_tfidf(tokenized, lexicon, n)
         params = SimilarityParams(theta=theta)
         got = soft_tfidf_field(tfidf, build_jw_matrix(lexicon, params))
-        t_dense = tfidf.matrix.toarray()
+        t_dense = tfidf.toarray()
         m = len(lexicon)
         m_dense = np.zeros((m, m))
         for p in range(m):
@@ -117,10 +119,10 @@ def test_criterion_03_matrix_form_matches_direct_summation():
                     m_dense[p, q] = m_dense[q, p] = v
         expected = t_dense @ m_dense @ t_dense.T
         np.fill_diagonal(expected, 1.0)
-        worst = max(worst, float(np.abs(got.matrix.toarray() - expected).max()))
+        worst = max(worst, float(np.abs(got.toarray() - expected).max()))
         # with an identity feature-match matrix the soft form must reduce
         # to the exact TF-IDF variant
-        exact = tfidf_field(tfidf).matrix.toarray()
+        exact = tfidf_field(tfidf).toarray()
         kron = t_dense @ np.eye(m) @ t_dense.T
         np.fill_diagonal(kron, 1.0)
         worst_exact = max(worst_exact, float(np.abs(exact - kron).max()))
@@ -152,12 +154,12 @@ def test_criterion_04_benchmark_shapes(restaurants, citations):
     )
 
 
-def test_criterion_05_word_features_beat_ngrams(bundles):
+def test_criterion_05_word_features_beat_ngrams(scores):
     results = {}
     ok = True
     for method in ("soft_tfidf", "tfidf"):
-        word = max_f1(bundles, "restaurants", "word", method)
-        ngram = max_f1(bundles, "restaurants", "ngram", method)
+        word = max_f1(scores, "restaurants", "word", method)
+        ngram = max_f1(scores, "restaurants", "ngram", method)
         results[method] = (word, ngram)
         ok = ok and word > ngram
     detail = ", ".join(
@@ -166,9 +168,9 @@ def test_criterion_05_word_features_beat_ngrams(bundles):
     check("C5 word features beat 3-grams on restaurants", ok, detail)
 
 
-def test_criterion_06_sparsity_degrades_quality(bundles):
-    full = max_f1(bundles, "restaurants", "word", "soft_tfidf")
-    degraded = max_f1(bundles, "restaurants30", "word", "soft_tfidf")
+def test_criterion_06_sparsity_degrades_quality(scores):
+    full = max_f1(scores, "restaurants", "word", "soft_tfidf")
+    degraded = max_f1(scores, "restaurants30", "word", "soft_tfidf")
     check(
         "C6 30% blanking lowers best F1",
         degraded < full,
@@ -176,11 +178,12 @@ def test_criterion_06_sparsity_degrades_quality(bundles):
     )
 
 
-def test_criterion_07_soft_scores_dominate_exact(bundles):
+def test_criterion_07_soft_scores_dominate_exact(scores):
     worst = math.inf
     for name in ("restaurants", "citations"):
-        soft = bundles.get(name, method="soft_tfidf").raw.dense()
-        exact = bundles.get(name, method="tfidf").raw.dense()
+        data, _ = scores.datasets[name]
+        soft = raw_composite(data, WORD, SimilarityParams(method="soft_tfidf"))
+        exact = raw_composite(data, WORD, SimilarityParams(method="tfidf"))
         worst = min(worst, float((soft - exact).min()))
     check(
         "C7 soft TF-IDF >= exact TF-IDF pointwise",
@@ -189,12 +192,12 @@ def test_criterion_07_soft_scores_dominate_exact(bundles):
     )
 
 
-def test_criterion_08_automatic_threshold_quality(bundles):
-    sim = bundles.get("restaurants").adjusted
+def test_criterion_08_automatic_threshold_quality(scores):
+    sim = scores.get("restaurants")
     tau = auto_threshold(sim)
     lo, hi = nontrivial_interval(sim)
     clusters = group(threshold(sim, tau))
-    report = evaluate(clusters, bundles.truth("restaurants"), tau=tau)
+    report = evaluate(clusters, scores.truth("restaurants"), tau=tau)
     ok = (
         lo < tau < hi
         and report.harmonic_mean > 0.5
@@ -315,16 +318,19 @@ def test_criterion_11_clustering_structure_fuzz():
     )
 
 
-def test_criterion_12_sparsity_modes_run_end_to_end(bundles):
+def test_criterion_12_sparsity_modes_run_end_to_end(scores):
     results = []
     ok = True
     for name in ("citations", "restaurants30"):
         for sparsity in ("adjust", "impute"):
-            bundle = bundles.get(name, sparsity=sparsity)
-            clusters, tau = pipeline.cluster_records(bundle.adjusted)
+            sim = scores.get(name, sparsity=sparsity)
+            clusters, tau = pipeline.cluster_records(sim)
             results.append(f"{name}/{sparsity}: c={clusters.c} tau={tau:.3f}")
-            ok = ok and clusters.n == len(bundle.adjusted)
-            if sparsity == "impute" and not (bundle.mask.mask == 1).all():
-                ok = False
-                results.append(f"{name}: imputed mask has holes")
+            ok = ok and clusters.n == len(sim)
+            if sparsity == "impute":
+                # the cache imputes with seed 1
+                imputed = impute_mode(scores.datasets[name][0], WORD, seed=1)
+                if not (presence(imputed, WORD).mask == 1).all():
+                    ok = False
+                    results.append(f"{name}: imputed mask has holes")
     check("C12 both sparsity modes complete", ok, "; ".join(results))

@@ -69,11 +69,11 @@ class TestClusterSet:
 
 class TestHStatistics:
     def test_row_maxima_exclude_diagonal(self):
-        stats = h_statistics(FOUR)
-        assert stats.values.tolist() == [0.9, 0.9, 0.8, 0.8]
-        assert stats.mean == pytest.approx(0.85)
-        assert stats.std == pytest.approx(np.std([0.9, 0.9, 0.8, 0.8], ddof=1))
-        assert stats.max == 0.9
+        h = h_statistics(FOUR)
+        assert h.tolist() == [0.9, 0.9, 0.8, 0.8]
+        assert h.mean() == pytest.approx(0.85)
+        assert h.std(ddof=1) == pytest.approx(np.std([0.9, 0.9, 0.8, 0.8], ddof=1))
+        assert h.max() == 0.9
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError):
@@ -94,8 +94,7 @@ class TestThresholdFromH:
         assert threshold_from_h(np.array([4.0, 4.0, 4.0])) == 4.0
 
     def test_auto_threshold_uses_h(self):
-        stats = h_statistics(FOUR)
-        assert auto_threshold(FOUR) == threshold_from_h(stats.values)
+        assert auto_threshold(FOUR) == threshold_from_h(h_statistics(FOUR))
 
 
 class TestThresholdAndGroup:
@@ -350,8 +349,7 @@ class TestDenseScoreOracles:
         n = len(sim)
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         h = [max(sim[i, j] for j in range(n) if j != i) for i in range(n)]
-        stats = h_statistics(sim)
-        assert np.array_equal(stats.values, h) and stats.max == max(h)
+        assert np.array_equal(h_statistics(sim), h)
         off = [sim[i, j] for i, j in pairs]
         assert nontrivial_interval(sim) == (min(off), max(off))
         with warnings.catch_warnings():

@@ -122,14 +122,14 @@ class TestTokenizeField:
         ds = make_dataset(["the", "word"])
         lex = build_lexicon(ds, 0, WORD)
         entries = tokenize_field(ds, 0, lex, WORD)
-        assert entries[0].missing and entries[0].raw_token_total == 0
+        assert entries[0].missing and entries[0].counts == {}
 
-    def test_out_of_lexicon_token_counts_toward_total(self):
+    def test_out_of_lexicon_token_is_missing(self):
         ds = make_dataset(["a b", "a"])
         lex = build_lexicon(ds, 0, WORD)
         probe = make_dataset(["c", "a"])
         entries = tokenize_field(probe, 0, lex, WORD)
-        assert entries[0].counts == {} and entries[0].raw_token_total == 1
+        assert entries[0].counts == {}
         assert entries[0].missing
 
     def test_indices_are_valid(self):

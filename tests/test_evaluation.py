@@ -8,18 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softdedupe.clustering import ClusterSet
-from softdedupe.evaluation import (
-    _contingency,
-    evaluate,
-    harmonic_mean,
-    inverse_purity,
-    nmi,
-    pair_metrics,
-    purity,
-    rel_cluster_error,
-    rel_z_rand,
-    z_rand,
-)
+from softdedupe.evaluation import _contingency, evaluate, z_rand
 
 
 def cs(*groups):
@@ -45,27 +34,29 @@ class TestIdentity:
         assert r.nmi == pytest.approx(1.0, abs=1e-12)
 
     def test_rel_z_rand_is_exactly_one(self):
-        assert rel_z_rand(self.truth, self.truth) == 1.0
+        assert evaluate(self.truth, self.truth).rel_z_rand == 1.0
 
 
 class TestPurity:
     def test_worked_example(self):
         c = cs([0, 1, 2, 3])
         truth = cs([0, 1, 2], [3])
-        assert purity(c, truth) == pytest.approx(3 / 4)
-        assert inverse_purity(c, truth) == 1.0
+        r = evaluate(c, truth)
+        assert r.purity == pytest.approx(3 / 4)
+        assert r.inverse_purity == 1.0
 
     def test_singletons_have_perfect_purity(self):
         c = cs(*[[i] for i in range(5)])
         truth = cs([0, 1, 2], [3, 4])
-        assert purity(c, truth) == 1.0
-        assert inverse_purity(c, truth) == pytest.approx(2 / 5)
+        r = evaluate(c, truth)
+        assert r.purity == 1.0
+        assert r.inverse_purity == pytest.approx(2 / 5)
 
     def test_harmonic_mean_between_min_and_max(self):
         c = cs([0, 1], [2, 3, 4])
         truth = cs([0, 1, 2], [3, 4])
-        p, i = purity(c, truth), inverse_purity(c, truth)
-        h = harmonic_mean(c, truth)
+        r = evaluate(c, truth)
+        p, i, h = r.purity, r.inverse_purity, r.harmonic_mean
         assert min(p, i) - 1e-12 <= h <= max(p, i) + 1e-12
         assert h == pytest.approx(2 * p * i / (p + i))
 
@@ -78,41 +69,41 @@ class TestPurity:
         coarse = ClusterSet.from_labels([rng.randint(0, 1) for _ in range(n)])
         # split every cluster of `coarse` into singletons
         fine = cs(*[[i] for i in range(n)])
-        assert purity(fine, truth) >= purity(coarse, truth) - 1e-12
+        assert evaluate(fine, truth).purity >= evaluate(coarse, truth).purity - 1e-12
 
 
 class TestRelClusterError:
     def test_formula(self):
-        assert rel_cluster_error(cs([0], [1], [2]), cs([0, 1, 2])) == 2.0
-        assert rel_cluster_error(cs([0, 1, 2]), cs([0], [1], [2])) == pytest.approx(
-            2 / 3
-        )
+        split = evaluate(cs([0], [1], [2]), cs([0, 1, 2]))
+        assert split.rel_cluster_error == 2.0
+        merged = evaluate(cs([0, 1, 2]), cs([0], [1], [2]))
+        assert merged.rel_cluster_error == pytest.approx(2 / 3)
 
 
 class TestPairMetrics:
     def test_worked_example(self):
         c = cs([0, 1, 2])
         truth = cs([0, 1], [2])
-        pre, rec, f1 = pair_metrics(c, truth)
-        assert pre == pytest.approx(1 / 3)
-        assert rec == 1.0
-        assert f1 == pytest.approx(1 / 2)
+        r = evaluate(c, truth)
+        assert r.precision == pytest.approx(1 / 3)
+        assert r.recall == 1.0
+        assert r.f1 == pytest.approx(1 / 2)
 
     def test_undefined_when_no_predicted_pairs(self):
         c = cs([0], [1], [2])
         truth = cs([0, 1], [2])
-        pre, rec, f1 = pair_metrics(c, truth)
-        assert pre is None and f1 is None
-        assert rec == 0.0
+        r = evaluate(c, truth)
+        assert r.precision is None and r.f1 is None
+        assert r.recall == 0.0
 
     def test_undefined_when_no_truth_pairs(self):
-        pre, rec, f1 = pair_metrics(cs([0, 1], [2]), cs([0], [1], [2]))
-        assert rec is None and f1 is None
-        assert pre == 0.0
+        r = evaluate(cs([0, 1], [2]), cs([0], [1], [2]))
+        assert r.recall is None and r.f1 is None
+        assert r.precision == 0.0
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            pair_metrics(cs([0, 1]), cs([0], [1], [2]))
+            evaluate(cs([0, 1]), cs([0], [1], [2]))
 
 
 class TestZRand:
@@ -129,7 +120,7 @@ class TestZRand:
         singles = cs([0], [1], [2])
         assert z_rand(singles, cs([0, 1], [2])) is None
         assert z_rand(cs([0, 1], [2]), singles) is None
-        assert rel_z_rand(cs([0, 1], [2]), singles) is None
+        assert evaluate(cs([0, 1], [2]), singles).rel_z_rand is None
 
     def test_mc_mean_under_label_shuffles(self):
         # the null mean (not the variance) also holds when truth labels are
@@ -156,7 +147,7 @@ class TestNmi:
     def test_independent_partitions_score_zero(self):
         c = cs([0, 1], [2, 3])
         truth = cs([0, 2], [1, 3])
-        assert nmi(c, truth) == 0.0
+        assert evaluate(c, truth).nmi == 0.0
 
     def test_hand_computed(self):
         c = cs([0, 1], [2, 3])
@@ -168,20 +159,21 @@ class TestNmi:
         )
         h_c = math.log(2)
         h_t = -(3 / 4 * math.log(3 / 4) + 1 / 4 * math.log(1 / 4))
-        assert nmi(c, truth) == pytest.approx(info / math.sqrt(h_c * h_t))
+        assert evaluate(c, truth).nmi == pytest.approx(info / math.sqrt(h_c * h_t))
 
     def test_single_cluster_against_itself(self):
         # both entropies are 0; the guarded form returns 0 instead of NaN
         whole = cs([0, 1, 2])
-        assert nmi(whole, whole) == 0.0
+        assert evaluate(whole, whole).nmi == 0.0
 
     @given(labels_strategy)
     @settings(max_examples=50)
     def test_symmetric_and_bounded(self, labels):
         a = ClusterSet.from_labels(labels)
         b = ClusterSet.from_labels(labels[::-1])
-        assert nmi(a, b) == pytest.approx(nmi(b, a))
-        assert 0.0 <= nmi(a, b) <= 1.0
+        ab = evaluate(a, b).nmi
+        assert ab == pytest.approx(evaluate(b, a).nmi)
+        assert 0.0 <= ab <= 1.0
 
 
 class TestEvaluate:

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softdedupe import clustering, evaluation, pipeline
+from softdedupe import clustering, evaluation, pipeline, similarity, sparsity
 from softdedupe.corpus import DataSet, TokenizerConfig
 from softdedupe.similarity import SimilarityParams
+
+from conftest import presence
 
 WORD = TokenizerConfig(mode="word")
 
@@ -26,13 +29,42 @@ def small_dataset():
 
 
 class TestBuildSimilarity:
-    def test_bundle_shapes(self):
+    def test_returns_score_array(self):
         data = small_dataset()
-        bundle = pipeline.build_similarity(data, WORD, SimilarityParams())
-        assert len(bundle.field_sims) == data.a
-        assert bundle.raw.max_score == float(data.a)
-        assert bundle.adjusted.shape == (data.n, data.n)
-        assert bundle.mask.mask.shape == (data.n, data.a)
+        sim = pipeline.build_similarity(data, WORD, SimilarityParams())
+        assert sim.shape == (data.n, data.n) and sim.dtype == np.float64
+        assert np.isnan(np.diag(sim)).all()
+
+    @pytest.mark.parametrize("method", ["soft_tfidf", "tfidf"])
+    def test_field_matrices_freed_before_adjust(self, method):
+        # only the composite and the mask may be alive while adjust
+        # allocates the dense n x n array
+        made = []
+
+        def keep_ref(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                made.append(weakref.ref(out))
+                return out
+            return wrapper
+
+        real_adjust = sparsity.adjust
+
+        def checked_adjust(raw, mask):
+            assert len(made) >= 2 * small_dataset().a
+            assert [ref for ref in made if ref() is not None] == []
+            return real_adjust(raw, mask)
+
+        with mock.patch.multiple(
+            similarity,
+            build_tfidf=keep_ref(similarity.build_tfidf),
+            build_jw_matrix=keep_ref(similarity.build_jw_matrix),
+            soft_tfidf_field=keep_ref(similarity.soft_tfidf_field),
+            tfidf_field=keep_ref(similarity.tfidf_field),
+        ), mock.patch.object(sparsity, "adjust", checked_adjust):
+            pipeline.build_similarity(
+                small_dataset(), WORD, SimilarityParams(method=method)
+            )
 
     def test_unknown_sparsity_mode(self):
         with pytest.raises(ValueError, match="sparsity mode"):
@@ -41,58 +73,61 @@ class TestBuildSimilarity:
             )
 
     def test_impute_mode_fills_every_entry(self):
-        bundle = pipeline.build_similarity(
-            small_dataset(), WORD, SimilarityParams(), sparsity_mode="impute", seed=3
+        data = small_dataset()
+        imputed = sparsity.impute_mode(data, WORD, seed=3)
+        assert (presence(imputed, WORD).mask == 1).all()
+        sim = pipeline.build_similarity(
+            data, WORD, SimilarityParams(), sparsity_mode="impute", seed=3
         )
-        assert (bundle.mask.mask == 1).all()
+        want = pipeline.build_similarity(imputed, WORD, SimilarityParams())
+        assert np.array_equal(sim, want, equal_nan=True)
 
     def test_duplicates_score_higher_than_strangers(self):
-        bundle = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
-        adj = bundle.adjusted
+        adj = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
         assert adj[0, 1] > adj[0, 2]
         assert adj[3, 4] > adj[3, 5]
 
 
 class TestClusterRecords:
     def test_auto_threshold_is_default(self):
-        bundle = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
-        _, tau = pipeline.cluster_records(bundle.adjusted)
-        assert tau == clustering.auto_threshold(bundle.adjusted)
+        sim = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
+        _, tau = pipeline.cluster_records(sim)
+        assert tau == clustering.auto_threshold(sim)
 
     def test_explicit_threshold_respected(self):
-        bundle = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
-        clusters, tau = pipeline.cluster_records(bundle.adjusted, tau=0.7)
+        sim = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
+        clusters, tau = pipeline.cluster_records(sim, tau=0.7)
         assert tau == 0.7
         assert (0, 1) in clusters.clusters  # the exact duplicates survive
 
     def test_refined_count_never_smaller(self):
-        bundle = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
-        plain, tau = pipeline.cluster_records(bundle.adjusted)
-        refined, _ = pipeline.cluster_records(bundle.adjusted, tau, refine=True)
+        sim = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
+        plain, tau = pipeline.cluster_records(sim)
+        refined, _ = pipeline.cluster_records(sim, tau, refine=True)
         assert refined.c >= plain.c
 
 
 class TestSweepThresholds:
     def setup_method(self):
         data = small_dataset()
-        self.bundle = pipeline.build_similarity(data, WORD, SimilarityParams())
+        self.sim = pipeline.build_similarity(data, WORD, SimilarityParams())
         self.truth = clustering.ClusterSet.from_groups(
             [[0, 1], [2], [3, 4], [5]]
         )
 
     def test_rows_sorted_with_auto_marked(self):
         rows = pipeline.sweep_thresholds(
-            self.bundle.adjusted, self.truth, grid_size=10
+            self.sim, self.truth, grid_size=10
         )
         taus = [tau for tau, _, _ in rows]
         assert taus == sorted(taus)
         assert sum(1 for _, is_auto, _ in rows if is_auto) == 1
         auto_tau = next(tau for tau, is_auto, _ in rows if is_auto)
-        assert auto_tau == clustering.auto_threshold(self.bundle.adjusted)
+        assert auto_tau == clustering.auto_threshold(self.sim)
 
     def test_explicit_taus(self):
         rows = pipeline.sweep_thresholds(
-            self.bundle.adjusted, self.truth, taus=[0.3, 0.5, 0.7]
+            self.sim, self.truth, taus=[0.3, 0.5, 0.7]
         )
         assert len(rows) == 4  # three requested plus the auto threshold
         for tau, _, report in rows:
@@ -100,13 +135,13 @@ class TestSweepThresholds:
 
     def test_empty_range_is_error(self):
         with pytest.raises(ValueError, match="empty threshold"):
-            pipeline.sweep_thresholds(self.bundle.adjusted, self.truth, taus=[])
+            pipeline.sweep_thresholds(self.sim, self.truth, taus=[])
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_nan_threshold_is_error(self, refine):
         with pytest.raises(ValueError, match="NaN"):
             pipeline.sweep_thresholds(
-                self.bundle.adjusted, self.truth, taus=[0.5, float("nan")],
+                self.sim, self.truth, taus=[0.5, float("nan")],
                 refine=refine)
 
 

@@ -10,7 +10,9 @@ from scipy import sparse
 from softdedupe import pipeline
 from softdedupe.corpus import DataSet, TokenizerConfig, tokenize
 from softdedupe.similarity import CompositeSimilarity, SimilarityParams
-from softdedupe.sparsity import PresenceMask, adjust, impute_mode, presence_mask
+from softdedupe.sparsity import adjust, impute_mode, presence_mask
+
+from conftest import presence, raw_composite
 
 WORD = TokenizerConfig(mode="word")
 
@@ -29,7 +31,7 @@ def mask_from_bits(bits):
 class TestPresenceMask:
     def test_mask_layout(self):
         pm = mask_from_bits([[1, 0, 1], [1, 1, 0]])
-        assert pm.n == 3 and pm.a == 2
+        assert pm.mask.shape == (3, 2)
         assert pm.mask.tolist() == [[1, 1], [0, 1], [1, 0]]
 
     def test_shared_counts_are_pairwise_overlaps(self):
@@ -71,15 +73,11 @@ def naive_adjust(rows, bits):
 
 
 class TestAdjust:
-    def small_sim(self, dense, max_score):
-        return CompositeSimilarity(
-            matrix=sparse.csr_matrix(np.array(dense)), max_score=max_score
-        )
+    def small_sim(self, dense):
+        return CompositeSimilarity(matrix=sparse.csr_matrix(np.array(dense)))
 
     def test_divides_by_shared_count(self):
-        raw = self.small_sim(
-            [[1.0, 1.6, 0.0], [1.6, 1.0, 0.5], [0.0, 0.5, 1.0]], max_score=2.0
-        )
+        raw = self.small_sim([[1.0, 1.6, 0.0], [1.6, 1.0, 0.5], [0.0, 0.5, 1.0]])
         pm = mask_from_bits([[1, 1, 0], [1, 1, 1]])
         adj = adjust(raw, pm)
         assert adj[0, 1] == pytest.approx(1.6 / 2)
@@ -87,14 +85,14 @@ class TestAdjust:
         assert np.isnan(np.diag(adj)).all()
 
     def test_zero_shared_pair_stays_zero(self):
-        raw = self.small_sim([[1.0, 0.0], [0.0, 1.0]], max_score=2.0)
+        raw = self.small_sim([[1.0, 0.0], [0.0, 1.0]])
         pm = mask_from_bits([[1, 0], [0, 1]])
         assert pm.shared_counts[0, 1] == 0
         adj = adjust(raw, pm)
         assert adj[0, 1] == 0.0
 
     def test_double_adjust_is_error(self):
-        raw = self.small_sim([[1.0, 0.4], [0.4, 1.0]], max_score=1.0)
+        raw = self.small_sim([[1.0, 0.4], [0.4, 1.0]])
         pm = mask_from_bits([[1, 1]])
         once = adjust(raw, pm)
         with pytest.raises(ValueError, match="already adjusted"):
@@ -104,13 +102,13 @@ class TestAdjust:
     @given(raw_and_bits())
     def test_matches_naive_per_pair_loop(self, case):
         rows, bits = case
-        raw = self.small_sim(rows, max_score=float(len(bits)))
+        raw = self.small_sim(rows)
         adj = adjust(raw, mask_from_bits(bits))
         assert adj.dtype == np.float64
         assert np.array_equal(adj, naive_adjust(rows, bits), equal_nan=True)
 
     def test_size_mismatch(self):
-        raw = self.small_sim([[1.0, 0.4], [0.4, 1.0]], max_score=1.0)
+        raw = self.small_sim([[1.0, 0.4], [0.4, 1.0]])
         with pytest.raises(ValueError):
             adjust(raw, mask_from_bits([[1, 1, 1]]))
 
@@ -127,43 +125,39 @@ class TestAdjust:
             for _ in range(25)
         )
         data = DataSet(records=records, schema=("f0", "f1", "f2"))
-        bundle = pipeline.build_similarity(
-            data, WORD, SimilarityParams(theta=0.5), sparsity_mode="adjust"
-        )
+        params = SimilarityParams(theta=0.5)
         # each shared field contributes at most 1, so ST <= shared counts
-        raw = bundle.raw.dense()
+        raw = raw_composite(data, WORD, params)
         off = ~np.eye(data.n, dtype=bool)
-        assert (raw[off] <= bundle.mask.shared_counts[off] + 1e-9).all()
-        adj = bundle.adjusted
+        assert (raw[off] <= presence(data, WORD).shared_counts[off] + 1e-9).all()
+        adj = pipeline.build_similarity(data, WORD, params, sparsity_mode="adjust")
         assert (adj[off] <= 1.0 + 1e-9).all() and (adj[off] >= 0).all()
 
 
 class TestExactMatchPair:
     """Two records identical on their one shared field must score exactly 1."""
 
-    def build(self):
+    def dataset(self):
         records = (
             ("Joe Bruin", "male", ""),
             ("Joe Bruin", "", "Westwood"),
             ("Joe Zzzz", "male", "Venice"),
             ("Joe Qqqq", "female", "Westwood"),
         )
-        data = DataSet(records=records, schema=("name", "gender", "city"))
-        return pipeline.build_similarity(data, WORD, SimilarityParams())
+        return DataSet(records=records, schema=("name", "gender", "city"))
 
     def test_raw_score_is_exactly_one(self):
-        bundle = self.build()
+        raw = raw_composite(self.dataset(), WORD, SimilarityParams())
         # "joe" occurs in every name so its IDF is 0; "bruin" alone carries
         # the whole normalized weight, making the name similarity exactly 1
-        assert bundle.raw.dense()[0, 1] == 1.0
+        assert raw[0, 1] == 1.0
 
     def test_shared_field_count_is_one(self):
-        bundle = self.build()
-        assert bundle.mask.shared_counts[0, 1] == 1
+        assert presence(self.dataset(), WORD).shared_counts[0, 1] == 1
 
     def test_adjusted_score_is_exactly_one(self):
-        bundle = self.build()
-        assert bundle.adjusted[0, 1] == 1.0
+        sim = pipeline.build_similarity(self.dataset(), WORD, SimilarityParams())
+        assert sim[0, 1] == 1.0
 
 
 class TestImputeMode:
@@ -208,8 +202,8 @@ class TestImputeMode:
         with pytest.raises(ValueError, match="field 1"):
             impute_mode(data, WORD, seed=0)
 
-    def test_imputed_dataset_has_no_missing_entries(self, bundles):
-        data, _ = bundles.datasets["restaurants30"]
+    def test_imputed_dataset_has_no_missing_entries(self, scores):
+        data, _ = scores.datasets["restaurants30"]
         out = impute_mode(data, WORD, seed=1)
         for k in range(out.a):
             assert all(tokenize(e, WORD) for e in out.column(k))
