@@ -19,6 +19,11 @@ from .corpus import DataSet, TokenizerConfig, load_dataset, load_stop_words
 from .evaluation import MetricsReport
 from .similarity import METHOD_SOFT_TFIDF, METHOD_TFIDF, SimilarityParams
 
+# most thresholds one sweep takes, from --grid or an explicit range; each one
+# costs an evaluation and a table row, so the limit is checked on the count
+# before any threshold is built
+MAX_SWEEP_POINTS = 100_000
+
 SWEEP_COLUMNS = [
     "tau", "auto", "n", "c", "c_true", "purity", "inverse_purity",
     "harmonic_mean", "rel_cluster_error", "precision", "recall", "f1",
@@ -79,11 +84,17 @@ def tau_grid(start: float, stop: float, step: float) -> list[float]:
     Each point is computed on its own in decimal arithmetic from the
     numbers as given, then rounded once: 0.1 to 0.3 by 0.1 ends at 0.3,
     where float accumulation (or 0.1 + 2*0.1) gives 0.30000000000000004.
+    More than MAX_SWEEP_POINTS thresholds is a UsageError.
     """
     start_d, stop_d, step_d = (Decimal(repr(x)) for x in (start, stop, step))
     if stop_d < start_d:
         return []
     count = int((stop_d - start_d) / step_d) + 1
+    if count > MAX_SWEEP_POINTS:
+        raise click.UsageError(
+            f"--tau-start/--tau-stop/--tau-step give {count} thresholds, "
+            f"more than the {MAX_SWEEP_POINTS} a sweep takes"
+        )
     return [float(start_d + k * step_d) for k in range(count)]
 
 
@@ -324,6 +335,11 @@ def sweep(ctx, **kwargs):
     """Evaluate the clustering over a range of thresholds."""
     _apply_config_file(ctx, ctx.params.get("config"))
     p = ctx.params
+    if p["grid"] > MAX_SWEEP_POINTS:
+        raise click.UsageError(
+            f"--grid {p['grid']} is more than the {MAX_SWEEP_POINTS} thresholds "
+            "a sweep takes"
+        )
     run_spec = _resolve(p, require_truth=True)
     taus = None
     if p["tau_start"] is not None or p["tau_stop"] is not None:

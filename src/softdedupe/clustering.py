@@ -1,39 +1,46 @@
-"""Threshold-and-group clustering with automatic threshold and refinement."""
+"""Threshold-and-group clustering with automatic threshold and refinement.
+
+Every clustering comes from one maximum spanning forest of the score array
+(single linkage): the clusters at tau are the components of the forest
+edges scoring >= tau, so no graph is built per tau. Refinement compares
+the rows of each cluster's records with tau and scores every single-record
+removal from one depth-first search of the cluster's links.
+"""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
-from math import comb, inf
-from typing import Iterable, Iterator, Sequence
+from math import comb, inf, isnan
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 # refine_all leaves clusters beyond this size unrefined, with a warning; a
-# cluster costs one DFS plus a component pass for each removal that splits it
+# cluster of p records costs its p rows of the score array, compared with tau
+# once, and one depth-first search per pass that scores every removal, with
+# no component labelling
 REFINE_SIZE_CAP = 2000
-# _splits stacks removal graphs until they hold this many adjacency entries or
-# vertices, which bounds the memory of one connected_components call
-SPLIT_BATCH_ENTRIES = 1 << 18
+# _links compares this many rows of the score array with tau at a time: its
+# float temporary of LINK_ROWS x n x 8 bytes then stays in cache (0.66 MB at
+# 1,295 records, where blocks of 64 rows ran 2.5x faster than of 256)
+LINK_ROWS = 64
 
 
 @dataclass(frozen=True)
 class ThresholdedGraph:
-    """Record graph with an edge wherever similarity >= tau.
+    """Record graph with an edge wherever scores >= tau.
 
-    adjacency is a symmetric boolean CSR matrix with no self-loops.
+    scores is the caller's n x n array with NaN on its diagonal, held without
+    a copy; an off-diagonal NaN is no edge.
     """
 
     tau: float
-    adjacency: sparse.csr_matrix = field(compare=False)
+    scores: np.ndarray = field(compare=False)
 
     def edge_count(self) -> int:
-        return self.adjacency.nnz // 2
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i, j])
+        return int(np.count_nonzero(self.scores >= self.tau)) // 2
 
 
 @dataclass(frozen=True)
@@ -122,20 +129,27 @@ def warn_trivial(taus: Iterable[float], interval: tuple[float, float]) -> None:
 
 
 def threshold(sim: np.ndarray, tau: float) -> ThresholdedGraph:
-    """Link every record pair whose similarity is >= tau."""
+    """Link every record pair whose similarity is >= tau: a view of sim,
+    after a warning when tau lies outside the nontrivial interval.
+
+    A NaN tau is a ValueError: no pair compares >= NaN, and single_linkage
+    merges only at comparable thresholds.
+    """
+    if isnan(tau):
+        raise ValueError("tau must not be NaN")
     warn_trivial([tau], nontrivial_interval(sim))
-    return ThresholdedGraph(tau=tau, adjacency=sparse.csr_matrix(sim >= tau))
+    return ThresholdedGraph(tau=tau, scores=sim)
 
 
 def max_spanning_forest(sim: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges (i, j, w) of a maximum spanning forest of the records, heaviest first.
 
-    sim is read as a complete graph, as threshold reads it: the diagonal is
-    skipped and an off-diagonal NaN is no edge. The forest spans each
-    connected component with one tree, and every edge u-v outside it is
-    joined by a tree path whose edges all weigh at least sim[u, v]. So for
-    every tau the forest edges with w >= tau have the components of
-    threshold(sim, tau), ties included (single linkage; Gower & Ross 1969).
+    sim is read as a complete graph: the diagonal is skipped and an
+    off-diagonal NaN is no edge. The forest spans each connected component
+    with one tree, and every edge u-v outside it is joined by a tree path
+    whose edges all weigh at least sim[u, v]. So for every tau the forest
+    edges with w >= tau have the components of the graph linking every pair
+    with sim >= tau, ties included (single linkage; Gower & Ross 1969).
     Without NaN the forest is a tree of n - 1 edges.
 
     Prim's algorithm (Prim 1957) on the dense array: O(n^2) time, one row
@@ -178,8 +192,9 @@ def max_spanning_forest(sim: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def single_linkage(sim: np.ndarray, taus: Sequence[float]) -> Iterator[ClusterSet]:
-    """group(threshold(sim, tau)) for each tau of the descending `taus`, in
-    that order, from one maximum spanning forest, without threshold's warning.
+    """The clusters at each tau of the descending `taus`, in that order: the
+    components of the graph linking every pair with sim >= tau, from one
+    maximum spanning forest, without threshold's warning.
 
     Each tau merges the forest edges with w >= tau not taken yet, moving the
     smaller cluster's records into the larger one. A merge cannot be undone,
@@ -206,39 +221,9 @@ def single_linkage(sim: np.ndarray, taus: Sequence[float]) -> Iterator[ClusterSe
         yield ClusterSet.from_groups(members.values())
 
 
-def graph_from_edges(
-    n: int, edges: Iterable[tuple[int, int]], tau: float = 0.0
-) -> ThresholdedGraph:
-    """Build a record graph directly from an undirected edge list."""
-    i, j = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
-    i, j = i[i != j], j[i != j]
-    ones = np.ones(2 * len(i), dtype=bool)
-    coo = sparse.coo_matrix((ones, (np.r_[i, j], np.r_[j, i])), shape=(n, n))
-    return ThresholdedGraph(tau=tau, adjacency=coo.tocsr())
-
-
-def _labels(adjacency: sparse.csr_matrix) -> list[int]:
-    # imported on first use: csgraph loads scipy.linalg (about 12 MB and
-    # 0.2 s of CPU per process), which eval, degrade and synth never need
-    from scipy.sparse import csgraph
-
-    return csgraph.connected_components(adjacency, directed=False)[1].tolist()
-
-
 def group(graph: ThresholdedGraph) -> ClusterSet:
-    """Connected components of the thresholded graph."""
-    return ClusterSet.from_labels(_labels(graph.adjacency))
-
-
-def _induced(
-    adjacency: sparse.csr_matrix, members: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stored entries of `adjacency` among the sorted `members`, as
-    (row, column) arrays of positions in `members`."""
-    rows = adjacency[members].tocoo()
-    pos = np.searchsorted(members, rows.col)
-    inside = np.take(members, np.minimum(pos, len(members) - 1)) == rows.col
-    return rows.row[inside], pos[inside]
+    """Connected components of the thresholded graph, from single_linkage."""
+    return next(single_linkage(graph.scores, [graph.tau]))
 
 
 def _share(entries: int, p: int) -> float:
@@ -246,129 +231,165 @@ def _share(entries: int, p: int) -> float:
     return entries // 2 / comb(p, 2) if p >= 2 else 0.0
 
 
-def strength(cluster: Sequence[int], graph: ThresholdedGraph) -> float:
-    """Fraction of linked pairs inside the cluster; 0 for singletons."""
-    rows, _ = _induced(graph.adjacency, sorted(cluster))
-    return _share(len(rows), len(cluster))
-
-
-def _removal_pieces(i: np.ndarray, j: np.ndarray, p: int) -> list[int]:
-    """For each of the p vertices of the graph with adjacency entries (i, j),
-    i sorted, the number of components left by removing it.
-
-    One iterative lowpoint DFS (Tarjan 1972; Hopcroft & Tarjan 1973) per
-    component: removing a vertex v cuts off the subtree of each DFS child c
-    with low[c] >= disc[v], and a non-root v also leaves the rest of its
-    component. The other components stay whole.
-    """
-    start = np.searchsorted(i, np.arange(p + 1)).tolist()
-    nbr = j.tolist()
-    nxt = start[:p]
-    disc = [-1] * p
-    low = [0] * p
-    pieces = [1] * p
-    clock = components = 0
-    for root in range(p):
-        if disc[root] >= 0:
-            continue
-        components += 1
-        disc[root] = low[root] = clock
-        clock += 1
-        pieces[root] = 0  # a root has no part of its component above it
-        path = [root]
-        while path:
-            v = path[-1]
-            k = nxt[v]
-            if k < start[v + 1]:
-                nxt[v] = k + 1
-                w = nbr[k]
-                if disc[w] < 0:
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    path.append(w)
-                elif disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                path.pop()
-                if path:
-                    u = path[-1]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
-                        pieces[u] += 1
-    return [k + components - 1 for k in pieces]
-
-
-def _splits(
-    i: np.ndarray, j: np.ndarray, p: int, removed: list[int]
-) -> list[tuple[list[list[int]], float]]:
-    """For each vertex in `removed`, the components left by removing it from
-    the graph on 0..p-1 with adjacency entries (i, j) (ordered by smallest
-    vertex, each sorted) and their mean strength.
-
-    The graphs left by a batch of removals are stacked block-diagonally, so
-    that one connected_components call labels the whole batch.
-    """
-    step = max(1, SPLIT_BATCH_ENTRIES // max(len(i), p))
-    out = []
-    for lo in range(0, len(removed), step):
-        batch = removed[lo : lo + step]
-        count = len(batch)
-        copy = np.repeat(np.arange(count), len(i))
-        ci, cj = np.tile(i, count) + copy * p, np.tile(j, count) + copy * p
-        gone = np.take(batch, copy) + copy * p  # the removed vertex in each copy
-        keep = (ci != gone) & (cj != gone)
-        ci, cj = ci[keep], cj[keep]
-        size = count * p
-        # float entries, which connected_components takes without a copy
-        labels = _labels(sparse.csr_matrix((np.ones(len(ci)), (ci, cj)), (size, size)))
-        entries = np.bincount(np.take(labels, ci), minlength=size).tolist()
-        pieces: list[list[list[int]]] = [[] for _ in range(count)]
-        shares: list[list[float]] = [[] for _ in range(count)]
-        for vertices in ClusterSet.from_labels(labels).clusters:
-            c = vertices[0] // p
-            if vertices[0] != batch[c] + c * p:
-                pieces[c].append([v - c * p for v in vertices])
-                shares[c].append(_share(entries[labels[vertices[0]]], len(vertices)))
-        out.extend((ps, sum(ss) / len(ss)) for ps, ss in zip(pieces, shares))
+def _links(graph: ThresholdedGraph, records: Sequence[int]) -> dict[int, int]:
+    """Each record's row of the graph, as an int whose bit k is set when it
+    links record k. Rows are compared with tau LINK_ROWS at a time."""
+    out: dict[int, int] = {}
+    for k in range(0, len(records), LINK_ROWS):
+        block = records[k : k + LINK_ROWS]
+        packed = np.packbits(graph.scores[block] >= graph.tau, axis=1,
+                             bitorder="little")
+        width, raw = packed.shape[1], packed.tobytes()
+        out.update(zip(block, (int.from_bytes(raw[i : i + width], "little")
+                               for i in range(0, len(raw), width))))
     return out
 
 
-def _refine(members: list[int], graph: ThresholdedGraph) -> list[list[int]] | None:
-    """refine_cluster on the sorted `members`, or None for a stable cluster."""
+def _records(bits: int) -> list[int]:
+    """The records whose bits are set in `bits`, ascending."""
+    packed = np.frombuffer(bits.to_bytes(bits.bit_length() // 8 + 1, "little"),
+                           dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
+
+
+class _Piece(NamedTuple):
+    """A component left by removing one record from a cluster's graph."""
+
+    least: int  # its smallest record
+    size: int
+    entries: int  # adjacency entries inside it: twice its edges
+    joins: int  # edges between it and the removed record
+    bits: int  # its records, as the set bits of an int
+
+    @staticmethod
+    def of(bits: int, entries: int, joins: int) -> "_Piece":
+        return _Piece((bits & -bits).bit_length() - 1, bits.bit_count(),
+                      entries, joins, bits)
+
+
+class _Removals:
+    """The components left by removing each single member from the graph on
+    the sorted `members` with the rows `links` (see _links), from one
+    iterative depth-first search (the lowpoint test of Tarjan 1972 and
+    Hopcroft & Tarjan 1973, in set form).
+
+    Record sets are the bits of Python ints, so that a step of the search,
+    which takes an undiscovered neighbour of the member on top, costs a few
+    operations on n-bit ints however dense the graph. Removing v cuts off
+    the subtree of each DFS child c when no member of that subtree links a
+    member found before v. No edge leaves that subtree except to v, so it
+    keeps its members' degree sum less its edges to v. A non-root v also
+    leaves the rest of its component, which keeps what v and those subtrees
+    do not take. The other components stay whole. Members are numbered by
+    their position in `members`, which orders them as their records do.
+    """
+
+    def __init__(self, members: list[int], links: dict[int, int]):
+        p = self.p = len(members)
+        self.bit = bit = [1 << m for m in members]
+        everyone = sum(bit)
+        rows = [links[m] & everyone for m in members]
+        position = dict(zip(members, range(p)))
+        self.deg = deg = [r.bit_count() for r in rows]
+        self.entries = sum(deg)
+        self.root = root = [0] * p
+        # the DFS children whose subtrees removing each member cuts off
+        self.cut: list[list[int]] = [[] for _ in range(p)]
+        self.subtree = subtree = [0] * p
+        self.degs = degs = deg[:]  # degree sum of each subtree's members
+        self.up = up = [0] * p  # edges between each subtree and its parent
+        reach = rows[:]  # neighbours of each subtree's members
+        early = [0] * p  # the members found before each one
+        found, left = 0, everyone
+        self.wholes = []  # each component, whole
+        while left:
+            r = position[left.bit_length() - 1]
+            root[r], early[r] = r, found
+            found ^= bit[r]
+            left ^= bit[r]
+            path = [r]
+            while path:
+                v = path[-1]
+                nbr = rows[v] & left
+                if nbr:
+                    # the highest record, which bit_length finds in one step
+                    w = position[nbr.bit_length() - 1]
+                    root[w], early[w] = r, found
+                    found ^= bit[w]
+                    left ^= bit[w]
+                    path.append(w)
+                    continue
+                path.pop()
+                subtree[v] = found ^ early[v]
+                if path:
+                    u = path[-1]
+                    up[v] = (rows[u] & subtree[v]).bit_count()
+                    degs[u] += degs[v]
+                    reach[u] |= reach[v]
+                    if not reach[v] & early[u]:
+                        self.cut[u].append(v)
+            self.wholes.append(_Piece.of(subtree[r], degs[r], 0))
+
+    def count(self, v: int) -> int:
+        """How many components removing v leaves."""
+        return len(self.cut[v]) + (v != self.root[v]) + len(self.wholes) - 1
+
+    def pieces(self, v: int) -> list[_Piece]:
+        """The components left by removing v, ordered by least record."""
+        out = [_Piece.of(self.subtree[c], self.degs[c] - self.up[c], self.up[c])
+               for c in self.cut[v]]
+        r = self.root[v]
+        if v != r:
+            rest = self.subtree[r] ^ self.bit[v]
+            for x in out:
+                rest ^= x.bits
+            out.append(_Piece.of(
+                rest,
+                self.degs[r] - 2 * self.deg[v] - sum(x.entries for x in out),
+                self.deg[v] - sum(x.joins for x in out),
+            ))
+        out += [x for x in self.wholes if not x.bits & self.bit[v]]
+        out.sort()
+        return out
+
+    def score(self, v: int) -> float:
+        """The mean strength of the components left by removing v, summed
+        in order of least record."""
+        if self.count(v) == 1:
+            return _share(self.entries - 2 * self.deg[v], self.p - 1)
+        pieces = self.pieces(v)
+        return sum(_share(x.entries, x.size) for x in pieces) / len(pieces)
+
+
+def _refine(members: list[int], links: dict[int, int]) -> list[list[int]] | None:
+    """refine_cluster on the sorted `members`, whose rows `links` holds, or
+    None for a stable cluster."""
     p = len(members)
     if p <= 2:
         return None
-    i, j = _induced(graph.adjacency, members)
-    cuts = [v for v, k in enumerate(_removal_pieces(i, j, p)) if k > 1]
-    if not cuts:
+    search = _Removals(members, links)
+    if all(search.count(v) == 1 for v in range(p)):
         return None
-    splits = dict(zip(cuts, _splits(i, j, p, cuts)))
-    # removing any other record leaves one piece, with every entry not at it
-    kept = (len(i) - 2 * np.bincount(i, minlength=p)).tolist()
-    scores = [
-        splits[v][1] if v in splits else _share(kept[v], p - 1) for v in range(p)
-    ]
     # max() keeps the first best, so ties go to the lowest record
-    removed = max(range(p), key=scores.__getitem__)
-    if removed not in splits:
+    removed = max(range(p), key=search.score)
+    if search.count(removed) == 1:
         return [members]  # it rejoins its one piece: the cluster comes back whole
-    pieces = splits[removed][0]
+    pieces = search.pieces(removed)
 
     def joined(k: int) -> float:
-        inside = np.zeros(p, dtype=bool)
-        inside[pieces[k] + [removed]] = True
-        entries = int(np.count_nonzero(inside[i] & inside[j]))
-        return _share(entries, len(pieces[k]) + 1)
+        x = pieces[k]
+        return _share(x.entries + 2 * x.joins, x.size + 1)
 
     join = max(range(len(pieces)), key=lambda k: (joined(k), -k))
-    pieces[join] = sorted(pieces[join] + [removed])
-    return [[members[v] for v in piece] for piece in pieces]
+    out = [_records(x.bits) for x in pieces]
+    out[join] = sorted(out[join] + [members[removed]])
+    return out
 
 
 def needs_refinement(cluster: Sequence[int], graph: ThresholdedGraph) -> bool:
     """True when removing some single record disconnects the remainder."""
-    return _refine(sorted(cluster), graph) is not None
+    members = sorted(cluster)
+    return _refine(members, _links(graph, members)) is not None
 
 
 def refine_cluster(cluster: Sequence[int], graph: ThresholdedGraph) -> list[list[int]]:
@@ -378,7 +399,8 @@ def refine_cluster(cluster: Sequence[int], graph: ThresholdedGraph) -> list[list
     subclusters; it is then re-added to the subcluster maximizing the
     strength of the union. Ties pick the lowest record / subcluster index.
     """
-    pieces = _refine(sorted(cluster), graph)
+    members = sorted(cluster)
+    pieces = _refine(members, _links(graph, members))
     if pieces is None:
         raise ValueError("refine_cluster called on a stable cluster")
     return pieces
@@ -394,6 +416,9 @@ def refine_all(
     """
     pending = [list(c) for c in clusters.clusters]
     done: list[list[int]] = []
+    # the rows of every record a pass may refine, read once for all passes
+    links = _links(graph, [v for c in pending if 2 < len(c) <= REFINE_SIZE_CAP
+                           for v in c])
     while pending:
         split: list[list[int]] = []
         for cluster in pending:
@@ -405,7 +430,7 @@ def refine_all(
                 )
                 done.append(cluster)
                 continue
-            pieces = _refine(sorted(cluster), graph)
+            pieces = _refine(sorted(cluster), links)
             # stable, or refined back into itself: either way a fixed point
             if pieces is None or len(pieces) == 1:
                 done.append(cluster)

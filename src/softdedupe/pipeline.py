@@ -67,7 +67,10 @@ def cluster_records(
     refine: bool = False,
     iterate: bool = False,
 ) -> tuple[ClusterSet, float]:
-    """Threshold and group; tau=None picks the automatic threshold."""
+    """Threshold and group; tau=None picks the automatic threshold.
+
+    A NaN tau is a ValueError (see clustering.threshold).
+    """
     if tau is None:
         tau = clustering.auto_threshold(sim)
     graph = clustering.threshold(sim, tau)
@@ -89,9 +92,11 @@ def sweep_thresholds(
 
     Returns (tau, is_auto, metrics) tuples sorted by tau.
 
-    Without refinement the clusterings come from one maximum spanning forest
+    The clusterings come from one maximum spanning forest
     (clustering.single_linkage): one O(n^2) pass over sim, then one evaluate
-    per tau. A refined sweep still thresholds, groups and refines at each tau.
+    per tau. A refined sweep then refines each tau's clusters on a view of
+    sim at that tau, which reads only the rows of records in clusters of
+    three or more.
     """
     interval = clustering.nontrivial_interval(sim)
     if taus is None:
@@ -104,20 +109,15 @@ def sweep_thresholds(
         raise ValueError("thresholds must not be NaN")
     tau_auto = clustering.auto_threshold(sim)
     points = sorted([(t, False) for t in taus] + [(tau_auto, True)])
-    if refine:
-        return [
-            (tau, is_auto, evaluation.evaluate(
-                cluster_records(sim, tau, refine=True, iterate=iterate)[0],
-                truth, tau=tau))
-            for tau, is_auto in points
-        ]
     clustering.warn_trivial([tau for tau, _ in points], interval)
     points.reverse()  # the forest merges from the highest tau down
     forest = clustering.single_linkage(sim, [tau for tau, _ in points])
-    rows = [
-        (tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau))
-        for (tau, is_auto), clusters in zip(points, forest)
-    ]
+    rows = []
+    for (tau, is_auto), clusters in zip(points, forest):
+        if refine:
+            graph = clustering.ThresholdedGraph(tau=tau, scores=sim)
+            clusters = clustering.refine_all(clusters, graph, iterate=iterate)
+        rows.append((tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau)))
     return rows[::-1]
 
 

@@ -1,0 +1,140 @@
+"""Reference clustering kept apart from the program: scipy components of the
+CSR graph `scores >= tau`, and the refinement rule applied to every single
+removal through batched component labelling. The program groups from a
+maximum spanning forest and refines from one depth-first search; the tests
+compare it with these.
+"""
+
+from math import comb
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
+
+from softdedupe.clustering import ClusterSet, ThresholdedGraph
+
+# oracle_splits stacks removal graphs until they hold this many adjacency
+# entries or vertices, which bounds one connected_components call
+SPLIT_BATCH_ENTRIES = 1 << 18
+
+
+def graph_from_edges(n, edges, tau=0.0):
+    """The graph with exactly the undirected `edges` on n records: a score
+    array that holds tau on each edge and NaN elsewhere."""
+    scores = np.full((n, n), np.nan)
+    for i, j in edges:
+        if i != j:
+            scores[i, j] = scores[j, i] = tau
+    return ThresholdedGraph(tau=tau, scores=scores)
+
+
+def adjacency(graph):
+    """The graph as a symmetric boolean CSR matrix with no self-loops."""
+    linked = graph.scores >= graph.tau
+    np.fill_diagonal(linked, False)
+    return sparse.csr_matrix(linked)
+
+
+def has_edge(graph, i, j):
+    return bool(adjacency(graph)[i, j])
+
+
+def labels(csr):
+    return csgraph.connected_components(csr, directed=False)[1].tolist()
+
+
+def components(graph):
+    """Connected components of the graph, by scipy."""
+    return ClusterSet.from_labels(labels(adjacency(graph)))
+
+
+def induced(csr, members):
+    """Stored entries of `csr` among the sorted `members`, as (row, column)
+    arrays of positions in `members`, rows ascending."""
+    rows = csr[members].tocoo()
+    pos = np.searchsorted(members, rows.col)
+    inside = np.take(members, np.minimum(pos, len(members) - 1)) == rows.col
+    return rows.row[inside], pos[inside]
+
+
+def share(entries, p):
+    """Strength of p records whose induced adjacency stores `entries`."""
+    return entries // 2 / comb(p, 2) if p >= 2 else 0.0
+
+
+def strength(cluster, graph):
+    """Fraction of linked pairs inside the cluster; 0 for singletons."""
+    rows, _ = induced(adjacency(graph), sorted(cluster))
+    return share(len(rows), len(cluster))
+
+
+def oracle_splits(i, j, p):
+    """For each of the p vertices of the graph with adjacency entries (i, j),
+    the components left by removing it (ordered by smallest vertex, each
+    sorted) and their mean strength. The graphs left by a batch of removals
+    are stacked block-diagonally and labelled by one connected_components
+    call."""
+    step = max(1, SPLIT_BATCH_ENTRIES // max(len(i), p))
+    out = []
+    for lo in range(0, p, step):
+        count = min(step, p - lo)
+        copy = np.repeat(np.arange(count), len(i))
+        ci, cj = np.tile(i, count) + copy * p, np.tile(j, count) + copy * p
+        gone = lo + copy * (p + 1)  # the removed vertex in each copy
+        keep = (ci != gone) & (cj != gone)
+        ci, cj = ci[keep], cj[keep]
+        size = count * p
+        lab = labels(sparse.csr_matrix((np.ones(len(ci)), (ci, cj)), (size, size)))
+        entries = np.bincount(np.take(lab, ci), minlength=size).tolist()
+        pieces = [[] for _ in range(count)]
+        shares = [[] for _ in range(count)]
+        for vertices in ClusterSet.from_labels(lab).clusters:
+            c = vertices[0] // p
+            if vertices[0] != lo + c * (p + 1):
+                pieces[c].append([v - c * p for v in vertices])
+                shares[c].append(share(entries[lab[vertices[0]]], len(vertices)))
+        out.extend((ps, sum(ss) / len(ss)) for ps, ss in zip(pieces, shares))
+    return out
+
+
+def batched_refine(members, graph):
+    """The refinement of the sorted `members`, or None for a stable cluster:
+    remove the record (lowest on ties) whose removal leaves the pieces of
+    highest mean strength, then join it to the piece (first on ties) whose
+    union with it is strongest."""
+    p = len(members)
+    if p <= 2:
+        return None
+    i, j = induced(adjacency(graph), members)
+    splits = oracle_splits(i, j, p)
+    if all(len(pieces) == 1 for pieces, _ in splits):
+        return None
+    removed = max(range(p), key=lambda r: splits[r][1])
+    pieces = splits[removed][0]
+
+    def joined(k):
+        inside = np.zeros(p, dtype=bool)
+        inside[pieces[k] + [removed]] = True
+        return share(int(np.count_nonzero(inside[i] & inside[j])), len(pieces[k]) + 1)
+
+    join = max(range(len(pieces)), key=lambda k: (joined(k), -k))
+    pieces[join] = sorted(pieces[join] + [removed])
+    return [[members[v] for v in piece] for piece in pieces]
+
+
+def batched_refine_all(clusters, graph, iterate):
+    """refine_all by batched_refine, one pass or to a fixed point."""
+    pending = [list(c) for c in clusters.clusters]
+    done = []
+    while pending:
+        split = []
+        for cluster in pending:
+            pieces = batched_refine(sorted(cluster), graph)
+            if pieces is None or len(pieces) == 1:
+                done.append(cluster)
+            else:
+                split.extend(pieces)
+        if not iterate:
+            return ClusterSet.from_groups(done + split)
+        pending = split
+    return ClusterSet.from_groups(done)

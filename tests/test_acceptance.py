@@ -35,6 +35,7 @@ from softdedupe.similarity import (
 from softdedupe.sparsity import impute_mode
 
 from conftest import presence, raw_composite
+from oracles import components
 
 WORD = TokenizerConfig(mode="word")
 
@@ -196,10 +197,12 @@ def test_criterion_08_automatic_threshold_quality(scores):
     sim = scores.get("restaurants")
     tau = auto_threshold(sim)
     lo, hi = nontrivial_interval(sim)
-    clusters = group(threshold(sim, tau))
+    graph = threshold(sim, tau)
+    clusters = group(graph)
     report = evaluate(clusters, scores.truth("restaurants"), tau=tau)
     ok = (
-        lo < tau < hi
+        clusters == components(graph)
+        and lo < tau < hi
         and report.harmonic_mean > 0.5
         and report.rel_cluster_error < 0.5
     )
@@ -300,6 +303,9 @@ def test_criterion_11_clustering_structure_fuzz():
             members = sorted(i for cl in clusters.clusters for i in cl)
             if members != list(range(n)):
                 bad.append(f"trial {trial}: not a partition")
+                break
+            if clusters != components(graph):
+                bad.append(f"trial {trial}: not the connected components")
                 break
             refined = refine_all(clusters, graph)
             if refined.c < clusters.c:

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -34,6 +37,22 @@ def small_csv(tmp_path):
     path = tmp_path / "small.csv"
     path.write_text(SMALL_CSV)
     return str(path)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in this thread once `seconds` have passed."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_cli(runner, args):
@@ -262,27 +281,57 @@ class TestSweep:
         assert result.exit_code == 2
         assert "not in the range x>=1" in result.output
 
-    @pytest.mark.parametrize("refine, loaded", [(False, False), (True, True)],
-                             ids=["plain", "refined"])
-    def test_csgraph_loaded_only_by_refined_sweep(self, small_csv, tmp_path,
-                                                  refine, loaded):
-        # a plain sweep clusters from a spanning forest, so it never loads
-        # scipy.sparse.csgraph (and with it scipy.linalg)
-        code = (
-            "import sys\n"
-            "from softdedupe.cli import main\n"
-            "main(sys.argv[1:], standalone_mode=False)\n"
-            "print('scipy.sparse.csgraph' in sys.modules)\n"
-        )
-        args = ["sweep", "--input", small_csv, "--truth-column", "id",
-                "--output-dir", str(tmp_path / "out"), "--method", "tfidf"]
-        if refine:
-            args.append("--refine")
-        src = str(Path(softdedupe.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.splitlines()[-1] == str(loaded)
+    @pytest.mark.parametrize("args", [
+        ["--tau-start", "0.1", "--tau-stop", "0.9", "--tau-step", "1e-9"],
+        ["--grid", "1000000000"],
+    ], ids=["explicit_range", "grid"])
+    def test_huge_grid_is_usage_error(self, runner, small_csv, args):
+        # imported first, so that code without the limit fails here, before
+        # it can start building 800 million thresholds; code that has the
+        # limit but builds the grid before checking it is stopped by the
+        # time limit, a few million thresholds in
+        from softdedupe.cli import MAX_SWEEP_POINTS
+
+        with mock.patch.object(pipeline, "sweep_thresholds",
+                               side_effect=AssertionError("grid was built")), \
+                time_limit(2.0):
+            result = runner.invoke(main, [
+                "sweep", "--input", small_csv, "--truth-column", "id", *args,
+            ])
+        assert result.exit_code == 2
+        assert str(MAX_SWEEP_POINTS) in result.output
+
+    def test_tau_grid_limit(self):
+        from softdedupe.cli import MAX_SWEEP_POINTS
+
+        assert len(tau_grid(1.0, float(MAX_SWEEP_POINTS), 1.0)) == MAX_SWEEP_POINTS
+        with pytest.raises(click.UsageError, match="thresholds"):
+            tau_grid(0.0, float(MAX_SWEEP_POINTS), 1.0)
+
+
+@pytest.mark.parametrize("args", [
+    ["run"],
+    ["run", "--refine", "--iterate-refine"],
+    ["sweep", "--truth-column", "id"],
+    ["sweep", "--truth-column", "id", "--refine"],
+], ids=["run", "run_refine", "sweep", "sweep_refine"])
+def test_csgraph_never_loaded(small_csv, tmp_path, args):
+    # every clustering comes from a spanning forest and every refinement
+    # from one depth-first search, so no command loads scipy.sparse.csgraph
+    # (and with it scipy.linalg)
+    code = (
+        "import sys\n"
+        "from softdedupe.cli import main\n"
+        "main(sys.argv[1:], standalone_mode=False)\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    args = [*args, "--input", small_csv, "--output-dir", str(tmp_path / "out"),
+            "--method", "tfidf"]
+    src = str(Path(softdedupe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two_chars"])

@@ -2,19 +2,17 @@ import itertools
 import math
 import random
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softdedupe import clustering
+from softdedupe import pipeline
 from softdedupe.clustering import (
     ClusterSet,
+    ThresholdedGraph,
     auto_threshold,
-    graph_from_edges,
     group,
     h_statistics,
     max_spanning_forest,
@@ -24,10 +22,18 @@ from softdedupe.clustering import (
     refine_all,
     refine_cluster,
     single_linkage,
-    strength,
     threshold,
     threshold_from_h,
     write_clusters,
+)
+
+from oracles import (
+    batched_refine,
+    batched_refine_all,
+    components,
+    graph_from_edges,
+    has_edge,
+    strength,
 )
 
 
@@ -100,9 +106,10 @@ class TestThresholdFromH:
 class TestThresholdAndGroup:
     def test_edges_at_or_above_tau(self):
         g = threshold(FOUR, 0.8)
-        assert g.has_edge(0, 1) and g.has_edge(2, 3)
-        assert not g.has_edge(1, 2)
+        assert has_edge(g, 0, 1) and has_edge(g, 2, 3)
+        assert not has_edge(g, 1, 2)
         assert g.edge_count() == 2
+        assert g.scores is FOUR  # a view, not a copy
 
     def test_grouping_is_connected_components(self):
         assert group(threshold(FOUR, 0.8)).clusters == ((0, 1), (2, 3))
@@ -110,6 +117,13 @@ class TestThresholdAndGroup:
 
     def test_nontrivial_interval(self):
         assert nontrivial_interval(FOUR) == (0.0, 0.9)
+
+    def test_nan_tau_is_error(self):
+        # no pair compares >= NaN, so it would give singletons silently
+        with pytest.raises(ValueError, match="NaN"):
+            threshold(FOUR, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            pipeline.cluster_records(FOUR, math.nan)
 
     def test_warns_outside_interval(self):
         with pytest.warns(UserWarning, match="nontrivial interval"):
@@ -119,9 +133,9 @@ class TestThresholdAndGroup:
 
     def test_graph_from_edges(self):
         g = graph_from_edges(4, [(0, 1), (1, 0), (2, 2)])
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
         assert g.edge_count() == 1
-        assert not g.has_edge(2, 2)
+        assert not has_edge(g, 2, 2)
 
 
 class TestStrength:
@@ -317,9 +331,6 @@ class TestPartitionProperties:
             assert refined.c >= clusters.c
             fixed = refine_all(clusters, graph, iterate=True)
             assert fixed.clusters == oracle_refine_fixed_point(linked, expected)
-            # one removal per connected_components call must not change a thing
-            with mock.patch.object(clustering, "SPLIT_BATCH_ENTRIES", 1):
-                assert refine_all(clusters, graph, iterate=True) == fixed
             counts.append(clusters.c)
         assert counts == sorted(counts)
 
@@ -339,8 +350,8 @@ def scores_and_tau(draw):
 
 
 class TestDenseScoreOracles:
-    """h_statistics, nontrivial_interval and threshold against loops over
-    the pairs i != j."""
+    """h_statistics, nontrivial_interval and the thresholded graph's edge
+    count against loops over the pairs i != j."""
 
     @settings(max_examples=200, deadline=None)
     @given(scores_and_tau())
@@ -355,8 +366,8 @@ class TestDenseScoreOracles:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             graph = threshold(sim, tau)
-        edges = set(zip(*graph.adjacency.nonzero()))
-        assert edges == {(i, j) for i, j in pairs if sim[i, j] >= tau}
+        assert graph.scores is sim and graph.tau == tau
+        edges = {(i, j) for i, j in pairs if sim[i, j] >= tau}
         assert graph.edge_count() * 2 == len(edges)
 
 
@@ -381,14 +392,15 @@ class TestSingleLinkage:
     @settings(max_examples=300, deadline=None)
     @given(extreme_scores_and_taus())
     def test_matches_threshold_and_group(self, case):
+        # against scipy's components of the CSR graph sim >= tau
         sim, taus = case
         n = len(sim)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            expected = [group(threshold(sim, tau)) for tau in taus]
+        graphs = [ThresholdedGraph(tau=tau, scores=sim) for tau in taus]
+        expected = [components(graph) for graph in graphs]
         assert list(single_linkage(sim, taus)) == expected
+        assert [group(graph) for graph in graphs] == expected
         i, j, w = max_spanning_forest(sim)
-        assert len(w) == n - group(threshold(sim, -np.inf)).c
+        assert len(w) == n - components(ThresholdedGraph(-np.inf, sim)).c
         assert np.all(w[:-1] >= w[1:])
         assert all(sim[a, b] == x for a, b, x in zip(i, j, w))
 
@@ -422,78 +434,6 @@ class TestClusterFiles:
         path.write_text("\n")
         with pytest.raises(ValueError, match="no records"):
             read_clusters(str(path))
-
-
-# The refinement before cut vertices, kept as the oracle: every one of the
-# p removals goes through a block-diagonal connected_components batch.
-ORACLE_BATCH_ENTRIES = 1 << 18
-
-
-def oracle_splits(i, j, p):
-    step = max(1, ORACLE_BATCH_ENTRIES // max(len(i), p))
-    out = []
-    for lo in range(0, p, step):
-        count = min(step, p - lo)
-        copy = np.repeat(np.arange(count), len(i))
-        ci, cj = np.tile(i, count) + copy * p, np.tile(j, count) + copy * p
-        gone = lo + copy * (p + 1)
-        keep = (ci != gone) & (cj != gone)
-        ci, cj = ci[keep], cj[keep]
-        size = count * p
-        labels = clustering._labels(
-            scipy.sparse.csr_matrix((np.ones(len(ci)), (ci, cj)), (size, size))
-        )
-        entries = np.bincount(np.take(labels, ci), minlength=size).tolist()
-        pieces = [[] for _ in range(count)]
-        shares = [[] for _ in range(count)]
-        for vertices in ClusterSet.from_labels(labels).clusters:
-            c = vertices[0] // p
-            if vertices[0] != lo + c * (p + 1):
-                pieces[c].append([v - c * p for v in vertices])
-                shares[c].append(
-                    clustering._share(entries[labels[vertices[0]]], len(vertices))
-                )
-        out.extend((ps, sum(ss) / len(ss)) for ps, ss in zip(pieces, shares))
-    return out
-
-
-def oracle_batched_refine(members, graph):
-    p = len(members)
-    if p <= 2:
-        return None
-    i, j = clustering._induced(graph.adjacency, members)
-    splits = oracle_splits(i, j, p)
-    if all(len(pieces) == 1 for pieces, _ in splits):
-        return None
-    removed = max(range(p), key=lambda r: splits[r][1])
-    pieces = splits[removed][0]
-
-    def joined(k):
-        inside = np.zeros(p, dtype=bool)
-        inside[pieces[k] + [removed]] = True
-        entries = int(np.count_nonzero(inside[i] & inside[j]))
-        return clustering._share(entries, len(pieces[k]) + 1)
-
-    join = max(range(len(pieces)), key=lambda k: (joined(k), -k))
-    pieces[join] = sorted(pieces[join] + [removed])
-    return [[members[v] for v in piece] for piece in pieces]
-
-
-def oracle_batched_refine_all(clusters, graph, iterate):
-    pending = [list(c) for c in clusters.clusters]
-    done = []
-    while pending:
-        split = []
-        for cluster in pending:
-            pieces = oracle_batched_refine(sorted(cluster), graph)
-            if pieces is None or len(pieces) == 1:
-                done.append(cluster)
-            else:
-                split.extend(pieces)
-        if not iterate:
-            return ClusterSet.from_groups(done + split)
-        pending = split
-    return ClusterSet.from_groups(done)
 
 
 @st.composite
@@ -530,14 +470,15 @@ def refinement_graphs(draw):
 
 class TestRefineAgainstBatchedOracle:
     """needs_refinement, refine_cluster and refine_all against the refinement
-    that labels the components left by every single removal."""
+    that labels the components left by every single removal with scipy
+    (oracles.batched_refine)."""
 
     @staticmethod
     def check(n, edges, labels):
         graph = graph_from_edges(n, edges)
         partitions = [group(graph), ClusterSet.from_labels(labels)]
         for members in [c for cs in partitions for c in cs.clusters] + [range(n)]:
-            want = oracle_batched_refine(sorted(members), graph)
+            want = batched_refine(sorted(members), graph)
             assert needs_refinement(members, graph) == (want is not None)
             if want is None:
                 with pytest.raises(ValueError, match="stable"):
@@ -546,7 +487,7 @@ class TestRefineAgainstBatchedOracle:
                 assert refine_cluster(members, graph) == want
         for clusters in partitions:
             for iterate in (False, True):
-                want = oracle_batched_refine_all(clusters, graph, iterate)
+                want = batched_refine_all(clusters, graph, iterate)
                 assert refine_all(clusters, graph, iterate=iterate) == want
 
     @settings(max_examples=200, deadline=None)
@@ -555,9 +496,6 @@ class TestRefineAgainstBatchedOracle:
         n, edges = graph
         labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         self.check(n, edges, labels)
-        # one removal per connected_components call must not change a thing
-        with mock.patch.object(clustering, "SPLIT_BATCH_ENTRIES", 1):
-            self.check(n, edges, labels)
 
 
 class TestRefineKnownAnswers:

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 import weakref
 from unittest import mock
@@ -12,6 +13,7 @@ from softdedupe.corpus import DataSet, TokenizerConfig
 from softdedupe.similarity import SimilarityParams
 
 from conftest import presence
+from oracles import batched_refine_all, components
 
 WORD = TokenizerConfig(mode="word")
 
@@ -145,8 +147,10 @@ class TestSweepThresholds:
                 refine=refine)
 
 
-def oracle_sweep(sim, truth, taus, grid_size):
-    """The per-tau path: threshold, group and evaluate at every tau."""
+def oracle_sweep(sim, truth, taus, grid_size, refine=False, iterate=False):
+    """The per-tau path: threshold (for its warning), scipy's components of
+    the graph sim >= tau, the batched refinement if asked, and evaluate at
+    every tau."""
     if taus is None:
         lo, hi = clustering.nontrivial_interval(sim)
         taus = np.linspace(lo, hi, grid_size + 1)[1:]
@@ -154,7 +158,10 @@ def oracle_sweep(sim, truth, taus, grid_size):
     tau_auto = clustering.auto_threshold(sim)
     rows = []
     for tau, is_auto in sorted([(t, False) for t in taus] + [(tau_auto, True)]):
-        clusters = clustering.group(clustering.threshold(sim, tau))
+        graph = clustering.threshold(sim, tau)
+        clusters = components(graph)
+        if refine:
+            clusters = batched_refine_all(clusters, graph, iterate)
         rows.append((tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau)))
     return rows
 
@@ -199,17 +206,59 @@ def tied_sweeps(draw):
     return sim, truth, taus, 200
 
 
+@st.composite
+def chained_sweeps(draw):
+    """Cliques of 2-5 records chained through shared records, their links
+    scored 0.5-1 and every other pair 0 or 0.25, over randomly relabelled
+    records: cut records are common, and refinement often leaves pieces
+    that a second pass splits again. With a truth partition and a grid
+    size."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=6))
+    edges, first = [], 0
+    for size in sizes:
+        edges += list(itertools.combinations(range(first, first + size), 2))
+        first += size - 1  # the next clique shares this one's last record
+    n = first + 1
+    pairs = list(itertools.combinations(range(n), 2))
+    sim = np.zeros((n, n))
+    for (i, j), score in zip(pairs, draw(st.lists(
+            st.sampled_from([0.0, 0.25]), min_size=len(pairs), max_size=len(pairs)))):
+        sim[i, j] = sim[j, i] = score
+    for (i, j), score in zip(edges, draw(st.lists(
+            st.sampled_from([0.5, 0.75, 1.0]), min_size=len(edges),
+            max_size=len(edges)))):
+        sim[i, j] = sim[j, i] = score
+    names = np.array(draw(st.permutations(range(n))))
+    sim[np.ix_(names, names)] = sim.copy()
+    np.fill_diagonal(sim, np.nan)
+    truth = clustering.ClusterSet.from_labels(
+        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return sim, truth, None, draw(st.integers(1, 8))
+
+
 class TestOnePassSweep:
     @settings(max_examples=300, deadline=None)
     @given(tied_sweeps())
     def test_matches_per_tau_path(self, case):
         sim, truth, taus, grid_size = case
+        self.check(sim, truth, taus, grid_size)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(tied_sweeps(), chained_sweeps()), st.booleans())
+    def test_refined_matches_per_tau_path(self, case, iterate):
+        # one forest for every tau, each tau's clusters then refined
+        sim, truth, taus, grid_size = case
+        self.check(sim, truth, taus, grid_size, refine=True, iterate=iterate)
+
+    @staticmethod
+    def check(sim, truth, taus, grid_size, **refine):
         expected, expected_warnings = with_warnings(
-            oracle_sweep, sim, truth, taus, grid_size)
+            oracle_sweep, sim, truth, taus, grid_size, **refine)
         with mock.patch.object(clustering, "threshold", side_effect=AssertionError), \
                 mock.patch.object(clustering, "group", side_effect=AssertionError):
             rows, warned = with_warnings(
-                pipeline.sweep_thresholds, sim, truth, taus=taus, grid_size=grid_size)
+                pipeline.sweep_thresholds, sim, truth, taus=taus,
+                grid_size=grid_size, **refine)
         assert rows == expected
         assert warned == expected_warnings
 
