@@ -194,9 +194,11 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
         names = [f for f in full.schema if f != truth_col]
     if not names:
         raise click.UsageError("no fields to compare (see --fields)")
-    for name in names:
+    for k, name in enumerate(names):
         if name not in full.schema:
             raise click.UsageError(f"unknown field name: {name!r}")
+        if name in names[:k]:
+            raise click.UsageError(f"field {name!r} is listed twice")
     dataset = full.select_fields(names)
     if dataset.n < 2:
         raise click.UsageError(f"need at least two records, got {dataset.n}")

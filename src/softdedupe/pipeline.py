@@ -23,21 +23,25 @@ def _composite_and_mask(
 ) -> tuple[similarity.CompositeSimilarity, sparsity.PresenceMask]:
     """The raw composite of every field's similarity, and the presence mask.
 
-    The per-field matrices go when this returns, before anything is adjusted.
+    Each field's n x n array is built as the composite takes it and goes
+    once it is added, so the composite and one field are held at a time.
     """
-    fields, tokenized_fields = [], []
-    for k in range(dataset.a):
-        lexicon = build_lexicon(dataset, k, tok_config)
-        tokenized = tokenize_field(dataset, k, lexicon, tok_config)
-        tokenized_fields.append(tokenized)
-        tfidf = similarity.build_tfidf(tokenized, lexicon, dataset.n)
-        if params.method == METHOD_SOFT_TFIDF:
-            jw = similarity.build_jw_matrix(lexicon, params)
-            fields.append(similarity.soft_tfidf_field(tfidf, jw))
-        else:
-            fields.append(similarity.tfidf_field(tfidf))
-    mask = sparsity.presence_mask(tokenized_fields)
-    return similarity.composite(fields, params.weights), mask
+    tokenized_fields = []
+
+    def fields():
+        for k in range(dataset.a):
+            lexicon = build_lexicon(dataset, k, tok_config)
+            tokenized = tokenize_field(dataset, k, lexicon, tok_config)
+            tokenized_fields.append(tokenized)
+            tfidf = similarity.build_tfidf(tokenized, lexicon, dataset.n)
+            if params.method == METHOD_SOFT_TFIDF:
+                jw = similarity.build_jw_matrix(lexicon, params)
+                yield similarity.soft_tfidf_field(tfidf, jw)
+            else:
+                yield similarity.tfidf_field(tfidf)
+
+    raw = similarity.composite(fields(), params.weights)
+    return raw, sparsity.presence_mask(tokenized_fields)
 
 
 def build_similarity(

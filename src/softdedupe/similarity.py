@@ -2,28 +2,36 @@
 
 Per field the pipeline builds a thresholded Jaro-Winkler matrix over the
 feature lexicon and a log-scaled l1-normalized n x m TF-IDF matrix over
-entries, and combines them into an n x n soft TF-IDF record similarity (or
-a plain TF-IDF one). Both are scipy CSR matrices. The per-field matrices
-are then summed into a composite score.
+entries, both held as row-sorted nonzero entries (SparseRows), and
+multiplies them into a dense n x n soft TF-IDF record similarity (or a plain
+TF-IDF one). The per-field arrays are summed into a composite score one at a
+time.
+
+The products use elementwise numpy only, and every sum adds its terms in the
+order of scipy's CSR kernels, so each score has the bits that
+TFIDF @ M @ TFIDF.T by scipy.sparse would give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import FeatureLexicon, TokenizedEntry
 
-# values smaller than this are not stored in sparse similarity matrices
+# off-diagonal field scores below this are set to 0
 SPARSE_FLOOR = 1e-12
 # build_jw_matrix bounds feature pairs a block of rows at a time; a block's
 # character-count minima, one per pair and character, stop at this many,
 # which bounds the memory of every temporary of the block
 JW_BLOCK_ENTRIES = 1 << 18
+# the field products expand at most about this many product terms at a time,
+# and read and write n x n arrays this many entries at a time
+PRODUCT_BLOCK_ENTRIES = 1 << 16
 
 METHOD_TFIDF = "tfidf"
 METHOD_SOFT_TFIDF = "soft_tfidf"
@@ -102,12 +110,55 @@ def jaro_winkler(
     return j + prefix_factor * prefix * (1.0 - j)
 
 
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """An n x m matrix held as its nonzero entries, row by row.
+
+    Row i holds the columns indices[indptr[i]:indptr[i + 1]], ascending,
+    with their values at the same positions of data: scipy's CSR layout with
+    sorted indices, in plain numpy arrays.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape) -> "SparseRows":
+        """The matrix with value vals[e] at (rows[e], cols[e]), each
+        position given at most once."""
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(shape, indptr, cols[order], vals[order])
+
+    def row_of(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.row_of(), self.indices] = self.data
+        return out
+
+
 @dataclass(frozen=True)
 class JaroWinklerMatrix:
-    """Sparse symmetric m x m matrix of JW values >= theta (others absent)."""
+    """Symmetric m x m matrix of JW values >= theta (others absent)."""
 
     theta: float
-    matrix: sparse.csr_matrix = field(compare=False)
+    rows: SparseRows = field(compare=False)
+
+    @property
+    def matrix(self):
+        """The matrix as a scipy CSR matrix, built on each access; scipy is
+        imported here, not by the module."""
+        from scipy import sparse
+
+        rows = self.rows
+        return sparse.csr_matrix((rows.data, rows.indices, rows.indptr),
+                                 shape=rows.shape)
 
 
 def _character_tables(features: Sequence[str], max_width: int):
@@ -182,98 +233,212 @@ def build_jw_matrix(lexicon: FeatureLexicon, params: SimilarityParams) -> JaroWi
     hit = scores >= theta
     first, second, scores = first[hit], second[hit], scores[hit]
     diag = np.arange(m)
-    mat = sparse.csr_matrix(
-        (
-            np.concatenate([np.ones(m), scores, scores]),  # JW(f, f) = 1
-            (np.concatenate([diag, first, second]),
-             np.concatenate([diag, second, first])),
-        ),
-        shape=(m, m),
+    rows = SparseRows.from_entries(
+        np.concatenate([diag, first, second]),
+        np.concatenate([diag, second, first]),
+        np.concatenate([np.ones(m), scores, scores]),  # JW(f, f) = 1
+        (m, m),
     )
-    return JaroWinklerMatrix(theta=theta, matrix=mat)
+    return JaroWinklerMatrix(theta=theta, rows=rows)
 
 
 def build_tfidf(
     tokenized: Sequence[TokenizedEntry], lexicon: FeatureLexicon, n: int
-) -> sparse.csr_matrix:
+) -> SparseRows:
     """n x m log-scaled TF times IDF (natural log), nonzero rows scaled to
-    unit l1 norm."""
+    unit l1 norm.
+
+    A row's norm adds its weights in ascending feature order by
+    np.add.reduceat, as scipy's CSR sum(axis=1) does.
+    """
     if len(tokenized) != n:
         raise ValueError("tokenized entry count does not match n")
     m = len(lexicon)
-    df = np.zeros(m)
-    for entry in tokenized:
-        for j in entry.counts:
-            df[j] += 1
+    sizes = [len(entry.counts) for entry in tokenized]
+    cols = np.fromiter(chain.from_iterable(e.counts for e in tokenized),
+                       dtype=np.int64, count=sum(sizes))
+    counts = np.fromiter(chain.from_iterable(e.counts.values() for e in tokenized),
+                         dtype=float, count=len(cols))
+    rows = np.repeat(np.arange(n), sizes)
+    df = np.bincount(cols, minlength=m)
     with np.errstate(divide="ignore"):
         idf = np.where(df > 0, np.log(n / np.where(df > 0, df, 1)), 0.0)
-    rows, cols, vals = [], [], []
-    for i, entry in enumerate(tokenized):
-        for j, c in entry.counts.items():
-            w = np.log1p(c) * idf[j]
-            if w > 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(w)
-    mat = sparse.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))), shape=(n, m)
-    )
-    mat = mat.tocsr()
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
+    weights = np.log1p(counts) * idf[cols]
+    keep = weights > 0.0
+    mat = SparseRows.from_entries(rows[keep], cols[keep], weights[keep], (n, m))
+    nonempty = np.flatnonzero(np.diff(mat.indptr))
+    row_sums = np.add.reduceat(mat.data, mat.indptr[nonempty])
     # divide in place so single-feature rows normalize to exactly 1.0
-    row_of = np.repeat(np.arange(n), np.diff(mat.indptr))
-    mat.data /= row_sums[row_of]
+    np.divide(mat.data, np.repeat(row_sums, np.diff(mat.indptr)[nonempty]),
+              out=mat.data)
     return mat
 
 
 @dataclass(frozen=True)
 class CompositeSimilarity:
-    """Sum of per-field similarities for every record pair, not yet adjusted."""
+    """Sum of per-field similarities for every record pair, not yet adjusted:
+    a dense float64 n x n array."""
 
-    matrix: sparse.csr_matrix = field(compare=False)
+    scores: np.ndarray = field(compare=False)
 
+    @property
+    def matrix(self):
+        """The nonzero scores as a scipy CSR matrix, built on each access."""
+        from scipy import sparse
 
-def _finish_field_matrix(mat: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Symmetrize, drop tiny values, and pin the diagonal at exactly 1."""
-    mat = ((mat + mat.T) * 0.5).tocoo()
-    off = mat.row != mat.col
-    keep = off & (np.abs(mat.data) >= SPARSE_FLOOR)
-    n = mat.shape[0]
-    rows = np.concatenate([mat.row[keep], np.arange(n)])
-    cols = np.concatenate([mat.col[keep], np.arange(n)])
-    vals = np.concatenate([mat.data[keep], np.ones(n)])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=mat.shape)
+        return sparse.csr_matrix(self.scores)
 
 
-def soft_tfidf_field(
-    tfidf: sparse.csr_matrix, jw: JaroWinklerMatrix
-) -> sparse.csr_matrix:
+def _row_blocks(n: int):
+    """Consecutive row ranges [lo, hi) of an n x n array, each of at most
+    PRODUCT_BLOCK_ENTRIES entries or one row."""
+    step = max(1, PRODUCT_BLOCK_ENTRIES // max(n, 1))
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
+
+
+def _runs(sizes: np.ndarray):
+    """Consecutive ranges [lo, hi) of positions whose sizes add up to at most
+    PRODUCT_BLOCK_ENTRIES, one position at least."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        base = ends[lo - 1] if lo else 0
+        hi = int(np.searchsorted(ends, base + PRODUCT_BLOCK_ENTRIES, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray):
+    """The positions starts[e]..stops[e]-1 of every e, concatenated in
+    order, and the e each one belongs to."""
+    sizes = stops - starts
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    offset = starts - (np.cumsum(sizes) - sizes)
+    return owner, np.arange(len(owner)) + offset[owner]
+
+
+def _transpose(mat: SparseRows) -> tuple[SparseRows, np.ndarray]:
+    """mat^T, and the position in it of each stored entry of mat."""
+    order = np.argsort(mat.indices, kind="stable")
+    indptr = np.zeros(mat.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mat.indices, minlength=mat.shape[1]), out=indptr[1:])
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    cols = SparseRows((mat.shape[1], mat.shape[0]), indptr,
+                      mat.row_of()[order], mat.data[order])
+    return cols, at
+
+
+def _scatter_products(out, rows, values, other: SparseRows, starts, stops):
+    """out[rows[e], other.indices[q]] += values[e] * other.data[q] for each
+    e and each position q in starts[e]..stops[e]-1, in that order: each
+    score adds its terms in the order of e, so as a sequential sum."""
+    n = out.shape[1]
+    flat = out.reshape(-1)
+    for lo, hi in _runs(stops - starts):
+        owner, pos = _spans(starts[lo:hi], stops[lo:hi])
+        owner += lo
+        np.add.at(flat, rows[owner] * n + other.indices[pos],
+                  values[owner] * other.data[pos])
+
+
+def _finish_field(mat: np.ndarray, scale: float) -> np.ndarray:
+    """(mat + mat^T) * scale in place, off-diagonal values below
+    SPARSE_FLOOR set to 0 and the diagonal to exactly 1, in row blocks."""
+    n = len(mat)
+    for lo, hi in _row_blocks(n):
+        block = mat[lo:hi, lo:] + mat[lo:, lo:hi].T
+        if scale != 1.0:
+            block *= scale
+        block[block < SPARSE_FLOOR] = 0.0
+        mat[lo:hi, lo:] = block
+        mat[lo:, lo:hi] = block.T
+    np.fill_diagonal(mat, 1.0)
+    return mat
+
+
+def soft_tfidf_field(tfidf: SparseRows, jw: JaroWinklerMatrix) -> np.ndarray:
     """Hybrid similarity: TFIDF . M . TFIDF^T with the thresholded JW matrix.
 
-    Symmetric n x n, diagonal fixed at 1.
+    Symmetric n x n, diagonal fixed at 1. Each block of rows of T = TFIDF
+    goes through both products before the next. Score (i, k) of TM = T . M
+    adds T[i, j] * M[j, k] over features j in ascending order. scipy's
+    csr_matmat stores row i of TM in the reverse of the order in which it
+    first touches each column, and score (i, r) of TM . T^T adds its terms
+    in that stored order.
     """
-    if tfidf.shape[1] != jw.matrix.shape[0]:
+    n, m = tfidf.shape
+    jw_rows = jw.rows
+    if m != jw_rows.shape[0]:
         raise ValueError("TF-IDF and JW matrix dimensions disagree")
-    return _finish_field_matrix(tfidf @ jw.matrix @ tfidf.T)
+    cols, _ = _transpose(tfidf)
+    row = tfidf.row_of()
+    out = np.zeros((n, n))
+    # the terms of T . M per row of T, which set the row blocks
+    row_terms = np.bincount(row, weights=np.diff(jw_rows.indptr)[tfidf.indices],
+                            minlength=n)
+    for lo, hi in _runs(row_terms):
+        a, b = tfidf.indptr[lo], tfidf.indptr[hi]
+        feats = tfidf.indices[a:b]
+        owner, pos = _spans(jw_rows.indptr[feats], jw_rows.indptr[feats + 1])
+        owner += a
+        # terms in the order csr_matmat visits them: row, feature, column
+        keys = row[owner] * m + jw_rows.indices[pos]
+        keys, first, inverse = np.unique(keys, return_index=True,
+                                         return_inverse=True)
+        tm = np.zeros(len(keys))
+        np.add.at(tm, inverse, tfidf.data[owner] * jw_rows.data[pos])
+        stored = np.lexsort((-first, keys // m))
+        tm_row, tm_col = np.divmod(keys[stored], m)
+        _scatter_products(out, tm_row, tm[stored], cols,
+                          cols.indptr[tm_col], cols.indptr[tm_col + 1])
+    return _finish_field(out, 0.5)
 
 
-def tfidf_field(tfidf: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Exact-match similarity: TFIDF . TFIDF^T (off-diagonal), diagonal 1."""
-    return _finish_field_matrix(tfidf @ tfidf.T)
+def tfidf_field(tfidf: SparseRows) -> np.ndarray:
+    """Exact-match similarity: TFIDF . TFIDF^T (off-diagonal), diagonal 1.
+
+    Score (i, k) adds T[i, j] * T[k, j] over shared features j in ascending
+    order. That sum is the same for (k, i), so only pairs i < k are summed
+    and then mirrored.
+    """
+    n = tfidf.shape[0]
+    cols, at = _transpose(tfidf)
+    out = np.zeros((n, n))
+    # the records after i in the column of each stored entry (i, j)
+    _scatter_products(out, tfidf.row_of(), tfidf.data, cols,
+                      at + 1, cols.indptr[tfidf.indices + 1])
+    return _finish_field(out, 1.0)
 
 
 def composite(
-    fields: Sequence[sparse.csr_matrix],
+    fields: Iterable[np.ndarray],
     weights: Sequence[float] | None = None,
 ) -> CompositeSimilarity:
-    """Weighted sum of per-field similarities (unit weights by default)."""
-    if not fields:
+    """Weighted sum of per-field similarities (unit weights by default).
+
+    The fields are added in order into one n x n array, as
+    ((w1 F1 + w2 F2) + ...), so a generator of fields needs only one of them
+    held at a time.
+    """
+    total = None
+    count = 0
+    for scores in fields:
+        if total is None:
+            total = np.zeros(scores.shape)
+        elif scores.shape != total.shape:
+            raise ValueError("field similarities have mismatched record counts")
+        if weights is not None and count >= len(weights):
+            raise ValueError("weights length does not match number of fields")
+        w = 1.0 if weights is None else float(weights[count])
+        for lo, hi in _row_blocks(len(total)):
+            total[lo:hi] += scores[lo:hi] * w
+        count += 1
+        del scores  # free this field before the next one is built
+    if total is None:
         raise ValueError("no field similarities given")
-    if any(f.shape != fields[0].shape for f in fields):
-        raise ValueError("field similarities have mismatched record counts")
-    if weights is None:
-        weights = [1.0] * len(fields)
-    if len(weights) != len(fields):
+    if weights is not None and count != len(weights):
         raise ValueError("weights length does not match number of fields")
-    total = sum(w * f for w, f in zip(weights, fields))
-    return CompositeSimilarity(matrix=total.tocsr())
+    return CompositeSimilarity(scores=total)

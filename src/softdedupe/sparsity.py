@@ -40,14 +40,17 @@ def adjust(raw: CompositeSimilarity, mask: PresenceMask) -> np.ndarray:
 
     Pairs with no shared fields score 0. The diagonal is NaN, so that
     NaN-skipping reductions and comparisons with a threshold leave self-pairs
-    out. Adjusting twice is an error.
+    out. The composite's array is adjusted in place and returned, so raw
+    holds the adjusted scores afterwards. Adjusting twice, the returned
+    array or raw again, is an error.
     """
-    if isinstance(raw, np.ndarray):
+    # a composite's diagonal holds the sum of the field weights, never NaN
+    if isinstance(raw, np.ndarray) or np.isnan(raw.scores[:1, :1]).any():
         raise ValueError("similarity is already adjusted")
     counts = mask.shared_counts
-    if counts.shape != raw.matrix.shape:
+    scores = raw.scores
+    if counts.shape != scores.shape:
         raise ValueError("presence mask size does not match similarity matrix")
-    scores = raw.matrix.toarray()
     np.divide(scores, counts, out=scores, where=counts > 0)
     scores[counts == 0] = 0.0
     np.fill_diagonal(scores, np.nan)

@@ -37,7 +37,7 @@ def raw_composite(data, tok_config, params):
             fields.append(soft_tfidf_field(tfidf, build_jw_matrix(lexicon, params)))
         else:
             fields.append(tfidf_field(tfidf))
-    return composite(fields, params.weights).matrix.toarray()
+    return composite(fields, params.weights).scores
 
 
 def presence(data, tok_config):

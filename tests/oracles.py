@@ -1,8 +1,14 @@
-"""Reference clustering kept apart from the program: scipy components of the
-CSR graph `scores >= tau`, and the refinement rule applied to every single
-removal through batched component labelling. The program groups from a
-maximum spanning forest and refines from one depth-first search; the tests
-compare it with these.
+"""References kept apart from the program, computed with scipy.
+
+Similarity: the TF-IDF matrix, the field products TFIDF @ M @ TFIDF.T and
+TFIDF @ TFIDF.T, their finishing and the weighted composite, by scipy's CSR
+matrices. The program computes them with numpy alone and must give the same
+bits.
+
+Clustering: scipy components of the CSR graph `scores >= tau`, and the
+refinement rule applied to every single removal through batched component
+labelling. The program groups from a maximum spanning forest and refines
+from one depth-first search; the tests compare it with these.
 """
 
 from math import comb
@@ -11,11 +17,90 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from softdedupe import sparsity
 from softdedupe.clustering import ClusterSet, ThresholdedGraph
+from softdedupe.corpus import build_lexicon, tokenize_field
+from softdedupe.similarity import (
+    METHOD_SOFT_TFIDF,
+    SPARSE_FLOOR,
+    CompositeSimilarity,
+    build_jw_matrix,
+)
 
 # oracle_splits stacks removal graphs until they hold this many adjacency
 # entries or vertices, which bounds one connected_components call
 SPLIT_BATCH_ENTRIES = 1 << 18
+
+
+def tfidf_csr(tokenized, n, m):
+    """n x m log-scaled TF times IDF, nonzero rows scaled to unit l1 norm,
+    one entry at a time into a scipy CSR matrix."""
+    df = np.zeros(m)
+    for entry in tokenized:
+        for j in entry.counts:
+            df[j] += 1
+    with np.errstate(divide="ignore"):
+        idf = np.where(df > 0, np.log(n / np.where(df > 0, df, 1)), 0.0)
+    rows, cols, vals = [], [], []
+    for i, entry in enumerate(tokenized):
+        for j, c in entry.counts.items():
+            w = np.log1p(c) * idf[j]
+            if w > 0.0:
+                rows.append(i)
+                cols.append(j)
+                vals.append(w)
+    mat = sparse.csr_matrix(
+        (np.array(vals), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+        shape=(n, m),
+    )
+    row_sums = np.asarray(mat.sum(axis=1)).ravel()
+    mat.data /= row_sums[np.repeat(np.arange(n), np.diff(mat.indptr))]
+    return mat
+
+
+def finish_field_matrix(mat):
+    """Symmetrize, drop tiny values, and pin the diagonal at exactly 1."""
+    mat = ((mat + mat.T) * 0.5).tocoo()
+    off = mat.row != mat.col
+    keep = off & (np.abs(mat.data) >= SPARSE_FLOOR)
+    n = mat.shape[0]
+    rows = np.concatenate([mat.row[keep], np.arange(n)])
+    cols = np.concatenate([mat.col[keep], np.arange(n)])
+    vals = np.concatenate([mat.data[keep], np.ones(n)])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=mat.shape)
+
+
+def field_csr(tfidf, jw=None):
+    """TFIDF @ M @ TFIDF.T with the JW matrix M, or TFIDF @ TFIDF.T without
+    one, finished; both scipy CSR."""
+    product = tfidf @ tfidf.T if jw is None else tfidf @ jw @ tfidf.T
+    return finish_field_matrix(product)
+
+
+def composite_csr(fields, weights=None):
+    """sum(w * f) over the scipy CSR field matrices."""
+    if weights is None:
+        weights = [1.0] * len(fields)
+    return sum(w * f for w, f in zip(weights, fields)).tocsr()
+
+
+def adjusted_similarity(dataset, tok_config, params):
+    """pipeline.build_similarity (adjust mode) with every field product and
+    the composite computed by scipy."""
+    fields, tokenized_fields = [], []
+    for k in range(dataset.a):
+        lexicon = build_lexicon(dataset, k, tok_config)
+        tokenized = tokenize_field(dataset, k, lexicon, tok_config)
+        tokenized_fields.append(tokenized)
+        tfidf = tfidf_csr(tokenized, dataset.n, len(lexicon))
+        jw = None
+        if params.method == METHOD_SOFT_TFIDF:
+            jw = build_jw_matrix(lexicon, params).matrix
+        fields.append(field_csr(tfidf, jw))
+    raw = CompositeSimilarity(
+        scores=composite_csr(fields, params.weights).toarray()
+    )
+    return sparsity.adjust(raw, sparsity.presence_mask(tokenized_fields))
 
 
 def graph_from_edges(n, edges, tau=0.0):

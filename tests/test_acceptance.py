@@ -120,10 +120,10 @@ def test_criterion_03_matrix_form_matches_direct_summation():
                     m_dense[p, q] = m_dense[q, p] = v
         expected = t_dense @ m_dense @ t_dense.T
         np.fill_diagonal(expected, 1.0)
-        worst = max(worst, float(np.abs(got.toarray() - expected).max()))
+        worst = max(worst, float(np.abs(got - expected).max()))
         # with an identity feature-match matrix the soft form must reduce
         # to the exact TF-IDF variant
-        exact = tfidf_field(tfidf).toarray()
+        exact = tfidf_field(tfidf)
         kron = t_dense @ np.eye(m) @ t_dense.T
         np.fill_diagonal(kron, 1.0)
         worst_exact = max(worst_exact, float(np.abs(exact - kron).max()))

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import softdedupe
-from softdedupe import pipeline
+from softdedupe import pipeline, synth
 from softdedupe.cli import SWEEP_COLUMNS, main, tau_grid
 from softdedupe.clustering import ClusterSet, write_clusters
 
@@ -108,6 +108,22 @@ class TestRun:
         ])
         assert result.exit_code == 2
         assert "unknown field name" in result.output
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_field_is_usage_error(self, runner, small_csv, tmp_path, source):
+        # a field listed twice would count twice in the composite and in the
+        # shared-field counts
+        args = ["--fields", "name,city, name"]
+        if source == "config":
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"fields": "name,city, name"}))
+            args = ["--config", str(path)]
+        result = runner.invoke(main, [
+            "run", "--input", small_csv, "--output-dir", str(tmp_path / "out"),
+            *args,
+        ])
+        assert result.exit_code == 2
+        assert "field 'name' is listed twice" in result.output
 
     def test_missing_input_is_usage_error(self, runner):
         result = runner.invoke(main, ["run"])
@@ -309,29 +325,70 @@ class TestSweep:
             tau_grid(0.0, float(MAX_SWEEP_POINTS), 1.0)
 
 
+SCIPY_CASES = {
+    "run": ["run"],
+    "run_refine": ["run", "--refine", "--iterate-refine"],
+    "sweep": ["sweep", "--truth-column", "id"],
+    "sweep_refine": ["sweep", "--truth-column", "id", "--refine"],
+}
+
+
 @pytest.mark.parametrize("args", [
-    ["run"],
-    ["run", "--refine", "--iterate-refine"],
-    ["sweep", "--truth-column", "id"],
-    ["sweep", "--truth-column", "id", "--refine"],
-], ids=["run", "run_refine", "sweep", "sweep_refine"])
+    *[[*args, "--method", "tfidf"] for args in SCIPY_CASES.values()],
+    *SCIPY_CASES.values(),
+], ids=[*SCIPY_CASES, *(f"{name}_soft" for name in SCIPY_CASES)])
 def test_csgraph_never_loaded(small_csv, tmp_path, args):
-    # every clustering comes from a spanning forest and every refinement
-    # from one depth-first search, so no command loads scipy.sparse.csgraph
-    # (and with it scipy.linalg)
+    # the field products use numpy alone, every clustering comes from a
+    # spanning forest and every refinement from one depth-first search, so
+    # no command loads scipy, let alone scipy.sparse.csgraph
     code = (
         "import sys\n"
         "from softdedupe.cli import main\n"
         "main(sys.argv[1:], standalone_mode=False)\n"
-        "print('scipy.sparse.csgraph' in sys.modules)\n"
+        "print('scipy' in sys.modules)\n"
     )
-    args = [*args, "--input", small_csv, "--output-dir", str(tmp_path / "out"),
-            "--method", "tfidf"]
+    args = [*args, "--input", small_csv, "--output-dir", str(tmp_path / "out")]
     src = str(Path(softdedupe.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code, *args], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.splitlines()[-1] == "False"
+
+
+@pytest.fixture(scope="module")
+def citations_csv(tmp_path_factory):
+    data = synth.make_citations()
+    path = tmp_path_factory.mktemp("citations") / "citations.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data.schema)
+        writer.writerows(data.records[:200])
+    return str(path)
+
+
+@pytest.mark.parametrize("args, outputs", [
+    (["run", "--refine"], ["clusters.txt", "metrics.json"]),
+    (["sweep", "--grid", "20"], ["sweep.csv"]),
+], ids=["run", "sweep"])
+def test_same_output_with_scipy_blocked(citations_csv, tmp_path, args, outputs):
+    # with sys.modules["scipy"] = None any import of scipy raises ImportError
+    code = (
+        "import sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "from softdedupe.cli import main\n"
+        "main(sys.argv[2:], standalone_mode=False)\n"
+    )
+    src = str(Path(softdedupe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for mode in ("blocked", "open"):
+        subprocess.run([
+            sys.executable, "-c", code, mode, *args, "--input", citations_csv,
+            "--truth-column", "entity_id", "--output-dir", str(tmp_path / mode),
+        ], env=env, capture_output=True, text=True, check=True)
+    for name in outputs:
+        blocked = (tmp_path / "blocked" / name).read_bytes()
+        assert blocked == (tmp_path / "open" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two_chars"])

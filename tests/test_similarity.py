@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softdedupe import similarity
+import oracles
+from softdedupe import pipeline, similarity
 from softdedupe.corpus import (
     DataSet,
     FeatureLexicon,
@@ -16,6 +18,8 @@ from softdedupe.corpus import (
     tokenize_field,
 )
 from softdedupe.similarity import (
+    METHOD_SOFT_TFIDF,
+    METHOD_TFIDF,
     SimilarityParams,
     build_jw_matrix,
     build_tfidf,
@@ -120,12 +124,12 @@ class TestJaroWinklerMatrix:
     def test_single_feature(self):
         lex = FeatureLexicon(features=("abc",))
         jw = build_jw_matrix(lex, SimilarityParams())
-        assert jw.matrix.toarray().tolist() == [[1.0]]
+        assert jw.rows.toarray().tolist() == [[1.0]]
 
     def test_dissimilar_pair_gives_diagonal_only(self):
         lex = FeatureLexicon(features=("abc", "xyz"))
         jw = build_jw_matrix(lex, SimilarityParams(theta=0.9))
-        assert np.array_equal(jw.matrix.toarray(), np.eye(2))
+        assert np.array_equal(jw.rows.toarray(), np.eye(2))
 
     @pytest.mark.parametrize("theta", [0.0, 0.5, 0.9])
     def test_matches_naive_double_loop(self, theta):
@@ -135,7 +139,7 @@ class TestJaroWinklerMatrix:
         )
         lex = FeatureLexicon(features=tuple(feats))
         params = SimilarityParams(theta=theta)
-        got = build_jw_matrix(lex, params).matrix.toarray()
+        got = build_jw_matrix(lex, params).rows.toarray()
         m = len(feats)
         want = np.zeros((m, m))
         for i in range(m):
@@ -163,12 +167,12 @@ class TestJaroWinklerMatrix:
         rows = data.draw(st.integers(1, m), label="rows_per_block")
         block_entries = rows * m * len(set("".join(feats)))
         with mock.patch.object(similarity, "JW_BLOCK_ENTRIES", block_entries):
-            got = build_jw_matrix(lex, params).matrix.toarray()
+            got = build_jw_matrix(lex, params).rows.toarray()
         assert np.array_equal(got, want)
 
     def test_symmetric_with_unit_diagonal(self):
         lex = FeatureLexicon(features=("bruin", "bruins", "joan", "joe", "lurin"))
-        mat = build_jw_matrix(lex, SimilarityParams(theta=0.5)).matrix.toarray()
+        mat = build_jw_matrix(lex, SimilarityParams(theta=0.5)).rows.toarray()
         assert np.array_equal(mat, mat.T)
         assert np.array_equal(np.diag(mat), np.ones(5))
         assert ((mat == 0) | (mat >= 0.5)).all()
@@ -182,11 +186,11 @@ class TestTfIdf:
 
     def test_ubiquitous_feature_zeroes_out(self):
         _, tfidf, _ = field_pipeline(["x", "x", "x"])
-        assert tfidf.nnz == 0
+        assert tfidf.data.size == 0
 
     def test_single_record_degenerate(self):
         _, tfidf, _ = field_pipeline(["x"])
-        assert tfidf.nnz == 0
+        assert tfidf.data.size == 0
 
     def test_nonzero_rows_l1_normalized(self):
         _, tfidf, _ = field_pipeline(
@@ -223,14 +227,14 @@ def soft_tfidf_oracle(tfidf_dense, feats, theta):
 class TestFieldSimilarity:
     def test_exact_match_scores_one(self):
         _, tfidf, jw = field_pipeline(["bruin x", "bruin y", "zzz"])
-        sim = soft_tfidf_field(tfidf, jw).toarray()
+        sim = soft_tfidf_field(tfidf, jw)
         # 'x' and 'y' are ubiquitous-free single chars; bruin carries weight
         assert sim[0, 1] == pytest.approx(sim[1, 0])
         assert 0 <= sim[0, 1] <= 1
 
     def test_missing_entry_scores_zero_everywhere(self):
         _, tfidf, jw = field_pipeline(["alpha", "beta", "the"])
-        sim = soft_tfidf_field(tfidf, jw).toarray()
+        sim = soft_tfidf_field(tfidf, jw)
         assert sim[2, 0] == 0 and sim[2, 1] == 0 and sim[2, 2] == 1.0
 
     def test_triple_product_matches_direct_summation(self):
@@ -241,19 +245,19 @@ class TestFieldSimilarity:
             for _ in range(20)
         ]
         lex, tfidf, jw = field_pipeline(column, theta=0.5)
-        got = soft_tfidf_field(tfidf, jw).toarray()
+        got = soft_tfidf_field(tfidf, jw)
         want = soft_tfidf_oracle(tfidf.toarray(), lex.features, 0.5)
         assert np.abs(got - want).max() < 1e-10
 
     def test_tfidf_variant_examples(self):
         _, tfidf, _ = field_pipeline(["a b", "a"])
-        sim = tfidf_field(tfidf).toarray()
+        sim = tfidf_field(tfidf)
         assert sim[0, 1] == 0.0  # rows [0,1] and [0,0]
         _, tfidf2, _ = field_pipeline(["alpha", "beta"])
-        sim2 = tfidf_field(tfidf2).toarray()
+        sim2 = tfidf_field(tfidf2)
         assert sim2[0, 1] == 0.0  # disjoint features
         _, tfidf3, _ = field_pipeline(["bruin", "bruin", "zzz"])
-        sim3 = tfidf_field(tfidf3).toarray()
+        sim3 = tfidf_field(tfidf3)
         assert sim3[0, 1] == pytest.approx(1.0)  # identical single feature
 
     def test_soft_dominates_exact_variant(self):
@@ -264,13 +268,13 @@ class TestFieldSimilarity:
             for _ in range(15)
         ]
         _, tfidf, jw = field_pipeline(column, theta=0.5)
-        soft = soft_tfidf_field(tfidf, jw).toarray()
-        exact = tfidf_field(tfidf).toarray()
+        soft = soft_tfidf_field(tfidf, jw)
+        exact = tfidf_field(tfidf)
         assert (soft - exact).min() > -1e-12
 
     def test_offdiagonal_range(self):
         _, tfidf, jw = field_pipeline(["aaa bbb", "aaa", "bbb ccc", "ddd"])
-        sim = soft_tfidf_field(tfidf, jw).toarray()
+        sim = soft_tfidf_field(tfidf, jw)
         off = sim[~np.eye(4, dtype=bool)]
         assert (off >= 0).all() and (off <= 1 + 1e-12).all()
 
@@ -280,16 +284,16 @@ class TestComposite:
         _, tfidf, jw = field_pipeline(["bruin", "bruin", "zzz"])
         fs = soft_tfidf_field(tfidf, jw)
         st_mat = composite([fs, fs, fs])
-        assert st_mat.matrix.toarray()[0, 1] == pytest.approx(3.0)
+        assert st_mat.scores[0, 1] == pytest.approx(3.0)
 
     def test_weighted_sum(self):
         _, tfidf, jw = field_pipeline(["bruin", "bruin", "zzz"])
         one = soft_tfidf_field(tfidf, jw)
         _, t2, j2 = field_pipeline(["aa bb", "aa cc", "dd"], theta=0.99)
         quarter_ish = soft_tfidf_field(t2, j2)
-        pair = quarter_ish.toarray()[0, 1]
+        pair = quarter_ish[0, 1]
         st_mat = composite([one, one, quarter_ish], weights=[0.5, 0.5, 2.0])
-        assert st_mat.matrix.toarray()[0, 1] == pytest.approx(1.0 + 2.0 * pair)
+        assert st_mat.scores[0, 1] == pytest.approx(1.0 + 2.0 * pair)
 
     def test_length_mismatch(self):
         _, tfidf, jw = field_pipeline(["bruin", "bruin", "zzz"])
@@ -330,3 +334,88 @@ class TestSimilarityParams:
     def test_weights_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="finite and positive"):
             SimilarityParams(weights=(1.0, bad))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A data set of 1-3 fields, a tokenizer and similarity parameters.
+
+    Entries draw up to six words, repeats allowed, from a vocabulary of
+    3-12 short words over a few letters, so records share several features
+    and the JW rows of similar words overlap. Any entry of a record after
+    the first may be empty, so records miss fields or are empty; the first
+    record fills every field so that each field has a feature.
+    """
+    vocab = draw(st.lists(st.text("abcd", min_size=2, max_size=6),
+                          min_size=3, max_size=12, unique=True))
+    a = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 12))
+    records = tuple(
+        tuple(
+            " ".join(draw(st.lists(st.sampled_from(vocab),
+                                   min_size=1 if i == 0 else 0, max_size=6)))
+            for _ in range(a)
+        )
+        for i in range(n)
+    )
+    data = DataSet(records=records, schema=tuple(f"f{k}" for k in range(a)))
+    tok_config = TokenizerConfig(mode=draw(st.sampled_from(["word", "ngram"])))
+    weights = draw(st.none() | st.lists(
+        st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.0]), min_size=a, max_size=a
+    ).map(tuple))
+    theta = draw(st.sampled_from([0.0, 0.5, 0.8, 0.9]))
+    return data, tok_config, SimilarityParams(theta=theta, weights=weights)
+
+
+def csr_bytes(mat):
+    return mat.toarray().tobytes()
+
+
+class TestScipyOracle:
+    """The numpy field products give the bits of scipy's CSR products."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_cases(), st.sampled_from([1, 2, 7, 64, 1 << 16]))
+    def test_matches_scipy_bit_for_bit(self, case, block_entries):
+        data, tok_config, params = case
+        soft, plain, soft_ref, plain_ref = [], [], [], []
+        with mock.patch.object(similarity, "PRODUCT_BLOCK_ENTRIES", block_entries):
+            for k in range(data.a):
+                lexicon = build_lexicon(data, k, tok_config)
+                tokenized = tokenize_field(data, k, lexicon, tok_config)
+                tfidf = build_tfidf(tokenized, lexicon, data.n)
+                ref = oracles.tfidf_csr(tokenized, data.n, len(lexicon))
+                assert tfidf.toarray().tobytes() == csr_bytes(ref)
+                jw = build_jw_matrix(lexicon, params)
+                soft.append(soft_tfidf_field(tfidf, jw))
+                soft_ref.append(oracles.field_csr(ref, jw.matrix))
+                assert soft[-1].tobytes() == csr_bytes(soft_ref[-1])
+                plain.append(tfidf_field(tfidf))
+                plain_ref.append(oracles.field_csr(ref))
+                assert plain[-1].tobytes() == csr_bytes(plain_ref[-1])
+            for got, want in ((soft, soft_ref), (plain, plain_ref)):
+                total = composite(iter(got), params.weights).scores
+                assert total.tobytes() == csr_bytes(
+                    oracles.composite_csr(want, params.weights))
+            for method in (METHOD_SOFT_TFIDF, METHOD_TFIDF):
+                p = replace(params, method=method)
+                got = pipeline.build_similarity(data, tok_config, p)
+                want = oracles.adjusted_similarity(data, tok_config, p)
+                assert got.tobytes() == want.tobytes()
+
+    def test_sum_order_changes_bits(self):
+        # Here adding each soft score's terms in ascending feature order
+        # gives other bits than scipy's order, the reverse of first touch,
+        # so a product that sums in the wrong order fails this test.
+        column = ["bac babc babc bbbb", "bbb babc cbb cbb", "cbb bbbb"]
+        data = DataSet(records=tuple((e,) for e in column), schema=("f",))
+        lex = build_lexicon(data, 0, WORD)
+        tokenized = tokenize_field(data, 0, lex, WORD)
+        jw = build_jw_matrix(lex, SimilarityParams(theta=0.5))
+        ref = oracles.tfidf_csr(tokenized, data.n, len(lex))
+        want = csr_bytes(oracles.field_csr(ref, jw.matrix))
+        ascending = ref @ jw.matrix
+        ascending.sort_indices()
+        assert csr_bytes(oracles.finish_field_matrix(ascending @ ref.T)) != want
+        tfidf = build_tfidf(tokenized, lex, data.n)
+        assert soft_tfidf_field(tfidf, jw).tobytes() == want

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from softdedupe import pipeline
 from softdedupe.corpus import DataSet, TokenizerConfig, tokenize
@@ -74,7 +73,7 @@ def naive_adjust(rows, bits):
 
 class TestAdjust:
     def small_sim(self, dense):
-        return CompositeSimilarity(matrix=sparse.csr_matrix(np.array(dense)))
+        return CompositeSimilarity(scores=np.array(dense, dtype=float))
 
     def test_divides_by_shared_count(self):
         raw = self.small_sim([[1.0, 1.6, 0.0], [1.6, 1.0, 0.5], [0.0, 0.5, 1.0]])
@@ -97,6 +96,9 @@ class TestAdjust:
         once = adjust(raw, pm)
         with pytest.raises(ValueError, match="already adjusted"):
             adjust(once, pm)
+        # adjust divides raw's array in place, so raw is adjusted too
+        with pytest.raises(ValueError, match="already adjusted"):
+            adjust(raw, pm)
 
     @settings(max_examples=300, deadline=None)
     @given(raw_and_bits())

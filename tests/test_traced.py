@@ -2,9 +2,11 @@
 
 traced.py wraps the package's functions from outside and its counters read
 attributes of their results: JaroWinklerMatrix.theta and .matrix,
-CompositeSimilarity.matrix and PresenceMask.mask. A refactor that drops one
-of them, or renames a traced function, breaks the traced benchmark run; these
-tests catch it first. Each command runs in a subprocess, because
+CompositeSimilarity.matrix and PresenceMask.mask. The two .matrix attributes
+are scipy CSR views built on access from the numpy arrays the program holds,
+so only a traced run imports scipy. A refactor that drops one of them, or
+renames a traced function, breaks the traced benchmark run; these tests
+catch it first. Each command runs in a subprocess, because
 Tracer.install patches module globals.
 """
 
