@@ -177,6 +177,17 @@ class ResolvedRun:
     manifest: dict
 
 
+def _field_names(spec: str, schema) -> list[str]:
+    """The comma-separated field names in spec, each in schema and listed once."""
+    names = [f.strip() for f in spec.split(",") if f.strip()]
+    for k, name in enumerate(names):
+        if name not in schema:
+            raise click.UsageError(f"unknown field name: {name!r}")
+        if name in names[:k]:
+            raise click.UsageError(f"field {name!r} is listed twice")
+    return names
+
+
 def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
     p = ctx_params
     if not p.get("input_path"):
@@ -189,16 +200,11 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
     if truth_col and truth_col not in full.schema:
         raise click.UsageError(f"unknown field name: {truth_col!r}")
     if p.get("fields"):
-        names = [f.strip() for f in str(p["fields"]).split(",") if f.strip()]
+        names = _field_names(p["fields"], full.schema)
     else:
         names = [f for f in full.schema if f != truth_col]
     if not names:
         raise click.UsageError("no fields to compare (see --fields)")
-    for k, name in enumerate(names):
-        if name not in full.schema:
-            raise click.UsageError(f"unknown field name: {name!r}")
-        if name in names[:k]:
-            raise click.UsageError(f"field {name!r} is listed twice")
     dataset = full.select_fields(names)
     if dataset.n < 2:
         raise click.UsageError(f"need at least two records, got {dataset.n}")
@@ -238,16 +244,8 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
         raise click.UsageError(str(exc)) from exc
     if p.get("stop_words_path"):
         tok_config = tok_config.with_stop_words(load_stop_words(p["stop_words_path"]))
-    manifest = {
-        key: p.get(key)
-        for key in (
-            "input_path", "delimiter", "no_header", "fields", "mode",
-            "ngram_size", "stop_words_path", "no_case_fold", "method",
-            "theta", "prefix_factor", "max_prefix", "weights", "sparsity",
-            "refine", "iterate_refine", "truth_column", "truth_file", "seed",
-            "output_dir",
-        )
-    }
+    # every option of the command but --config, with --fields as resolved
+    manifest = {key: value for key, value in p.items() if key != "config"}
     manifest["fields"] = ",".join(names)
     return ResolvedRun(
         dataset=dataset,
@@ -313,7 +311,7 @@ def run(ctx, **kwargs):
     clusters, tau_used = pipeline.cluster_records(
         scores, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
     )
-    _write_manifest(run_spec, {"tau": p["tau"], "tau_used": tau_used})
+    _write_manifest(run_spec, {"tau_used": tau_used})
     write_clusters(clusters, os.path.join(run_spec.output_dir, "clusters.txt"))
     if run_spec.truth is not None:
         report = evaluation.evaluate(clusters, run_spec.truth, tau=tau_used)
@@ -360,8 +358,6 @@ def sweep(ctx, **kwargs):
         refine=run_spec.refine, iterate=run_spec.iterate,
     )
     _write_manifest(run_spec, {
-        "tau_start": p["tau_start"], "tau_stop": p["tau_stop"],
-        "tau_step": p["tau_step"], "grid": p["grid"],
         "tau_auto": next(tau for tau, is_auto, _ in rows if is_auto),
     })
     _write_sweep_table(os.path.join(run_spec.output_dir, "sweep.csv"), rows)
@@ -381,12 +377,10 @@ def degrade(input_path, output_path, fields, fraction, seed, delimiter, no_heade
     """Blank a random fraction of entries per field to induce sparsity."""
     dataset = _read(load_dataset, input_path, header=not no_header,
                     delimiter=delimiter)
-    names = [f.strip() for f in fields.split(",") if f.strip()]
-    for name in names:
-        if name not in dataset.schema:
-            raise click.UsageError(f"unknown field name: {name!r}")
     try:
-        degraded = pipeline.degrade(dataset, names, fraction, seed)
+        degraded = pipeline.degrade(
+            dataset, _field_names(fields, dataset.schema), fraction, seed
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     _write_csv(degraded, output_path, delimiter)

@@ -5,13 +5,19 @@ error in the number of clusters, pairwise precision/recall/F1, the
 (relative) z-Rand score under the hypergeometric pair model, and NMI.
 Metrics that are undefined for a given pair of partitions are reported as
 None rather than NaN.
+
+Every metric reads the contingency table, three aligned integer arrays of
+its nonzero cells in order of each cell's first record, and the two
+partitions' cluster sizes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, asdict
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -55,28 +61,16 @@ class MetricsReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-_Table = dict[tuple[int, int], int]
-
-
-def _contingency(c: ClusterSet, c_true: ClusterSet) -> _Table:
-    """Record counts per (cluster, truth cluster), keyed in order of first record."""
+def _contingency(
+    c: ClusterSet, c_true: ClusterSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero (cluster, truth cluster) cells as aligned integer arrays
+    rows, cols and counts, ordered by each cell's first record."""
     keys = c.labels() * c_true.c + c_true.labels()
     found, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(first)
     rows, cols = np.divmod(found[order], c_true.c)
-    return dict(zip(zip(rows.tolist(), cols.tolist()), counts[order].tolist()))
-
-
-def _purity(table: _Table, n: int, side: int) -> float:
-    best: dict[int, int] = {}
-    for key, cnt in table.items():
-        if cnt > best.get(key[side], 0):
-            best[key[side]] = cnt
-    return sum(best.values()) / n
-
-
-def _pair_count(clusters: ClusterSet) -> int:
-    return sum(comb(len(r), 2) for r in clusters.clusters)
+    return rows, cols, counts[order]
 
 
 def _z_rand(n: int, n_c: int, n_g: int, w: int) -> float | None:
@@ -99,38 +93,43 @@ def z_rand(c: ClusterSet, c_true: ClusterSet) -> float | None:
     return evaluate(c, c_true).z_rand
 
 
-def _entropy(clusters: ClusterSet, n: int) -> float:
-    sizes = np.array([len(r) for r in clusters.clusters], dtype=float)
+def _entropy(sizes: np.ndarray, n: int) -> float:
     frac = sizes / n
     return float(max(-(frac * np.log(frac + ENTROPY_EPS)).sum(), 0.0))
-
-
-def _nmi(table: _Table, c: ClusterSet, c_true: ClusterSet, n: int) -> float:
-    sizes_c = [len(r) for r in c.clusters]
-    sizes_t = [len(r) for r in c_true.clusters]
-    info = 0.0
-    for (i, j), cnt in table.items():
-        info += (cnt / n) * math.log(n * cnt / (sizes_c[i] * sizes_t[j]))
-    denom = math.sqrt(_entropy(c, n) * _entropy(c_true, n))
-    if denom <= 0:
-        return 0.0
-    return float(min(max(info / denom, 0.0), 1.0))
 
 
 def evaluate(
     c: ClusterSet, c_true: ClusterSet, tau: float | None = None
 ) -> MetricsReport:
     """Compute the full metric suite for a clustering against ground truth."""
-    if c.n != c_true.n:
+    sizes_c, sizes_t = (
+        np.fromiter(map(len, x.clusters), dtype=np.int64, count=x.c)
+        for x in (c, c_true)
+    )
+    n = int(sizes_c.sum())
+    if n != sizes_t.sum():
         raise ValueError("partitions cover different numbers of records")
-    n = c.n
-    table = _contingency(c, c_true)
-    pur, inv = _purity(table, n, 0), _purity(table, n, 1)
-    n_c, n_g = _pair_count(c), _pair_count(c_true)
-    overlap = sum(comb(cnt, 2) for cnt in table.values())
+    rows, cols, counts = _contingency(c, c_true)
+    best_c = np.zeros(c.c, dtype=np.int64)
+    best_t = np.zeros(c_true.c, dtype=np.int64)
+    np.maximum.at(best_c, rows, counts)
+    np.maximum.at(best_t, cols, counts)
+    pur, inv = int(best_c.sum()) / n, int(best_t.sum()) / n  # exact int over n
+    # Python ints: numpy's int64 division rounds differently above 2**53
+    n_c, n_g, overlap = (
+        int((k * (k - 1) // 2).sum()) for k in (sizes_c, sizes_t, counts)
+    )
     z = _z_rand(n, n_c, n_g, overlap)
     # the ground truth overlaps itself in all of its n_g pairs
     z_self = _z_rand(n, n_g, n_g, n_g)
+    # both sides of each NMI ratio are at most n**2, exact in float64 (so the
+    # division rounds as Python's int division) up to n = 9.4e7; math.log, as
+    # numpy's SIMD log may differ by an ulp; a left-to-right sum in cell
+    # order, as builtin sum() compensates from Python 3.12
+    ratios = n * counts / (sizes_c[rows] * sizes_t[cols])
+    terms = counts / n * np.fromiter(map(math.log, ratios.tolist()), dtype=float)
+    info = reduce(operator.add, terms.tolist(), 0.0)
+    denom = math.sqrt(_entropy(sizes_c, n) * _entropy(sizes_t, n))
     return MetricsReport(
         purity=pur,
         inverse_purity=inv,
@@ -141,7 +140,7 @@ def evaluate(
         f1=2 * overlap / (n_c + n_g) if n_c > 0 and n_g > 0 else None,
         z_rand=z,
         rel_z_rand=None if z is None or not z_self else z / z_self,
-        nmi=_nmi(table, c, c_true, n),
+        nmi=min(max(info / denom, 0.0), 1.0) if denom > 0 else 0.0,
         n=n,
         c=c.c,
         c_true=c_true.c,

@@ -134,12 +134,16 @@ def degrade(
     """Blank round(fraction * n) entries per listed field, uniformly at random.
 
     At least one field must stay untouched so every record keeps some
-    signal; entries in unlisted fields are preserved bit for bit.
+    signal; entries in unlisted fields are preserved bit for bit. A field
+    listed twice is a ValueError, as it would be blanked twice.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
+    for k, name in enumerate(fields):
+        if name in fields[:k]:
+            raise ValueError(f"field {name!r} is listed twice")
     idx = [dataset.field_index(name) for name in fields]
-    if len(set(idx)) >= dataset.a:
+    if len(idx) >= dataset.a:
         raise ValueError("at least one field must be left intact")
     rng = np.random.default_rng(seed)
     count = int(round(fraction * dataset.n))

@@ -1,4 +1,4 @@
-"""References kept apart from the program, computed with scipy.
+"""References kept apart from the program, most of them computed with scipy.
 
 Similarity: the TF-IDF matrix, the field products TFIDF @ M @ TFIDF.T and
 TFIDF @ TFIDF.T, their finishing and the weighted composite, by scipy's CSR
@@ -9,8 +9,13 @@ Clustering: scipy components of the CSR graph `scores >= tau`, and the
 refinement rule applied to every single removal through batched component
 labelling. The program groups from a maximum spanning forest and refines
 from one depth-first search; the tests compare it with these.
+
+Evaluation: the contingency table as a dict built record by record, and every
+metric walked from it cell by cell. The program reads the table as arrays and
+must give the same report, bit for bit.
 """
 
+import math
 from math import comb
 
 import numpy as np
@@ -20,6 +25,7 @@ from scipy.sparse import csgraph
 from softdedupe import sparsity
 from softdedupe.clustering import ClusterSet, ThresholdedGraph
 from softdedupe.corpus import build_lexicon, tokenize_field
+from softdedupe.evaluation import ENTROPY_EPS, MetricsReport
 from softdedupe.similarity import (
     METHOD_SOFT_TFIDF,
     SPARSE_FLOOR,
@@ -223,3 +229,82 @@ def batched_refine_all(clusters, graph, iterate):
             return ClusterSet.from_groups(done + split)
         pending = split
     return ClusterSet.from_groups(done)
+
+
+def dict_contingency(c, c_true):
+    """Record counts per (cluster, truth cluster), a dict built record by
+    record, so its keys come in order of each cell's first record."""
+    table = {}
+    for key in zip(c.labels().tolist(), c_true.labels().tolist()):
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+def dict_purity(table, n, side):
+    best = {}
+    for key, cnt in table.items():
+        if cnt > best.get(key[side], 0):
+            best[key[side]] = cnt
+    return sum(best.values()) / n
+
+
+def pair_count(clusters):
+    return sum(comb(len(r), 2) for r in clusters.clusters)
+
+
+def dict_z_rand(n, n_c, n_g, w):
+    t = comb(n, 2)
+    if t < 2 or n_c == 0 or n_g == 0:
+        return None
+    mean = n_c * n_g / t
+    var = n_g * (n_c / t) * (1 - n_c / t) * (t - n_g) / (t - 1)
+    if var <= 0:
+        return None
+    return (w - mean) / math.sqrt(var)
+
+
+def entropy(clusters, n):
+    sizes = np.array([len(r) for r in clusters.clusters], dtype=float)
+    frac = sizes / n
+    return float(max(-(frac * np.log(frac + ENTROPY_EPS)).sum(), 0.0))
+
+
+def dict_nmi(table, c, c_true, n):
+    sizes_c = [len(r) for r in c.clusters]
+    sizes_t = [len(r) for r in c_true.clusters]
+    info = 0.0
+    for (i, j), cnt in table.items():
+        info += (cnt / n) * math.log(n * cnt / (sizes_c[i] * sizes_t[j]))
+    denom = math.sqrt(entropy(c, n) * entropy(c_true, n))
+    if denom <= 0:
+        return 0.0
+    return float(min(max(info / denom, 0.0), 1.0))
+
+
+def dict_evaluate(c, c_true, tau=None):
+    """evaluation.evaluate from the dict table, one Python step per cell."""
+    if c.n != c_true.n:
+        raise ValueError("partitions cover different numbers of records")
+    n = c.n
+    table = dict_contingency(c, c_true)
+    pur, inv = dict_purity(table, n, 0), dict_purity(table, n, 1)
+    n_c, n_g = pair_count(c), pair_count(c_true)
+    overlap = sum(comb(cnt, 2) for cnt in table.values())
+    z = dict_z_rand(n, n_c, n_g, overlap)
+    z_self = dict_z_rand(n, n_g, n_g, n_g)
+    return MetricsReport(
+        purity=pur,
+        inverse_purity=inv,
+        harmonic_mean=2 * pur * inv / (pur + inv) if pur + inv > 0 else 0.0,
+        rel_cluster_error=abs(c.c - c_true.c) / c_true.c,
+        precision=overlap / n_c if n_c > 0 else None,
+        recall=overlap / n_g if n_g > 0 else None,
+        f1=2 * overlap / (n_c + n_g) if n_c > 0 and n_g > 0 else None,
+        z_rand=z,
+        rel_z_rand=None if z is None or not z_self else z / z_self,
+        nmi=dict_nmi(table, c, c_true, n),
+        n=n,
+        c=c.c,
+        c_true=c_true.c,
+        tau=tau,
+    )

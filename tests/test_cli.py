@@ -228,6 +228,35 @@ def test_single_record_is_usage_error(runner, tmp_path, args):
     assert "need at least two records, got 1" in result.output
 
 
+MANIFEST_KEYS = {
+    "input_path", "delimiter", "no_header", "fields", "mode", "ngram_size",
+    "stop_words_path", "no_case_fold", "method", "theta", "prefix_factor",
+    "max_prefix", "weights", "sparsity", "refine", "iterate_refine",
+    "truth_column", "truth_file", "seed", "output_dir",
+}
+
+
+@pytest.mark.parametrize("args, extra", [
+    (["run"], {"tau", "tau_used"}),
+    (["sweep", "--grid", "5"],
+     {"tau_start", "tau_stop", "tau_step", "grid", "tau_auto"}),
+], ids=["run", "sweep"])
+def test_manifest_keys(runner, small_csv, tmp_path, args, extra):
+    # every option of the command but --config, whether or not it was given
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"theta": 0.8}))
+    out = tmp_path / "out"
+    result = run_cli(runner, [
+        *args, "--input", small_csv, "--truth-column", "id", "--fields",
+        "city, name", "--config", str(config), "--output-dir", str(out),
+    ])
+    assert result.exit_code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS | extra
+    assert manifest["fields"] == "city,name"
+    assert manifest["theta"] == 0.8
+
+
 class TestSweep:
     def test_writes_table_with_auto_row(self, runner, small_csv, tmp_path):
         out = tmp_path / "out"
@@ -297,16 +326,23 @@ class TestSweep:
         assert result.exit_code == 2
         assert "not in the range x>=1" in result.output
 
-    @pytest.mark.parametrize("args", [
-        ["--tau-start", "0.1", "--tau-stop", "0.9", "--tau-step", "1e-9"],
-        ["--grid", "1000000000"],
-    ], ids=["explicit_range", "grid"])
-    def test_huge_grid_is_usage_error(self, runner, small_csv, args):
+    @pytest.mark.parametrize("args, config", [
+        (["--tau-start", "0.1", "--tau-stop", "0.9", "--tau-step", "1e-9"], None),
+        (["--grid", "1000000000"], None),
+        ([], {"grid": 1000000000}),
+    ], ids=["explicit_range", "grid", "config_grid"])
+    def test_huge_grid_is_usage_error(self, runner, small_csv, tmp_path, args,
+                                      config):
         # imported first, so that code without the limit fails here, before
         # it can start building 800 million thresholds; code that has the
         # limit but builds the grid before checking it is stopped by the
         # time limit, a few million thresholds in
         from softdedupe.cli import MAX_SWEEP_POINTS
+
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            args = ["--config", str(path)]
 
         with mock.patch.object(pipeline, "sweep_thresholds",
                                side_effect=AssertionError("grid was built")), \
@@ -432,6 +468,17 @@ class TestDegrade:
             str(tmp_path / "x.csv"), "--fields", "bogus", "--seed", "1",
         ])
         assert result.exit_code == 2
+
+    def test_repeated_field_is_usage_error(self, runner, small_csv, tmp_path):
+        # listed twice, a field would be blanked twice with separate draws
+        out_path = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "degrade", "--input", small_csv, "--output", str(out_path),
+            "--fields", "city, city", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert "field 'city' is listed twice" in result.output
+        assert not out_path.exists()
 
 
 class TestEval:

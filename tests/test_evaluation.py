@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from softdedupe.clustering import ClusterSet
 from softdedupe.evaluation import _contingency, evaluate, z_rand
+
+from oracles import dict_contingency, dict_evaluate
 
 
 def cs(*groups):
@@ -137,7 +140,7 @@ class TestZRand:
             shuffled = labels_g[:]
             rng.shuffle(shuffled)
             truth = ClusterSet.from_labels(shuffled)
-            over = sum(comb(cnt, 2) for cnt in _contingency(c, truth).values())
+            over = sum(comb(cnt, 2) for cnt in _contingency(c, truth)[2].tolist())
             draws.append(over)
         mc_mean = sum(draws) / len(draws)
         assert mc_mean == pytest.approx(n_c * n_g / t, rel=0.05)
@@ -190,16 +193,6 @@ class TestEvaluate:
         assert payload["precision"] is None and payload["f1"] is None
 
 
-def loop_contingency(c, c_true):
-    """The contingency table built record by record with a dict."""
-    labels, labels_true = c.labels(), c_true.labels()
-    table = {}
-    for li, lj in zip(labels, labels_true):
-        key = (int(li), int(lj))
-        table[key] = table.get(key, 0) + 1
-    return table
-
-
 class TestContingency:
     @given(st.data())
     @settings(max_examples=200)
@@ -208,7 +201,35 @@ class TestContingency:
         labels = st.lists(st.integers(0, 6), min_size=n, max_size=n)
         c = ClusterSet.from_labels(data.draw(labels))
         c_true = ClusterSet.from_labels(data.draw(labels))
-        table = _contingency(c, c_true)
-        # the keys' order is the order of NMI's float sum
-        assert list(table.items()) == list(loop_contingency(c, c_true).items())
-        assert all(type(v) is int for key in table for v in (*key, table[key]))
+        rows, cols, counts = _contingency(c, c_true)
+        # the cells' order is the order of NMI's float sum
+        table = dict(zip(zip(rows.tolist(), cols.tolist()), counts.tolist()))
+        assert list(table.items()) == list(dict_contingency(c, c_true).items())
+        assert len(table) == len(rows) == len(cols) == len(counts)
+        assert all(a.dtype.kind == "i" for a in (rows, cols, counts))
+
+
+def partitions(n):
+    """Labels of n records: all singletons, one cluster, or up to n labels."""
+    return st.one_of(
+        st.just(list(range(n))),
+        st.just([0] * n),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    )
+
+
+class TestOracle:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_dict_evaluate(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=60))
+        labels = data.draw(partitions(n))
+        c = ClusterSet.from_labels(labels)
+        truth = ClusterSet.from_labels(data.draw(st.one_of(
+            st.just(labels), partitions(n)
+        )))
+        got, want = evaluate(c, truth, tau=0.5), dict_evaluate(c, truth, tau=0.5)
+        for field in dataclasses.fields(got):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            # the same type and value; repr tells apart floats that == does not
+            assert (type(a), a, repr(a)) == (type(b), b, repr(b)), field.name

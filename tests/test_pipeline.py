@@ -295,3 +295,8 @@ class TestDegrade:
     def test_some_field_must_survive(self):
         with pytest.raises(ValueError, match="intact"):
             pipeline.degrade(small_dataset(), ["name", "city"], 0.5, seed=1)
+
+    def test_repeated_field(self, restaurants):
+        data, _ = restaurants
+        with pytest.raises(ValueError, match="'phone' is listed twice"):
+            pipeline.degrade(data, ["phone", "city", "phone"], 0.3, seed=1)
