@@ -44,6 +44,12 @@ CASES = {
     # the only case here whose refinement meets a tie between removals
     "restaurants-sweep-refine": (
         "restaurants", ("sweep", "--refine", "--grid", "20")),
+    # the composite's field weights, and a plain sweep on 3-gram features
+    "restaurants-run-weights": (
+        "restaurants", ("run", "--weights", "2,1,0.5,1.5,0.25")),
+    "citations-sweep-ngram-tfidf": (
+        "citations", ("sweep", "--mode", "ngram", "--method", "tfidf",
+                      "--grid", "40")),
 }
 
 DIGESTS = {
@@ -66,6 +72,9 @@ DIGESTS = {
     'citations-sweep': {
         'sweep.csv': '058ad0bce1c199257dece9ba1a291aef7889ae737c69bc2bb5101eb9dff326b3',
     },
+    'citations-sweep-ngram-tfidf': {
+        'sweep.csv': '1930ccb4fc5e6ebf7a025992e6dec3773f055c33455e8b988b48989a8c7ed2f8',
+    },
     'citations-sweep-refine': {
         'sweep.csv': 'cb6f2ee43af6e1ca5ac0bce720dfa3afef270d8f1b052617da79bd53e23c745a',
     },
@@ -76,6 +85,10 @@ DIGESTS = {
     'restaurants-run-tfidf-refine-0.3': {
         'clusters.txt': '7d6b18db9247d9db032b67e165f4ad47dae88f2873b6f2c474ae736dc95b2be6',
         'metrics.json': '7aff20a83a417847b864d5e552cc25fac22eeb6622dc17b901d4837cba19be48',
+    },
+    'restaurants-run-weights': {
+        'clusters.txt': 'f08dff1186d99386ac795dadf6f40c503182f82412b18553bf84ef38c3def021',
+        'metrics.json': '4e9266d81aa390b4f5cef5483101c639c30a0c7e6983283182d1161fe966fb73',
     },
     'restaurants-sweep-refine': {
         'sweep.csv': '585493842afa511de0d604fb47edec64d016b9db33d9aacce625aa793cb9aaf1',
