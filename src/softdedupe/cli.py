@@ -43,7 +43,7 @@ def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
     """Fill in parameters from a JSON config file; explicit flags win.
 
     Keys are parameter names. Each value is converted and checked by its
-    parameter's type, as a flag would be.
+    parameter's type, as a flag's text would be.
     """
     if not config_path:
         return
@@ -60,6 +60,8 @@ def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
             raise click.UsageError(f"unknown config key: {key!r}")
         source = ctx.get_parameter_source(key)
         if source is None or source.name == "DEFAULT":
+            if isinstance(value, (int, float)):  # bool too: the flag's text
+                value = json.dumps(value)
             ctx.params[key] = params[key].type_cast_value(ctx, value)
 
 
@@ -328,18 +330,14 @@ def run(ctx, **kwargs):
 @click.option("--tau-start", type=float, default=None)
 @click.option("--tau-stop", type=float, default=None)
 @click.option("--tau-step", type=float, default=None)
-@click.option("--grid", type=click.IntRange(min=1), default=200, show_default=True,
+@click.option("--grid", type=click.IntRange(min=1, max=MAX_SWEEP_POINTS),
+              default=200, show_default=True,
               help="Grid size over the nontrivial interval when no explicit range.")
 @click.pass_context
 def sweep(ctx, **kwargs):
     """Evaluate the clustering over a range of thresholds."""
     _apply_config_file(ctx, ctx.params.get("config"))
     p = ctx.params
-    if p["grid"] > MAX_SWEEP_POINTS:
-        raise click.UsageError(
-            f"--grid {p['grid']} is more than the {MAX_SWEEP_POINTS} thresholds "
-            "a sweep takes"
-        )
     run_spec = _resolve(p, require_truth=True)
     taus = None
     if p["tau_start"] is not None or p["tau_stop"] is not None:

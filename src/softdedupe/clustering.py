@@ -4,14 +4,14 @@ Every clustering comes from one maximum spanning forest of the score array
 (single linkage): the clusters at tau are the components of the forest
 edges scoring >= tau, so no graph is built per tau. Refinement compares
 the rows of each cluster's records with tau and scores every single-record
-removal from one depth-first search of the cluster's links.
+removal from one depth-first search of the cluster's links. A partition
+is a ClusterSet: an array of one cluster label per record.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from math import comb, inf, isnan
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -43,49 +43,66 @@ class ThresholdedGraph:
         return int(np.count_nonzero(self.scores >= self.tau)) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterSet:
-    """A partition of record indices 0..n-1 into disjoint clusters."""
+    """A partition of the records 0..n-1 as the read-only int64 array `labels`:
+    record i is in cluster labels[i], and the clusters are numbered 0..c-1 in
+    order of their least record. Partitions are equal when their labels are."""
 
-    clusters: tuple[tuple[int, ...], ...]
+    labels: np.ndarray
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for c in self.clusters:
-            if not c:
-                raise ValueError("empty cluster")
-            if seen & set(c):
-                raise ValueError("clusters are not disjoint")
-            seen.update(c)
-        if seen != set(range(len(seen))):
-            raise ValueError("clusters do not cover a contiguous index range")
+        labels = np.array(self.labels, dtype=np.int64)
+        # each label is >= 0 and at most one above every label before it
+        if labels.ndim != 1 or (labels < 0).any() or (
+                np.diff(np.maximum.accumulate(labels), prepend=-1) > 1).any():
+            raise ValueError("labels must number clusters 0, 1, ... by least record")
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and np.array_equal(self.labels, other.labels)
 
     @property
     def n(self) -> int:
-        return sum(len(c) for c in self.clusters)
+        return len(self.labels)
 
     @property
     def c(self) -> int:
-        return len(self.clusters)
+        return int(self.labels.max(initial=-1)) + 1
 
-    def labels(self) -> np.ndarray:
-        sizes = np.fromiter(map(len, self.clusters), dtype=np.int64, count=self.c)
-        members = np.fromiter(chain.from_iterable(self.clusters), dtype=np.int64)
-        lab = np.empty(len(members), dtype=np.int64)
-        lab[members] = np.repeat(np.arange(self.c), sizes)
-        return lab
+    @property
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        """Each cluster's records, ascending, in cluster order."""
+        return tuple(tuple(g.tolist()) for g in _members(self.labels))
 
     @staticmethod
-    def from_labels(labels: Sequence[int]) -> "ClusterSet":
-        groups: dict[int, list[int]] = {}
-        for i, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(i)
-        return ClusterSet.from_groups(groups.values())
+    def from_labels(labels: Sequence) -> "ClusterSet":
+        """Records whose labels are equal as numpy array items share a cluster."""
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        return ClusterSet(np.argsort(np.argsort(first))[inverse])
 
     @staticmethod
     def from_groups(groups: Iterable[Iterable[int]]) -> "ClusterSet":
-        clusters = sorted((tuple(sorted(g)) for g in groups), key=lambda c: c[0])
-        return ClusterSet(clusters=tuple(clusters))
+        """The partition into nonempty, disjoint `groups` covering 0..n-1."""
+        groups = [list(g) for g in groups]
+        records = np.array([v for g in groups for v in g], dtype=np.int64)
+        found = np.sort(records)
+        if not all(groups):
+            raise ValueError("empty cluster")
+        if (found[1:] == found[:-1]).any():
+            raise ValueError("clusters are not disjoint")
+        if not np.array_equal(found, np.arange(len(found))):
+            raise ValueError("clusters do not cover a contiguous index range")
+        owner = np.repeat(np.arange(len(groups)), list(map(len, groups)))
+        return ClusterSet.from_labels(owner[np.argsort(records)])
+
+
+def _members(labels: np.ndarray) -> list[np.ndarray]:
+    """Each cluster's records, ascending, in label order: one stable argsort."""
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(order, cuts) if len(order) else []
 
 
 def h_statistics(sim: np.ndarray) -> np.ndarray:
@@ -196,29 +213,21 @@ def single_linkage(sim: np.ndarray, taus: Sequence[float]) -> Iterator[ClusterSe
     components of the graph linking every pair with sim >= tau, from one
     maximum spanning forest, without threshold's warning.
 
-    Each tau merges the forest edges with w >= tau not taken yet, moving the
-    smaller cluster's records into the larger one. A merge cannot be undone,
-    so a tau above the one before it, or NaN, is a ValueError.
+    Each tau merges the forest edges with w >= tau not taken yet: an edge
+    gives its second end's cluster the label of its first end's, in one
+    comparison over the label array. A merge cannot be undone, so a tau
+    above the one before it, or NaN, is a ValueError.
     """
     i, j, w = max_spanning_forest(sim)
-    pairs, weights = list(zip(i.tolist(), j.tolist())), w.tolist()
-    label = list(range(len(sim)))
-    members = {v: [v] for v in label}
+    label = np.arange(len(sim))
     merged = 0
-    previous = inf
-    for tau in taus:
+    for previous, tau in zip([inf, *taus], taus):
         if not tau <= previous:
             raise ValueError(f"thresholds must descend, got {tau} after {previous}")
-        previous = tau
-        while merged < len(weights) and weights[merged] >= tau:
-            a, b = (label[v] for v in pairs[merged])
-            if len(members[a]) < len(members[b]):
-                a, b = b, a
-            for v in members[b]:
-                label[v] = a
-            members[a].extend(members.pop(b))
+        while merged < len(w) and w[merged] >= tau:
+            label[label == label[j[merged]]] = label[i[merged]]
             merged += 1
-        yield ClusterSet.from_groups(members.values())
+        yield ClusterSet.from_labels(label)
 
 
 def group(graph: ThresholdedGraph) -> ClusterSet:
@@ -414,7 +423,7 @@ def refine_all(
     By default one pass is made; with iterate=True the pass repeats until
     no cluster is unstable.
     """
-    pending = [list(c) for c in clusters.clusters]
+    pending = [g.tolist() for g in _members(clusters.labels)]  # each ascending
     done: list[list[int]] = []
     # the rows of every record a pass may refine, read once for all passes
     links = _links(graph, [v for c in pending if 2 < len(c) <= REFINE_SIZE_CAP
@@ -430,7 +439,7 @@ def refine_all(
                 )
                 done.append(cluster)
                 continue
-            pieces = _refine(sorted(cluster), links)
+            pieces = _refine(cluster, links)
             # stable, or refined back into itself: either way a fixed point
             if pieces is None or len(pieces) == 1:
                 done.append(cluster)
@@ -444,22 +453,22 @@ def refine_all(
 
 def write_clusters(clusters: ClusterSet, path: str) -> None:
     """Write 'record_index cluster_id' lines with dense 0-based cluster ids."""
-    labels = clusters.labels()
     with open(path, "w", encoding="utf-8") as fh:
-        for i, lab in enumerate(labels):
-            fh.write(f"{i} {lab}\n")
+        fh.writelines(f"{i} {lab}\n" for i, lab in enumerate(clusters.labels.tolist()))
 
 
 def read_clusters(path: str) -> ClusterSet:
     """Read a cluster assignment file written by write_clusters."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            idx, lab = line.split()
-            pairs.append((int(idx), lab))
+        for number, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    idx, lab = line.split()
+                    pairs.append((int(idx), lab))
+            except ValueError:
+                raise ValueError(f"line {number}: expected 'record_index cluster_id', "
+                                 f"got {line.strip()!r}") from None
     if not pairs:
         raise ValueError("cluster file has no records")
     pairs.sort()

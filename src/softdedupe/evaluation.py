@@ -6,9 +6,9 @@ error in the number of clusters, pairwise precision/recall/F1, the
 Metrics that are undefined for a given pair of partitions are reported as
 None rather than NaN.
 
-Every metric reads the contingency table, three aligned integer arrays of
-its nonzero cells in order of each cell's first record, and the two
-partitions' cluster sizes.
+Every metric reads the two partitions' label arrays (ClusterSet.labels)
+through the contingency table, three aligned integer arrays of its nonzero
+cells in order of each cell's first record, and the cluster sizes.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _contingency(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero (cluster, truth cluster) cells as aligned integer arrays
     rows, cols and counts, ordered by each cell's first record."""
-    keys = c.labels() * c_true.c + c_true.labels()
+    keys = c.labels * c_true.c + c_true.labels
     found, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(first)
     rows, cols = np.divmod(found[order], c_true.c)
@@ -102,16 +102,12 @@ def evaluate(
     c: ClusterSet, c_true: ClusterSet, tau: float | None = None
 ) -> MetricsReport:
     """Compute the full metric suite for a clustering against ground truth."""
-    sizes_c, sizes_t = (
-        np.fromiter(map(len, x.clusters), dtype=np.int64, count=x.c)
-        for x in (c, c_true)
-    )
-    n = int(sizes_c.sum())
-    if n != sizes_t.sum():
+    n = c.n
+    if n != c_true.n:
         raise ValueError("partitions cover different numbers of records")
+    sizes_c, sizes_t = np.bincount(c.labels), np.bincount(c_true.labels)
     rows, cols, counts = _contingency(c, c_true)
-    best_c = np.zeros(c.c, dtype=np.int64)
-    best_t = np.zeros(c_true.c, dtype=np.int64)
+    best_c, best_t = np.zeros_like(sizes_c), np.zeros_like(sizes_t)
     np.maximum.at(best_c, rows, counts)
     np.maximum.at(best_t, cols, counts)
     pur, inv = int(best_c.sum()) / n, int(best_t.sum()) / n  # exact int over n
@@ -127,14 +123,14 @@ def evaluate(
     # numpy's SIMD log may differ by an ulp; a left-to-right sum in cell
     # order, as builtin sum() compensates from Python 3.12
     ratios = n * counts / (sizes_c[rows] * sizes_t[cols])
-    terms = counts / n * np.fromiter(map(math.log, ratios.tolist()), dtype=float)
-    info = reduce(operator.add, terms.tolist(), 0.0)
+    terms = (k / n * math.log(r) for k, r in zip(counts.tolist(), ratios.tolist()))
+    info = reduce(operator.add, terms, 0.0)
     denom = math.sqrt(_entropy(sizes_c, n) * _entropy(sizes_t, n))
     return MetricsReport(
         purity=pur,
         inverse_purity=inv,
         harmonic_mean=2 * pur * inv / (pur + inv) if pur + inv > 0 else 0.0,
-        rel_cluster_error=abs(c.c - c_true.c) / c_true.c,
+        rel_cluster_error=abs(len(sizes_c) - len(sizes_t)) / len(sizes_t),
         precision=overlap / n_c if n_c > 0 else None,
         recall=overlap / n_g if n_g > 0 else None,
         f1=2 * overlap / (n_c + n_g) if n_c > 0 and n_g > 0 else None,
@@ -142,7 +138,7 @@ def evaluate(
         rel_z_rand=None if z is None or not z_self else z / z_self,
         nmi=min(max(info / denom, 0.0), 1.0) if denom > 0 else 0.0,
         n=n,
-        c=c.c,
-        c_true=c_true.c,
+        c=len(sizes_c),
+        c_true=len(sizes_t),
         tau=tau,
     )

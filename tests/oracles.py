@@ -10,12 +10,17 @@ refinement rule applied to every single removal through batched component
 labelling. The program groups from a maximum spanning forest and refines
 from one depth-first search; the tests compare it with these.
 
+Partitions: the tuple-of-sorted-tuples ClusterSet the program held before it
+held a label array, with its dict-based from_labels, sort-based from_groups
+and set-based validation.
+
 Evaluation: the contingency table as a dict built record by record, and every
 metric walked from it cell by cell. The program reads the table as arrays and
 must give the same report, bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -32,6 +37,54 @@ from softdedupe.similarity import (
     CompositeSimilarity,
     build_jw_matrix,
 )
+
+
+@dataclass(frozen=True)
+class TupleClusterSet:
+    """A partition as its clusters, each a sorted tuple, ordered by least record."""
+
+    clusters: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        seen = set()
+        for c in self.clusters:
+            if not c:
+                raise ValueError("empty cluster")
+            if seen & set(c):
+                raise ValueError("clusters are not disjoint")
+            seen.update(c)
+        if seen != set(range(len(seen))):
+            raise ValueError("clusters do not cover a contiguous index range")
+
+    @property
+    def n(self):
+        return sum(len(c) for c in self.clusters)
+
+    @property
+    def c(self):
+        return len(self.clusters)
+
+    def labels(self):
+        lab = [0] * self.n
+        for k, c in enumerate(self.clusters):
+            for i in c:
+                lab[i] = k
+        return lab
+
+    @staticmethod
+    def from_labels(labels):
+        groups = {}
+        for i, lab in enumerate(labels):
+            groups.setdefault(lab, []).append(i)
+        return TupleClusterSet.from_groups(groups.values())
+
+    @staticmethod
+    def from_groups(groups):
+        # by least record, with empty groups first, so that validation names
+        # them; a key of c[0] raised IndexError on them before validation ran
+        clusters = sorted((tuple(sorted(g)) for g in groups), key=lambda c: c[:1])
+        return TupleClusterSet(clusters=tuple(clusters))
+
 
 # oracle_splits stacks removal graphs until they hold this many adjacency
 # entries or vertices, which bounds one connected_components call
@@ -235,7 +288,7 @@ def dict_contingency(c, c_true):
     """Record counts per (cluster, truth cluster), a dict built record by
     record, so its keys come in order of each cell's first record."""
     table = {}
-    for key in zip(c.labels().tolist(), c_true.labels().tolist()):
+    for key in zip(c.labels.tolist(), c_true.labels.tolist()):
         table[key] = table.get(key, 0) + 1
     return table
 

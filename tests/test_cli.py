@@ -157,19 +157,24 @@ class TestRun:
         assert manifest["refine"] is False
         assert manifest["theta"] == 0.5
 
-    @pytest.mark.parametrize("config, message", [
-        ({"weights": [1, 2]}, "--weights: could not convert"),
-        ({"bogus": 1}, "unknown config key"),
-        ({"seed": "many"}, "not a valid integer"),
-        ({"delimiter": ";;"}, "must be one character"),
-    ], ids=["weights_list", "unknown_key", "untyped_seed", "long_delimiter"])
+    @pytest.mark.parametrize("command, config, message", [
+        ("run", {"weights": [1, 2]}, "--weights: could not convert"),
+        ("run", {"bogus": 1}, "unknown config key"),
+        ("run", {"seed": "many"}, "not a valid integer"),
+        ("run", {"delimiter": ";;"}, "must be one character"),
+        # numbers and booleans are checked as the flags' text would be
+        ("run", {"max_prefix": 3.9}, "'3.9' is not a valid integer"),
+        ("run", {"seed": 1.5}, "'1.5' is not a valid integer"),
+        ("sweep", {"grid": True}, "'true' is not a valid integer"),
+    ], ids=["weights_list", "unknown_key", "untyped_seed", "long_delimiter",
+            "float_max_prefix", "float_seed", "boolean_grid"])
     def test_bad_config_is_usage_error(
-        self, runner, small_csv, tmp_path, config, message
+        self, runner, small_csv, tmp_path, command, config, message
     ):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         result = runner.invoke(main, [
-            "run", "--input", small_csv, "--truth-column", "id",
+            command, "--input", small_csv, "--truth-column", "id",
             "--config", str(path), "--output-dir", str(tmp_path / "out"),
         ])
         assert result.exit_code == 2
@@ -324,7 +329,7 @@ class TestSweep:
             "sweep", "--input", small_csv, "--truth-column", "id", "--grid", grid,
         ])
         assert result.exit_code == 2
-        assert "not in the range x>=1" in result.output
+        assert "not in the range 1<=x<=100000" in result.output
 
     @pytest.mark.parametrize("args, config", [
         (["--tau-start", "0.1", "--tau-stop", "0.9", "--tau-step", "1e-9"], None),
@@ -518,6 +523,15 @@ class TestEval:
         ])
         assert result.exit_code == 2
         assert "no records" in result.output
+
+    def test_malformed_line_is_usage_error(self, runner, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 a\n\n2 b c\n")
+        result = runner.invoke(main, [
+            "eval", "--clusters", str(bad), "--truth", str(bad),
+        ])
+        assert result.exit_code == 2
+        assert "line 3: expected 'record_index cluster_id', got '2 b c'" in result.output
 
 
 class TestSynthCommand:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softdedupe import pipeline
@@ -28,6 +28,7 @@ from softdedupe.clustering import (
 )
 
 from oracles import (
+    TupleClusterSet,
     batched_refine,
     batched_refine_all,
     components,
@@ -58,7 +59,7 @@ class TestClusterSet:
     def test_labels_round_trip(self):
         cs = ClusterSet.from_labels([0, 1, 0, 2, 1])
         assert cs.clusters == ((0, 2), (1, 4), (3,))
-        assert ClusterSet.from_labels(cs.labels()) == cs
+        assert ClusterSet.from_labels(cs.labels) == cs
 
     def test_from_groups_orders_by_min_element(self):
         cs = ClusterSet.from_groups([[3, 1], [0, 2]])
@@ -66,11 +67,75 @@ class TestClusterSet:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="disjoint"):
-            ClusterSet(clusters=((0, 1), (1, 2)))
+            ClusterSet.from_groups([[0, 1], [1, 2]])
         with pytest.raises(ValueError, match="contiguous"):
-            ClusterSet(clusters=((0,), (2,)))
+            ClusterSet.from_groups([[0], [2]])
         with pytest.raises(ValueError, match="empty"):
-            ClusterSet(clusters=((0,), ()))
+            ClusterSet.from_groups([[0], []])
+        # a record listed twice in one group is not a partition either
+        with pytest.raises(ValueError, match="disjoint"):
+            ClusterSet.from_groups([[0, 0], [1]])
+        for labels in ([1, 0], [0, 2, 1], [0, -1], [[0, 1]]):
+            with pytest.raises(ValueError, match="labels must"):
+                ClusterSet(np.array(labels))
+
+
+@st.composite
+def group_lists(draw):
+    """Groups of records, each listing a record once: a partition of 0..n-1,
+    or lists with overlaps, gaps, negative records and empty groups."""
+    n = draw(st.integers(0, 12))
+    records = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n)))
+    partition = [records[a:b] for a, b in zip([0, *cuts], [*cuts, n]) if a < b]
+    anything = st.lists(st.integers(-2, 12), unique=True, max_size=5)
+    return draw(st.one_of(st.just(partition), st.lists(anything, max_size=6)))
+
+
+class TestClusterSetOracle:
+    """ClusterSet against the tuple-based partition it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_from_labels_matches(self, data):
+        # labels whose first-occurrence order differs from their sorted order
+        alphabet = data.draw(st.sampled_from([
+            st.integers(-3, 6), st.sampled_from(["b", "a", "10", "9", "c"]),
+        ]))
+        labels = data.draw(st.lists(alphabet, max_size=30))
+        cs, want = ClusterSet.from_labels(labels), TupleClusterSet.from_labels(labels)
+        assert cs.clusters == want.clusters
+        assert cs.labels.tolist() == want.labels()
+        assert cs.labels.dtype == np.int64 and not cs.labels.flags.writeable
+        assert (cs.n, cs.c) == (want.n, want.c)
+        other = data.draw(st.lists(alphabet, max_size=30))
+        assert (ClusterSet.from_labels(other) == cs) == (
+            TupleClusterSet.from_labels(other) == want)
+        assert ClusterSet.from_labels(cs.labels) == cs
+        assert ClusterSet(cs.labels) == cs
+
+    def test_first_occurrence_numbering(self):
+        for labels in (["b", "a", "b", "10", "9"], [7, 3, 7, 10, 9]):
+            cs = ClusterSet.from_labels(labels)
+            assert cs.labels.tolist() == [0, 1, 0, 2, 3]
+            assert cs.clusters == TupleClusterSet.from_labels(labels).clusters
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_lists())
+    @example([[0, 1], [1, 2]]).via("overlap")
+    @example([[0], [2]]).via("gap")
+    @example([[1], [0], []]).via("empty group")
+    def test_from_groups_matches(self, groups):
+        try:
+            want = TupleClusterSet.from_groups(groups)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                ClusterSet.from_groups(groups)
+            assert str(got.value) == str(exc)
+        else:
+            cs = ClusterSet.from_groups(groups)
+            assert cs.clusters == want.clusters
+            assert cs.labels.tolist() == want.labels()
 
 
 class TestHStatistics:
