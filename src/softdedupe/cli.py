@@ -42,8 +42,9 @@ def _fmt(value) -> str:
 def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
     """Fill in parameters from a JSON config file; explicit flags win.
 
-    Keys are parameter names. Each value is converted and checked by its
-    parameter's type, as a flag's text would be.
+    Keys are parameter names. Each value is a string, number or boolean,
+    converted and checked by its parameter's type as a flag's text would be;
+    null, a list or an object has no flag text and is a UsageError.
     """
     if not config_path:
         return
@@ -58,6 +59,11 @@ def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
     for key, value in data.items():
         if key not in params:
             raise click.UsageError(f"unknown config key: {key!r}")
+        if not isinstance(value, (str, int, float)):
+            raise click.UsageError(
+                f"config key {key!r} must be a string, number or boolean, "
+                f"got {json.dumps(value)}"
+            )
         source = ctx.get_parameter_source(key)
         if source is None or source.name == "DEFAULT":
             if isinstance(value, (int, float)):  # bool too: the flag's text

@@ -10,8 +10,10 @@ is a ClusterSet: an array of one cluster label per record.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb, inf, isnan
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -363,11 +365,13 @@ class _Removals:
 
     def score(self, v: int) -> float:
         """The mean strength of the components left by removing v, summed
-        in order of least record."""
+        left to right in order of least record (builtin sum() compensates
+        from Python 3.12)."""
         if self.count(v) == 1:
             return _share(self.entries - 2 * self.deg[v], self.p - 1)
         pieces = self.pieces(v)
-        return sum(_share(x.entries, x.size) for x in pieces) / len(pieces)
+        shares = (_share(x.entries, x.size) for x in pieces)
+        return reduce(operator.add, shares, 0.0) / len(pieces)
 
 
 def _refine(members: list[int], links: dict[int, int]) -> list[list[int]] | None:

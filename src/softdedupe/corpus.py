@@ -1,17 +1,18 @@
 """Tabular data loading and per-field feature extraction.
 
-A data set is an n x a grid of raw strings. Each entry is broken into
-features (whitespace-separated words or character N-grams); per field we
-build an ordered lexicon of the distinct non-stop-word features and count
-feature occurrences per entry.
+A data set is an n x a grid of raw strings. Each entry is broken once into
+its features (whitespace-separated words or character N-grams, stop words
+removed): a field is the list of its entries' token lists. An entry with no
+features is missing. The field's lexicon is its sorted distinct features.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Iterable, TextIO
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import BinaryIO, Iterable, Sequence, TextIO
 
 DEFAULT_STOP_WORDS = frozenset({"and", "the", "or", "none", "na", ""})
 
@@ -85,38 +86,6 @@ class TokenizerConfig:
         return replace(self, stop_words=self.stop_words | frozenset(extra))
 
 
-@dataclass(frozen=True)
-class FeatureLexicon:
-    """Ordered set of distinct features for one field, with reverse lookup."""
-
-    features: tuple[str, ...]
-    lookup: dict[str, int] = field(compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.lookup:
-            object.__setattr__(
-                self, "lookup", {f: i for i, f in enumerate(self.features)}
-            )
-
-    def __len__(self) -> int:
-        return len(self.features)
-
-
-@dataclass(frozen=True)
-class TokenizedEntry:
-    """Sparse feature counts for one entry.
-
-    counts maps lexicon index -> occurrence count; an entry with no
-    in-lexicon feature is missing.
-    """
-
-    counts: dict[int, int]
-
-    @property
-    def missing(self) -> bool:
-        return not self.counts
-
-
 def load_dataset(
     source: str | TextIO | BinaryIO,
     schema: list[str] | None = None,
@@ -161,11 +130,7 @@ def load_stop_words(path: str) -> frozenset[str]:
 
 
 def tokenize(entry: str, config: TokenizerConfig) -> list[str]:
-    """Split an entry into feature tokens, dropping stop words.
-
-    Out-of-lexicon filtering does not happen here; callers count tokens
-    against a lexicon separately.
-    """
+    """Split an entry into feature tokens, dropping stop words."""
     if config.case_fold:
         entry = entry.casefold()
     if config.mode == "word":
@@ -180,27 +145,18 @@ def tokenize(entry: str, config: TokenizerConfig) -> list[str]:
     return [t for t in tokens if t.casefold() not in config.stop_words]
 
 
-def build_lexicon(dataset: DataSet, k: int, config: TokenizerConfig) -> FeatureLexicon:
-    """Collect the distinct features of field k, in lexicographic order."""
-    seen: set[str] = set()
-    for entry in dataset.column(k):
-        seen.update(tokenize(entry, config))
-    if not seen:
-        raise ValueError(f"field {k} has no features after stop-word removal")
-    return FeatureLexicon(features=tuple(sorted(seen)))
-
-
 def tokenize_field(
-    dataset: DataSet, k: int, lexicon: FeatureLexicon, config: TokenizerConfig
-) -> list[TokenizedEntry]:
-    """Count in-lexicon feature occurrences for every entry of field k."""
-    out = []
-    lookup = lexicon.lookup
-    for entry in dataset.column(k):
-        counts: dict[int, int] = {}
-        for t in tokenize(entry, config):
-            j = lookup.get(t)
-            if j is not None:
-                counts[j] = counts.get(j, 0) + 1
-        out.append(TokenizedEntry(counts=counts))
-    return out
+    dataset: DataSet, k: int, config: TokenizerConfig
+) -> list[list[str]]:
+    """The token list of every entry of field k; an empty list is a missing
+    entry. A field whose every entry is missing is a ValueError."""
+    tokens = [tokenize(entry, config) for entry in dataset.column(k)]
+    if not any(tokens):
+        raise ValueError(f"field {k} has no features after stop-word removal")
+    return tokens
+
+
+def build_lexicon(tokens: Iterable[Sequence[str]]) -> tuple[str, ...]:
+    """The distinct features of a field's token lists, in lexicographic
+    order."""
+    return tuple(sorted(set(chain.from_iterable(tokens))))

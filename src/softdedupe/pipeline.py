@@ -23,25 +23,27 @@ def _composite_and_mask(
 ) -> tuple[similarity.CompositeSimilarity, sparsity.PresenceMask]:
     """The raw composite of every field's similarity, and the presence mask.
 
-    Each field's n x n array is built as the composite takes it and goes
-    once it is added, so the composite and one field are held at a time.
+    Each field is tokenized once; its token lists give its lexicon, its
+    TF-IDF matrix and its column of the mask. Each field's n x n array is
+    built as the composite takes it and goes once it is added, so the
+    composite and one field are held at a time.
     """
-    tokenized_fields = []
+    fields_tokens = []
 
     def fields():
         for k in range(dataset.a):
-            lexicon = build_lexicon(dataset, k, tok_config)
-            tokenized = tokenize_field(dataset, k, lexicon, tok_config)
-            tokenized_fields.append(tokenized)
-            tfidf = similarity.build_tfidf(tokenized, lexicon, dataset.n)
+            tokens = tokenize_field(dataset, k, tok_config)
+            fields_tokens.append(tokens)
+            features = build_lexicon(tokens)
+            tfidf = similarity.build_tfidf(tokens, features)
             if params.method == METHOD_SOFT_TFIDF:
-                jw = similarity.build_jw_matrix(lexicon, params)
+                jw = similarity.build_jw_matrix(features, params)
                 yield similarity.soft_tfidf_field(tfidf, jw)
             else:
                 yield similarity.tfidf_field(tfidf)
 
     raw = similarity.composite(fields(), params.weights)
-    return raw, sparsity.presence_mask(tokenized_fields)
+    return raw, sparsity.presence_mask(fields_tokens)
 
 
 def build_similarity(

@@ -21,8 +21,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import FeatureLexicon, TokenizedEntry
-
 # off-diagonal field scores below this are set to 0
 SPARSE_FLOOR = 1e-12
 # build_jw_matrix bounds feature pairs a block of rows at a time; a block's
@@ -201,8 +199,10 @@ def _jw_upper_bound(lo, hi, lens, counts, heads, prefix_factor):
     return j_ub + prefix_factor * prefix * (1.0 - j_ub)
 
 
-def build_jw_matrix(lexicon: FeatureLexicon, params: SimilarityParams) -> JaroWinklerMatrix:
-    """All-pairs thresholded Jaro-Winkler matrix over a feature lexicon.
+def build_jw_matrix(
+    features: Sequence[str], params: SimilarityParams
+) -> JaroWinklerMatrix:
+    """All-pairs thresholded Jaro-Winkler matrix over a field's lexicon.
 
     Only pairs whose upper bound reaches theta are scored. Jaro matches
     pair identical characters one to one, so the match count of s1 and s2
@@ -213,7 +213,7 @@ def build_jw_matrix(lexicon: FeatureLexicon, params: SimilarityParams) -> JaroWi
     A slack of 1e-9 below theta covers float rounding. Survivors are scored
     exactly, so the result equals the naive double loop.
     """
-    feats = lexicon.features
+    feats = features
     m = len(feats)
     p, cap, theta = params.prefix_factor, params.max_prefix, params.theta
     lens, counts, heads = _character_tables(feats, cap if p > 0 else 0)
@@ -243,23 +243,23 @@ def build_jw_matrix(lexicon: FeatureLexicon, params: SimilarityParams) -> JaroWi
 
 
 def build_tfidf(
-    tokenized: Sequence[TokenizedEntry], lexicon: FeatureLexicon, n: int
+    tokens: Sequence[Sequence[str]], features: Sequence[str]
 ) -> SparseRows:
-    """n x m log-scaled TF times IDF (natural log), nonzero rows scaled to
-    unit l1 norm.
+    """n x m log-scaled TF times IDF (natural log) of n token lists over the
+    m features of their lexicon, nonzero rows scaled to unit l1 norm.
 
-    A row's norm adds its weights in ascending feature order by
-    np.add.reduceat, as scipy's CSR sum(axis=1) does.
+    Each (row, feature) count comes from one np.unique over the keys
+    row * m + feature. A row's norm adds its weights in ascending feature
+    order by np.add.reduceat, as scipy's CSR sum(axis=1) does.
     """
-    if len(tokenized) != n:
-        raise ValueError("tokenized entry count does not match n")
-    m = len(lexicon)
-    sizes = [len(entry.counts) for entry in tokenized]
-    cols = np.fromiter(chain.from_iterable(e.counts for e in tokenized),
-                       dtype=np.int64, count=sum(sizes))
-    counts = np.fromiter(chain.from_iterable(e.counts.values() for e in tokenized),
-                         dtype=float, count=len(cols))
-    rows = np.repeat(np.arange(n), sizes)
+    n, m = len(tokens), len(features)
+    ids = {f: j for j, f in enumerate(features)}
+    sizes = np.fromiter(map(len, tokens), dtype=np.int64, count=n)
+    keys = np.fromiter(map(ids.__getitem__, chain.from_iterable(tokens)),
+                       dtype=np.int64, count=int(sizes.sum()))
+    keys += np.repeat(np.arange(n, dtype=np.int64) * m, sizes)
+    keys, counts = np.unique(keys, return_counts=True)
+    rows, cols = np.divmod(keys, m)
     df = np.bincount(cols, minlength=m)
     with np.errstate(divide="ignore"):
         idf = np.where(df > 0, np.log(n / np.where(df > 0, df, 1)), 0.0)

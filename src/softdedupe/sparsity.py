@@ -21,13 +21,13 @@ class PresenceMask:
     shared_counts: np.ndarray
 
 
-def presence_mask(tokenized_fields: Sequence[Sequence]) -> PresenceMask:
-    """B[i, k] = 0 exactly when entry (i, k) has no in-lexicon features."""
-    lengths = {len(col) for col in tokenized_fields}
-    if len(lengths) != 1:
+def presence_mask(fields: Sequence[Sequence[Sequence[str]]]) -> PresenceMask:
+    """B[i, k] = 0 exactly when entry (i, k) is missing: its token list in
+    fields[k] (see corpus.tokenize_field) is empty."""
+    if len({len(tokens) for tokens in fields}) != 1:
         raise ValueError("tokenized fields have mismatched record counts")
     b = np.array(
-        [[0 if entry.missing else 1 for entry in col] for col in tokenized_fields],
+        [[1 if entry else 0 for entry in tokens] for tokens in fields],
         dtype=np.int64,
     ).T
     # counts never exceed a, so the smallest type holding a stores them exactly

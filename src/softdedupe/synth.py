@@ -11,8 +11,10 @@ abbreviation variants, reformatting, and occasional conflicting values.
 
 from __future__ import annotations
 
+import operator
 import random
 import string
+from functools import reduce
 
 from .corpus import DataSet
 
@@ -300,7 +302,8 @@ _VENUES = [
 def _citation_sizes(rng: random.Random) -> list[int]:
     """Cluster sizes for the citation stand-in: skewed, exact total."""
     weights = [rng.lognormvariate(0.0, 1.0) for _ in range(CITATION_ENTITIES)]
-    total_weight = sum(weights)
+    # left to right, as builtin sum() compensates from Python 3.12
+    total_weight = reduce(operator.add, weights, 0.0)
     spare = CITATION_RECORDS - CITATION_ENTITIES
     sizes = [1 + int(spare * w / total_weight) for w in weights]
     while sum(sizes) < CITATION_RECORDS:

@@ -16,11 +16,11 @@ from softdedupe.sparsity import presence_mask
 
 
 def tokenized_fields(data, tok_config):
-    """Each field's lexicon and tokenized entries."""
+    """Each field's lexicon and token lists."""
     out = []
     for k in range(data.a):
-        lexicon = build_lexicon(data, k, tok_config)
-        out.append((lexicon, tokenize_field(data, k, lexicon, tok_config)))
+        tokens = tokenize_field(data, k, tok_config)
+        out.append((build_lexicon(tokens), tokens))
     return out
 
 
@@ -31,10 +31,10 @@ def raw_composite(data, tok_config, params):
     pipeline.build_similarity takes before it adjusts.
     """
     fields = []
-    for lexicon, tokenized in tokenized_fields(data, tok_config):
-        tfidf = build_tfidf(tokenized, lexicon, data.n)
+    for features, tokens in tokenized_fields(data, tok_config):
+        tfidf = build_tfidf(tokens, features)
         if params.method == METHOD_SOFT_TFIDF:
-            fields.append(soft_tfidf_field(tfidf, build_jw_matrix(lexicon, params)))
+            fields.append(soft_tfidf_field(tfidf, build_jw_matrix(features, params)))
         else:
             fields.append(tfidf_field(tfidf))
     return composite(fields, params.weights).scores
@@ -43,7 +43,7 @@ def raw_composite(data, tok_config, params):
 def presence(data, tok_config):
     """The presence mask of the data set's entries."""
     return presence_mask(
-        [tokenized for _, tokenized in tokenized_fields(data, tok_config)]
+        [tokens for _, tokens in tokenized_fields(data, tok_config)]
     )
 
 

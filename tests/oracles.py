@@ -1,5 +1,11 @@
 """References kept apart from the program, most of them computed with scipy.
 
+Features: the two-pass TF-IDF the program built before it tokenized each
+entry once. One pass collects a field's lexicon, a second tokenizes every
+entry again and counts its features in a dict keyed by lexicon index, and
+the matrix is read from those dicts. The program's one-pass build_tfidf must
+give the same bits.
+
 Similarity: the TF-IDF matrix, the field products TFIDF @ M @ TFIDF.T and
 TFIDF @ TFIDF.T, their finishing and the weighted composite, by scipy's CSR
 matrices. The program computes them with numpy alone and must give the same
@@ -20,7 +26,10 @@ must give the same report, bit for bit.
 """
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -29,12 +38,13 @@ from scipy.sparse import csgraph
 
 from softdedupe import sparsity
 from softdedupe.clustering import ClusterSet, ThresholdedGraph
-from softdedupe.corpus import build_lexicon, tokenize_field
+from softdedupe.corpus import build_lexicon, tokenize, tokenize_field
 from softdedupe.evaluation import ENTROPY_EPS, MetricsReport
 from softdedupe.similarity import (
     METHOD_SOFT_TFIDF,
     SPARSE_FLOOR,
     CompositeSimilarity,
+    SparseRows,
     build_jw_matrix,
 )
 
@@ -91,18 +101,64 @@ class TupleClusterSet:
 SPLIT_BATCH_ENTRIES = 1 << 18
 
 
-def tfidf_csr(tokenized, n, m):
-    """n x m log-scaled TF times IDF, nonzero rows scaled to unit l1 norm,
-    one entry at a time into a scipy CSR matrix."""
+def dict_counts(tokens, features):
+    """Each entry's feature counts: a dict from lexicon index to count,
+    filled token by token through a lookup dict. Tokens outside the lexicon
+    are not counted."""
+    lookup = {f: j for j, f in enumerate(features)}
+    out = []
+    for entry in tokens:
+        counts = {}
+        for t in entry:
+            j = lookup.get(t)
+            if j is not None:
+                counts[j] = counts.get(j, 0) + 1
+        out.append(counts)
+    return out
+
+
+def two_pass_tfidf(column, config):
+    """The lexicon of a raw column and its TF-IDF matrix as SparseRows, each
+    entry tokenized once for the lexicon and once more for its counts."""
+    seen = set()
+    for entry in column:
+        seen.update(tokenize(entry, config))
+    features = tuple(sorted(seen))
+    counted = dict_counts([tokenize(entry, config) for entry in column], features)
+    n, m = len(counted), len(features)
+    sizes = [len(counts) for counts in counted]
+    cols = np.fromiter(chain.from_iterable(counted), dtype=np.int64,
+                       count=sum(sizes))
+    counts = np.fromiter(chain.from_iterable(c.values() for c in counted),
+                         dtype=float, count=len(cols))
+    rows = np.repeat(np.arange(n), sizes)
+    df = np.bincount(cols, minlength=m)
+    with np.errstate(divide="ignore"):
+        idf = np.where(df > 0, np.log(n / np.where(df > 0, df, 1)), 0.0)
+    weights = np.log1p(counts) * idf[cols]
+    keep = weights > 0.0
+    mat = SparseRows.from_entries(rows[keep], cols[keep], weights[keep], (n, m))
+    nonempty = np.flatnonzero(np.diff(mat.indptr))
+    row_sums = np.add.reduceat(mat.data, mat.indptr[nonempty])
+    np.divide(mat.data, np.repeat(row_sums, np.diff(mat.indptr)[nonempty]),
+              out=mat.data)
+    return features, mat
+
+
+def tfidf_csr(counted, m):
+    """len(counted) x m log-scaled TF times IDF from per-entry count dicts
+    (see dict_counts), nonzero rows scaled to unit l1 norm, one entry at a
+    time into a scipy CSR matrix."""
+    n = len(counted)
     df = np.zeros(m)
-    for entry in tokenized:
-        for j in entry.counts:
+    for counts in counted:
+        for j in counts:
             df[j] += 1
     with np.errstate(divide="ignore"):
         idf = np.where(df > 0, np.log(n / np.where(df > 0, df, 1)), 0.0)
     rows, cols, vals = [], [], []
-    for i, entry in enumerate(tokenized):
-        for j, c in entry.counts.items():
+    for i, counts in enumerate(counted):
+        for j, c in counts.items():
             w = np.log1p(c) * idf[j]
             if w > 0.0:
                 rows.append(i)
@@ -146,20 +202,20 @@ def composite_csr(fields, weights=None):
 def adjusted_similarity(dataset, tok_config, params):
     """pipeline.build_similarity (adjust mode) with every field product and
     the composite computed by scipy."""
-    fields, tokenized_fields = [], []
+    fields, fields_tokens = [], []
     for k in range(dataset.a):
-        lexicon = build_lexicon(dataset, k, tok_config)
-        tokenized = tokenize_field(dataset, k, lexicon, tok_config)
-        tokenized_fields.append(tokenized)
-        tfidf = tfidf_csr(tokenized, dataset.n, len(lexicon))
+        tokens = tokenize_field(dataset, k, tok_config)
+        fields_tokens.append(tokens)
+        features = build_lexicon(tokens)
+        tfidf = tfidf_csr(dict_counts(tokens, features), len(features))
         jw = None
         if params.method == METHOD_SOFT_TFIDF:
-            jw = build_jw_matrix(lexicon, params).matrix
+            jw = build_jw_matrix(features, params).matrix
         fields.append(field_csr(tfidf, jw))
     raw = CompositeSimilarity(
         scores=composite_csr(fields, params.weights).toarray()
     )
-    return sparsity.adjust(raw, sparsity.presence_mask(tokenized_fields))
+    return sparsity.adjust(raw, sparsity.presence_mask(fields_tokens))
 
 
 def graph_from_edges(n, edges, tau=0.0):
@@ -237,7 +293,9 @@ def oracle_splits(i, j, p):
             if vertices[0] != lo + c * (p + 1):
                 pieces[c].append([v - c * p for v in vertices])
                 shares[c].append(share(entries[lab[vertices[0]]], len(vertices)))
-        out.extend((ps, sum(ss) / len(ss)) for ps, ss in zip(pieces, shares))
+        # left to right, as the program sums them on every Python
+        out.extend((ps, reduce(operator.add, ss, 0.0) / len(ss))
+                   for ps, ss in zip(pieces, shares))
     return out
 
 

@@ -104,9 +104,9 @@ def test_criterion_03_matrix_form_matches_direct_summation():
         ]
         theta = thetas[trial % 3]
         data = DataSet(records=tuple((e,) for e in column), schema=("f",))
-        lexicon = build_lexicon(data, 0, WORD)
-        tokenized = tokenize_field(data, 0, lexicon, WORD)
-        tfidf = build_tfidf(tokenized, lexicon, n)
+        tokens = tokenize_field(data, 0, WORD)
+        lexicon = build_lexicon(tokens)
+        tfidf = build_tfidf(tokens, lexicon)
         params = SimilarityParams(theta=theta)
         got = soft_tfidf_field(tfidf, build_jw_matrix(lexicon, params))
         t_dense = tfidf.toarray()
@@ -115,7 +115,7 @@ def test_criterion_03_matrix_form_matches_direct_summation():
         for p in range(m):
             m_dense[p, p] = 1.0
             for q in range(p + 1, m):
-                v = jaro_winkler(lexicon.features[p], lexicon.features[q])
+                v = jaro_winkler(lexicon[p], lexicon[q])
                 if v >= theta:
                     m_dense[p, q] = m_dense[q, p] = v
         expected = t_dense @ m_dense @ t_dense.T

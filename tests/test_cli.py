@@ -158,7 +158,7 @@ class TestRun:
         assert manifest["theta"] == 0.5
 
     @pytest.mark.parametrize("command, config, message", [
-        ("run", {"weights": [1, 2]}, "--weights: could not convert"),
+        ("run", {"weights": [1, 2]}, "config key 'weights' must be a string"),
         ("run", {"bogus": 1}, "unknown config key"),
         ("run", {"seed": "many"}, "not a valid integer"),
         ("run", {"delimiter": ";;"}, "must be one character"),
@@ -166,8 +166,18 @@ class TestRun:
         ("run", {"max_prefix": 3.9}, "'3.9' is not a valid integer"),
         ("run", {"seed": 1.5}, "'1.5' is not a valid integer"),
         ("sweep", {"grid": True}, "'true' is not a valid integer"),
+        # null, lists and objects have no flag text
+        ("sweep", {"grid": None}, "config key 'grid' must be a string"),
+        ("run", {"theta": None}, "config key 'theta' must be a string"),
+        ("run", {"refine": [1]}, "config key 'refine' must be a string"),
+        ("run", {"seed": [1]}, "config key 'seed' must be a string"),
+        ("run", {"output_dir": ["x"]}, "config key 'output_dir' must be a string"),
+        ("run", {"fields": ["name"]}, "config key 'fields' must be a string"),
+        ("run", {"mode": {"word": 1}}, "config key 'mode' must be a string"),
     ], ids=["weights_list", "unknown_key", "untyped_seed", "long_delimiter",
-            "float_max_prefix", "float_seed", "boolean_grid"])
+            "float_max_prefix", "float_seed", "boolean_grid", "null_grid",
+            "null_theta", "list_refine", "list_seed", "list_output_dir",
+            "list_fields", "object_mode"])
     def test_bad_config_is_usage_error(
         self, runner, small_csv, tmp_path, command, config, message
     ):
@@ -369,6 +379,7 @@ class TestSweep:
 SCIPY_CASES = {
     "run": ["run"],
     "run_refine": ["run", "--refine", "--iterate-refine"],
+    "run_ngram": ["run", "--mode", "ngram"],
     "sweep": ["sweep", "--truth-column", "id"],
     "sweep_refine": ["sweep", "--truth-column", "id", "--refine"],
 }
@@ -381,19 +392,21 @@ SCIPY_CASES = {
 def test_csgraph_never_loaded(small_csv, tmp_path, args):
     # the field products use numpy alone, every clustering comes from a
     # spanning forest and every refinement from one depth-first search, so
-    # no command loads scipy, let alone scipy.sparse.csgraph
+    # no command loads scipy, let alone scipy.sparse.csgraph; nor numpy.ma,
+    # which a bare np.unique(x) imports (np.unique with return_counts=,
+    # return_index= or return_inverse= does not)
     code = (
         "import sys\n"
         "from softdedupe.cli import main\n"
         "main(sys.argv[1:], standalone_mode=False)\n"
-        "print('scipy' in sys.modules)\n"
+        "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     args = [*args, "--input", small_csv, "--output-dir", str(tmp_path / "out")]
     src = str(Path(softdedupe.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code, *args], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "False False"
 
 
 @pytest.fixture(scope="module")

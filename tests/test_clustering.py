@@ -1,7 +1,9 @@
 import itertools
 import math
+import operator
 import random
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from hypothesis import strategies as st
 from softdedupe import pipeline
 from softdedupe.clustering import (
     ClusterSet,
+    _links,
+    _Removals,
+    _share,
     ThresholdedGraph,
     auto_threshold,
     group,
@@ -561,6 +566,39 @@ class TestRefineAgainstBatchedOracle:
         n, edges = graph
         labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         self.check(n, edges, labels)
+
+
+def left_to_right_mean(search, v):
+    shares = [_share(x.entries, x.size) for x in search.pieces(v)]
+    return reduce(operator.add, shares, 0.0) / len(shares)
+
+
+class TestRemovalScore:
+    """A removal scores the mean of its pieces' shares, added left to right
+    in order of least record on every Python (builtin sum() compensates from
+    Python 3.12)."""
+
+    def test_shares_added_left_to_right(self):
+        # removing 0 leaves a six-record path (share 1/3) and two linked
+        # pairs (share 1 each): 1/3 + 1 + 1 rounds to 2.333333333333333
+        # left to right, and to 2.3333333333333335 exactly
+        edges = [(0, 1), (0, 7), (0, 9), (7, 8), (9, 10)]
+        edges += [(v, v + 1) for v in range(1, 6)]
+        members = list(range(11))
+        search = _Removals(members, _links(graph_from_edges(11, edges), members))
+        assert search.count(0) == 3
+        assert search.score(0) == (1 / 3 + 1.0 + 1.0) / 3
+        assert search.score(0) != math.fsum([1 / 3, 1.0, 1.0]) / 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(refinement_graphs())
+    def test_score_is_left_to_right_mean(self, graph):
+        n, edges = graph
+        members = list(range(n))
+        search = _Removals(members, _links(graph_from_edges(n, edges), members))
+        for v in members:
+            if search.count(v) > 1:
+                assert search.score(v) == left_to_right_mean(search, v)
 
 
 class TestRefineKnownAnswers:

@@ -88,55 +88,46 @@ class TestTokenize:
         assert len(tokenize(s, config)) == len(s) - 2
 
 
+def field_tokens(column):
+    return tokenize_field(make_dataset(column), 0, WORD)
+
+
 class TestBuildLexicon:
     def test_union_of_tokens(self):
-        lex = build_lexicon(make_dataset(["a b", "a"]), 0, WORD)
-        assert lex.features == ("a", "b")
+        assert build_lexicon(field_tokens(["a b", "a"])) == ("a", "b")
 
     def test_all_stop_words_is_error(self):
-        with pytest.raises(ValueError, match="no features"):
-            build_lexicon(make_dataset(["the", "or"]), 0, WORD)
+        # the field's token lists are all empty, so tokenize_field raises
+        with pytest.raises(ValueError, match="field 0 has no features"):
+            build_lexicon(field_tokens(["the", "or"]))
 
     def test_sorted_unique(self):
-        lex = build_lexicon(
-            make_dataset(["Joe Bruin", "Joe Bruin", "Joan Lurin"]), 0, WORD
-        )
-        assert lex.features == ("bruin", "joan", "joe", "lurin")
-        assert lex.lookup == {"bruin": 0, "joan": 1, "joe": 2, "lurin": 3}
+        lex = build_lexicon(field_tokens(["Joe Bruin", "Joe Bruin", "Joan Lurin"]))
+        assert lex == ("bruin", "joan", "joe", "lurin")
 
     def test_order_independent_of_records(self):
         col = ["x y", "z", "y w"]
-        a = build_lexicon(make_dataset(col), 0, WORD)
-        b = build_lexicon(make_dataset(col[::-1]), 0, WORD)
-        assert a.features == b.features
+        assert build_lexicon(field_tokens(col)) == build_lexicon(field_tokens(col[::-1]))
 
 
 class TestTokenizeField:
     def test_counts_multiplicity(self):
-        ds = make_dataset(["a b a", "a"])
-        lex = build_lexicon(ds, 0, WORD)
-        entries = tokenize_field(ds, 0, lex, WORD)
-        assert entries[0].counts == {0: 2, 1: 1}
+        assert field_tokens(["a b a", "a"]) == [["a", "b", "a"], ["a"]]
 
     def test_stop_word_entry_is_missing(self):
-        ds = make_dataset(["the", "word"])
-        lex = build_lexicon(ds, 0, WORD)
-        entries = tokenize_field(ds, 0, lex, WORD)
-        assert entries[0].missing and entries[0].counts == {}
-
-    def test_out_of_lexicon_token_is_missing(self):
-        ds = make_dataset(["a b", "a"])
-        lex = build_lexicon(ds, 0, WORD)
-        probe = make_dataset(["c", "a"])
-        entries = tokenize_field(probe, 0, lex, WORD)
-        assert entries[0].counts == {}
-        assert entries[0].missing
+        assert field_tokens(["the", "word"]) == [[], ["word"]]
 
     def test_indices_are_valid(self):
-        ds = make_dataset(["alpha beta", "beta gamma", "gamma alpha"])
-        lex = build_lexicon(ds, 0, WORD)
-        for entry in tokenize_field(ds, 0, lex, WORD):
-            assert all(0 <= j < len(lex) for j in entry.counts)
+        tokens = field_tokens(["alpha beta", "beta gamma", "gamma alpha"])
+        lex = build_lexicon(tokens)
+        assert all(t in lex for entry in tokens for t in entry)
+
+    @given(st.lists(st.text(alphabet="ab ", max_size=8), min_size=1, max_size=6),
+           st.sampled_from([WORD, TRIGRAM]))
+    def test_tokenizes_each_entry(self, column, config):
+        tokens = [tokenize(entry, config) for entry in column]
+        if any(tokens):
+            assert tokenize_field(make_dataset(column), 0, config) == tokens
 
 
 def test_default_stop_words_match_shipped_list():

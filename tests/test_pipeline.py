@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softdedupe import clustering, evaluation, pipeline, similarity, sparsity
+from softdedupe import clustering, corpus, evaluation, pipeline, similarity, sparsity
 from softdedupe.corpus import DataSet, TokenizerConfig
 from softdedupe.similarity import SimilarityParams
 
@@ -67,6 +67,25 @@ class TestBuildSimilarity:
             pipeline.build_similarity(
                 small_dataset(), WORD, SimilarityParams(method=method)
             )
+
+    @pytest.mark.parametrize("sparsity_mode, passes", [("adjust", 1), ("impute", 2)])
+    @pytest.mark.parametrize("method", ["soft_tfidf", "tfidf"])
+    def test_tokenizes_each_entry_once_per_pass(self, sparsity_mode, passes, method):
+        # one pass builds every field's lexicon, TF-IDF matrix and mask;
+        # imputation takes one more to find the missing entries
+        data = small_dataset()
+        calls = []
+        tokenize = corpus.tokenize
+
+        def counted(entry, config):
+            calls.append(entry)
+            return tokenize(entry, config)
+
+        with mock.patch.object(corpus, "tokenize", counted), \
+                mock.patch.object(sparsity, "tokenize", counted):
+            pipeline.build_similarity(data, WORD, SimilarityParams(method=method),
+                                      sparsity_mode=sparsity_mode, seed=1)
+        assert len(calls) == passes * data.n * data.a
 
     def test_unknown_sparsity_mode(self):
         with pytest.raises(ValueError, match="sparsity mode"):

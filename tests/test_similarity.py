@@ -12,9 +12,9 @@ import oracles
 from softdedupe import pipeline, similarity
 from softdedupe.corpus import (
     DataSet,
-    FeatureLexicon,
     TokenizerConfig,
     build_lexicon,
+    tokenize,
     tokenize_field,
 )
 from softdedupe.similarity import (
@@ -35,11 +35,11 @@ short_text = st.text(alphabet="abcdef", max_size=10)
 
 
 def field_pipeline(column, theta=0.90):
-    """lexicon, tokenized entries and TF-IDF matrix for one raw column."""
+    """lexicon, TF-IDF matrix and JW matrix for one raw column."""
     ds = DataSet(records=tuple((e,) for e in column), schema=("f",))
-    lex = build_lexicon(ds, 0, WORD)
-    tokenized = tokenize_field(ds, 0, lex, WORD)
-    tfidf = build_tfidf(tokenized, lex, ds.n)
+    tokens = tokenize_field(ds, 0, WORD)
+    lex = build_lexicon(tokens)
+    tfidf = build_tfidf(tokens, lex)
     jw = build_jw_matrix(lex, SimilarityParams(theta=theta))
     return lex, tfidf, jw
 
@@ -122,13 +122,11 @@ def jw_cases(draw):
 
 class TestJaroWinklerMatrix:
     def test_single_feature(self):
-        lex = FeatureLexicon(features=("abc",))
-        jw = build_jw_matrix(lex, SimilarityParams())
+        jw = build_jw_matrix(("abc",), SimilarityParams())
         assert jw.rows.toarray().tolist() == [[1.0]]
 
     def test_dissimilar_pair_gives_diagonal_only(self):
-        lex = FeatureLexicon(features=("abc", "xyz"))
-        jw = build_jw_matrix(lex, SimilarityParams(theta=0.9))
+        jw = build_jw_matrix(("abc", "xyz"), SimilarityParams(theta=0.9))
         assert np.array_equal(jw.rows.toarray(), np.eye(2))
 
     @pytest.mark.parametrize("theta", [0.0, 0.5, 0.9])
@@ -137,9 +135,8 @@ class TestJaroWinklerMatrix:
         feats = sorted(
             {"".join(rng.choice("abcdef") for _ in range(8)) for _ in range(100)}
         )
-        lex = FeatureLexicon(features=tuple(feats))
         params = SimilarityParams(theta=theta)
-        got = build_jw_matrix(lex, params).rows.toarray()
+        got = build_jw_matrix(tuple(feats), params).rows.toarray()
         m = len(feats)
         want = np.zeros((m, m))
         for i in range(m):
@@ -162,17 +159,16 @@ class TestJaroWinklerMatrix:
                 )
                 if v >= params.theta:
                     want[i, j] = v
-        lex = FeatureLexicon(features=feats)
         # a block of r rows takes r * m * alphabet entries: from one row to all
         rows = data.draw(st.integers(1, m), label="rows_per_block")
         block_entries = rows * m * len(set("".join(feats)))
         with mock.patch.object(similarity, "JW_BLOCK_ENTRIES", block_entries):
-            got = build_jw_matrix(lex, params).rows.toarray()
+            got = build_jw_matrix(feats, params).rows.toarray()
         assert np.array_equal(got, want)
 
     def test_symmetric_with_unit_diagonal(self):
-        lex = FeatureLexicon(features=("bruin", "bruins", "joan", "joe", "lurin"))
-        mat = build_jw_matrix(lex, SimilarityParams(theta=0.5)).rows.toarray()
+        feats = ("bruin", "bruins", "joan", "joe", "lurin")
+        mat = build_jw_matrix(feats, SimilarityParams(theta=0.5)).rows.toarray()
         assert np.array_equal(mat, mat.T)
         assert np.array_equal(np.diag(mat), np.ones(5))
         assert ((mat == 0) | (mat >= 0.5)).all()
@@ -201,6 +197,33 @@ class TestTfIdf:
         sums = dense.sum(axis=1)
         for s in sums:
             assert s == pytest.approx(1.0, abs=1e-12) or s == 0.0
+
+
+# words with repeats, case variants and stop words, and blank entries
+tfidf_columns = st.lists(
+    st.lists(st.sampled_from(["ab", "Ab", "ba", "abc", "b", "the", "THE", "and",
+                              "na", "ab-c"]), max_size=6)
+    .flatmap(lambda words: st.sampled_from([" ", "  "]).map(
+        lambda sep: sep.join(words))),
+    min_size=1, max_size=10,
+)
+
+
+class TestTfIdfOracle:
+    """build_tfidf against the two-pass, dict-count TF-IDF it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tfidf_columns, st.sampled_from(["word", "ngram"]), st.booleans())
+    def test_matches_two_pass_bit_for_bit(self, column, mode, case_fold):
+        config = TokenizerConfig(mode=mode, case_fold=case_fold)
+        features, want = oracles.two_pass_tfidf(column, config)
+        tokens = [tokenize(entry, config) for entry in column]
+        assert build_lexicon(tokens) == features
+        got = build_tfidf(tokens, features)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def soft_tfidf_oracle(tfidf_dense, feats, theta):
@@ -246,7 +269,7 @@ class TestFieldSimilarity:
         ]
         lex, tfidf, jw = field_pipeline(column, theta=0.5)
         got = soft_tfidf_field(tfidf, jw)
-        want = soft_tfidf_oracle(tfidf.toarray(), lex.features, 0.5)
+        want = soft_tfidf_oracle(tfidf.toarray(), lex, 0.5)
         assert np.abs(got - want).max() < 1e-10
 
     def test_tfidf_variant_examples(self):
@@ -381,10 +404,11 @@ class TestScipyOracle:
         soft, plain, soft_ref, plain_ref = [], [], [], []
         with mock.patch.object(similarity, "PRODUCT_BLOCK_ENTRIES", block_entries):
             for k in range(data.a):
-                lexicon = build_lexicon(data, k, tok_config)
-                tokenized = tokenize_field(data, k, lexicon, tok_config)
-                tfidf = build_tfidf(tokenized, lexicon, data.n)
-                ref = oracles.tfidf_csr(tokenized, data.n, len(lexicon))
+                tokens = tokenize_field(data, k, tok_config)
+                lexicon = build_lexicon(tokens)
+                tfidf = build_tfidf(tokens, lexicon)
+                ref = oracles.tfidf_csr(oracles.dict_counts(tokens, lexicon),
+                                        len(lexicon))
                 assert tfidf.toarray().tobytes() == csr_bytes(ref)
                 jw = build_jw_matrix(lexicon, params)
                 soft.append(soft_tfidf_field(tfidf, jw))
@@ -409,13 +433,13 @@ class TestScipyOracle:
         # so a product that sums in the wrong order fails this test.
         column = ["bac babc babc bbbb", "bbb babc cbb cbb", "cbb bbbb"]
         data = DataSet(records=tuple((e,) for e in column), schema=("f",))
-        lex = build_lexicon(data, 0, WORD)
-        tokenized = tokenize_field(data, 0, lex, WORD)
+        tokens = tokenize_field(data, 0, WORD)
+        lex = build_lexicon(tokens)
         jw = build_jw_matrix(lex, SimilarityParams(theta=0.5))
-        ref = oracles.tfidf_csr(tokenized, data.n, len(lex))
+        ref = oracles.tfidf_csr(oracles.dict_counts(tokens, lex), len(lex))
         want = csr_bytes(oracles.field_csr(ref, jw.matrix))
         ascending = ref @ jw.matrix
         ascending.sort_indices()
         assert csr_bytes(oracles.finish_field_matrix(ascending @ ref.T)) != want
-        tfidf = build_tfidf(tokenized, lex, data.n)
+        tfidf = build_tfidf(tokens, lex)
         assert soft_tfidf_field(tfidf, jw).tobytes() == want

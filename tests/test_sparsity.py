@@ -16,15 +16,10 @@ from conftest import presence, raw_composite
 WORD = TokenizerConfig(mode="word")
 
 
-class FakeEntry:
-    def __init__(self, missing):
-        self.missing = missing
-
-
 def mask_from_bits(bits):
-    """bits[k][i] = 1 when record i has field k present."""
-    cols = [[FakeEntry(missing=(b == 0)) for b in col] for col in bits]
-    return presence_mask(cols)
+    """bits[k][i] = 1 when record i has field k present: a one-token list,
+    else an empty one."""
+    return presence_mask([[["x"] if b else [] for b in col] for col in bits])
 
 
 class TestPresenceMask:
@@ -42,7 +37,7 @@ class TestPresenceMask:
 
     def test_mismatched_columns(self):
         with pytest.raises(ValueError):
-            presence_mask([[FakeEntry(False)], [FakeEntry(False), FakeEntry(False)]])
+            presence_mask([[["x"]], [["x"], ["y"]]])
 
 
 @st.composite

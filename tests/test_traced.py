@@ -1,7 +1,8 @@
 """benchmark/traced.py against the untraced CLI.
 
 traced.py wraps the package's functions from outside and its counters read
-attributes of their results: JaroWinklerMatrix.theta and .matrix,
+their arguments and results: the len() of build_lexicon's lexicon and of
+build_jw_matrix's first argument, JaroWinklerMatrix.theta and .matrix,
 CompositeSimilarity.matrix and PresenceMask.mask. The two .matrix attributes
 are scipy CSR views built on access from the numpy arrays the program holds,
 so only a traced run imports scipy. A refactor that drops one of them, or
@@ -64,8 +65,9 @@ def test_traced_run_matches_untraced(citations_csv, tmp_path, case):
         want = (tmp_path / "plain" / name).read_bytes()
         assert (tmp_path / "traced" / name).read_bytes() == want, name
     counters = json.loads(trace_path.read_text())["counters"]
-    # filled by count_jw, count_composite and count_mask
-    for name in ("similarity.jw.candidate_pairs", "similarity.jw.pairs_scored",
+    # filled by count_lexicon, count_jw, count_composite and count_mask
+    for name in ("corpus.features",
+                 "similarity.jw.candidate_pairs", "similarity.jw.pairs_scored",
                  "similarity.jw.pairs_kept", "similarity.composite.nnz",
                  "sparsity.missing_entries"):
         assert counters.get(name, 0) > 0, name
