@@ -1,19 +1,32 @@
-"""Command line interface for the deduplication pipeline."""
+"""Command line interface for the deduplication pipeline.
+
+Every command runs on one core and calls no BLAS routine, yet numpy's
+OpenBLAS starts one worker thread per further core when numpy loads, and
+each worker spins for a while, costing CPU time but no wall time. So
+importing this module sets OPENBLAS_NUM_THREADS to 1 in os.environ when it
+is unset; set it yourself to override it. OpenBLAS reads the variable once,
+when numpy loads, so it only takes effect if numpy is not loaded yet.
+"""
 
 from __future__ import annotations
+
+import os
+
+# must come before numpy loads (see the module docstring); a value the user
+# set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import csv as csv_module
 import dataclasses
 import json
 import math
-import os
 import sys
 from decimal import Decimal
 
 import click
 import numpy as np
 
-from . import evaluation, pipeline, synth
+from . import evaluation, pipeline
 from .clustering import ClusterSet, read_clusters, write_clusters
 from .corpus import DataSet, TokenizerConfig, load_dataset, load_stop_words
 from .evaluation import MetricsReport
@@ -422,6 +435,8 @@ def eval_cmd(clusters_path, truth_path, output_path):
               help="Generator seed (defaults per dataset).")
 def synth_cmd(which, output_path, seed):
     """Write a synthetic benchmark dataset with a ground-truth column."""
+    from . import synth  # only this command needs the generators
+
     if which == "restaurants":
         dataset = synth.make_restaurants(**({} if seed is None else {"seed": seed}))
     else:

@@ -142,6 +142,10 @@ def tokenize(entry: str, config: TokenizerConfig) -> list[str]:
         else:
             tokens = [entry[i : i + n] for i in range(len(entry) - n + 1)]
         tokens = [t for t in tokens if t.strip()]  # drop all-whitespace grams
+    if config.case_fold:
+        # folding is idempotent and works character by character, so every
+        # part of a folded entry is already folded
+        return [t for t in tokens if t not in config.stop_words]
     return [t for t in tokens if t.casefold() not in config.stop_words]
 
 

@@ -7,6 +7,7 @@ clustering and sweep functions here read only that array.
 from __future__ import annotations
 
 import math
+import random
 from typing import Sequence
 
 import numpy as np
@@ -19,20 +20,27 @@ from .similarity import METHOD_SOFT_TFIDF, SimilarityParams
 
 
 def _composite_and_mask(
-    dataset: DataSet, tok_config: TokenizerConfig, params: SimilarityParams
+    dataset: DataSet,
+    tok_config: TokenizerConfig,
+    params: SimilarityParams,
+    impute: random.Random | None = None,
 ) -> tuple[similarity.CompositeSimilarity, sparsity.PresenceMask]:
     """The raw composite of every field's similarity, and the presence mask.
 
     Each field is tokenized once; its token lists give its lexicon, its
-    TF-IDF matrix and its column of the mask. Each field's n x n array is
-    built as the composite takes it and goes once it is added, so the
-    composite and one field are held at a time.
+    TF-IDF matrix and its column of the mask. With an impute generator,
+    each field's missing entries first take its mode entry's tokens (see
+    sparsity.impute_tokens). Each field's n x n array is built as the
+    composite takes it and goes once it is added, so the composite and one
+    field are held at a time.
     """
     fields_tokens = []
 
     def fields():
         for k in range(dataset.a):
             tokens = tokenize_field(dataset, k, tok_config)
+            if impute is not None:
+                tokens = sparsity.impute_tokens(dataset.column(k), tokens, impute)
             fields_tokens.append(tokens)
             features = build_lexicon(tokens)
             tfidf = similarity.build_tfidf(tokens, features)
@@ -61,9 +69,8 @@ def build_similarity(
     """
     if sparsity_mode not in ("adjust", "impute"):
         raise ValueError(f"unknown sparsity mode: {sparsity_mode!r}")
-    if sparsity_mode == "impute":
-        dataset = sparsity.impute_mode(dataset, tok_config, seed=seed)
-    raw, mask = _composite_and_mask(dataset, tok_config, params)
+    impute = random.Random(seed) if sparsity_mode == "impute" else None
+    raw, mask = _composite_and_mask(dataset, tok_config, params, impute)
     return sparsity.adjust(raw, mask)
 
 

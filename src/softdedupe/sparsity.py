@@ -57,6 +57,44 @@ def adjust(raw: CompositeSimilarity, mask: PresenceMask) -> np.ndarray:
     return scores
 
 
+def _mode_entry(
+    entries: Sequence[str], tokens: Sequence[Sequence[str]], rng: random.Random
+) -> int | None:
+    """The index of the entry that fills a field's missing entries, or None
+    when none is missing.
+
+    tokens are the entries' token lists (see corpus.tokenize_field); an
+    empty one is a missing entry, and at least one must be present. The
+    fill is the first occurrence of the most frequent present entry,
+    compared case-folded; a tie takes one draw from rng. A field with no
+    missing entry draws nothing.
+    """
+    if all(tokens):
+        return None
+    counts: Counter[str] = Counter()
+    first: dict[str, int] = {}
+    for i, (entry, entry_tokens) in enumerate(zip(entries, tokens)):
+        if entry_tokens:
+            key = entry.casefold()
+            counts[key] += 1
+            first.setdefault(key, i)
+    top = max(counts.values())
+    candidates = sorted(key for key, c in counts.items() if c == top)
+    return first[rng.choice(candidates)]
+
+
+def impute_tokens(
+    entries: Sequence[str], tokens: list[list[str]], rng: random.Random
+) -> list[list[str]]:
+    """A field's token lists with each missing entry's list replaced by the
+    fill entry's (see _mode_entry): the token lists of the field impute_mode
+    returns, without tokenizing it again."""
+    fill = _mode_entry(entries, tokens, rng)
+    if fill is None:
+        return tokens
+    return [entry_tokens or tokens[fill] for entry_tokens in tokens]
+
+
 def impute_mode(
     dataset: DataSet, config: TokenizerConfig, seed: int | None = None
 ) -> DataSet:
@@ -64,29 +102,20 @@ def impute_mode(
 
     Missingness means the entry tokenizes to nothing (empty or stop words
     only). Entries are compared case-folded; ties are broken by one seeded
-    random choice per field, reused for every missing entry in that field.
+    random choice per field, reused for every missing entry in that field
+    (see _mode_entry).
     """
     rng = random.Random(seed)
     columns = []
     for k in range(dataset.a):
         col = dataset.column(k)
-        missing = [not tokenize(entry, config) for entry in col]
-        if all(missing):
+        tokens = [tokenize(entry, config) for entry in col]
+        if not any(tokens):
             raise ValueError(f"field {k} has no non-missing entries to impute from")
-        if not any(missing):
-            columns.append(col)
-            continue
-        counts: Counter[str] = Counter()
-        first_raw: dict[str, str] = {}
-        for entry, miss in zip(col, missing):
-            if miss:
-                continue
-            key = entry.casefold()
-            counts[key] += 1
-            first_raw.setdefault(key, entry)
-        top = max(counts.values())
-        candidates = sorted(key for key, c in counts.items() if c == top)
-        fill = first_raw[rng.choice(candidates)]
-        columns.append([fill if miss else entry for entry, miss in zip(col, missing)])
+        fill = _mode_entry(col, tokens, rng)
+        if fill is not None:
+            col = [entry if entry_tokens else col[fill]
+                   for entry, entry_tokens in zip(col, tokens)]
+        columns.append(col)
     records = tuple(zip(*columns))
     return DataSet(records=tuple(tuple(r) for r in records), schema=dataset.schema)

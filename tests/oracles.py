@@ -1,5 +1,9 @@
 """References kept apart from the program, most of them computed with scipy.
 
+Tokens: the tokenizer that case-folded every token a second time for the
+stop-word test, and mode imputation that tokenized the data set to find the
+missing entries, before the program tokenized the imputed data set again.
+
 Features: the two-pass TF-IDF the program built before it tokenized each
 entry once. One pass collects a field's lexicon, a second tokenizes every
 entry again and counts its features in a dict keyed by lexicon index, and
@@ -27,6 +31,8 @@ must give the same report, bit for bit.
 
 import math
 import operator
+import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -38,7 +44,7 @@ from scipy.sparse import csgraph
 
 from softdedupe import sparsity
 from softdedupe.clustering import ClusterSet, ThresholdedGraph
-from softdedupe.corpus import build_lexicon, tokenize, tokenize_field
+from softdedupe.corpus import DataSet, build_lexicon, tokenize, tokenize_field
 from softdedupe.evaluation import ENTROPY_EPS, MetricsReport
 from softdedupe.similarity import (
     METHOD_SOFT_TFIDF,
@@ -99,6 +105,54 @@ class TupleClusterSet:
 # oracle_splits stacks removal graphs until they hold this many adjacency
 # entries or vertices, which bounds one connected_components call
 SPLIT_BATCH_ENTRIES = 1 << 18
+
+
+def two_fold_tokenize(entry, config):
+    """corpus.tokenize with each token folded again for the stop-word test,
+    whether or not the entry was folded already."""
+    if config.case_fold:
+        entry = entry.casefold()
+    if config.mode == "word":
+        tokens = entry.split()
+    else:
+        n = config.ngram_size
+        if len(entry) <= n:
+            tokens = [entry] if entry else []
+        else:
+            tokens = [entry[i : i + n] for i in range(len(entry) - n + 1)]
+        tokens = [t for t in tokens if t.strip()]
+    return [t for t in tokens if t.casefold() not in config.stop_words]
+
+
+def two_pass_impute_mode(dataset, config, seed=None):
+    """sparsity.impute_mode as a data set of its own: each field's missing
+    entries found by tokenizing it, then filled with the first raw form of
+    its most frequent entry, compared case-folded, one seeded draw breaking
+    a tie. The program fills the token lists of its one tokenizing pass
+    instead, and they must equal the token lists of this data set."""
+    rng = random.Random(seed)
+    columns = []
+    for k in range(dataset.a):
+        col = dataset.column(k)
+        missing = [not tokenize(entry, config) for entry in col]
+        if all(missing):
+            raise ValueError(f"field {k} has no non-missing entries to impute from")
+        if not any(missing):
+            columns.append(col)
+            continue
+        counts = Counter()
+        first_raw = {}
+        for entry, miss in zip(col, missing):
+            if miss:
+                continue
+            key = entry.casefold()
+            counts[key] += 1
+            first_raw.setdefault(key, entry)
+        top = max(counts.values())
+        candidates = sorted(key for key, c in counts.items() if c == top)
+        fill = first_raw[rng.choice(candidates)]
+        columns.append([fill if miss else entry for entry, miss in zip(col, missing)])
+    return DataSet(records=tuple(zip(*columns)), schema=dataset.schema)
 
 
 def dict_counts(tokens, features):

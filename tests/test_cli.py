@@ -409,6 +409,63 @@ def test_csgraph_never_loaded(small_csv, tmp_path, args):
     assert result.stdout.splitlines()[-1] == "False False"
 
 
+def run_python(code, **env):
+    """The last line that code prints in a new interpreter that imports this
+    checkout's package, with OPENBLAS_NUM_THREADS unset unless given (the
+    test process has imported the CLI, which sets it)."""
+    src = str(Path(softdedupe.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(base, PYTHONPATH=src, **env),
+                            capture_output=True, text=True, check=True)
+    return result.stdout.splitlines()[-1]
+
+
+class TestStartup:
+    # numpy reads OPENBLAS_NUM_THREADS once, when it loads, and starts that
+    # many OpenBLAS threads; the package import must not load numpy, so
+    # that the CLI module can set the variable first
+
+    def test_package_import_loads_no_layer(self):
+        code = (
+            "import sys, softdedupe\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'numpy' or m.startswith('softdedupe')))\n"
+        )
+        assert run_python(code) == "['softdedupe']"
+
+    def test_cli_import_leaves_out_generators(self):
+        code = "import sys, softdedupe.cli\nprint('softdedupe.synth' in sys.modules)\n"
+        assert run_python(code) == "False"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts threads in /proc/self/task")
+    def test_cli_import_sets_one_blas_thread(self):
+        code = (
+            "import os, sys, softdedupe.cli\n"
+            "assert 'numpy' in sys.modules\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n"
+        )
+        assert run_python(code) == "1 1"
+
+    def test_preset_thread_count_wins(self):
+        code = "import os, softdedupe.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        assert run_python(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_every_export_resolves(self):
+        code = (
+            "import softdedupe\n"
+            "names = softdedupe.__all__\n"
+            "assert len(set(names)) == len(names) > 0\n"
+            "missing = [n for n in names if n not in dir(softdedupe)]\n"
+            "star = {}\n"
+            "exec('from softdedupe import *', star)\n"
+            "unbound = [n for n in names if n not in star]\n"
+            "print(missing, unbound, hasattr(softdedupe, 'no_such_name'))\n"
+        )
+        assert run_python(code) == "[] [] False"
+
+
 @pytest.fixture(scope="module")
 def citations_csv(tmp_path_factory):
     data = synth.make_citations()

@@ -1,7 +1,8 @@
 import io
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from softdedupe.corpus import (
@@ -14,6 +15,8 @@ from softdedupe.corpus import (
     tokenize,
     tokenize_field,
 )
+
+from oracles import two_fold_tokenize
 
 WORD = TokenizerConfig(mode="word")
 TRIGRAM = TokenizerConfig(mode="ngram", ngram_size=3)
@@ -86,6 +89,34 @@ class TestTokenize:
     def test_trigram_count(self, s):
         config = TokenizerConfig(mode="ngram", ngram_size=3, stop_words=frozenset())
         assert len(tokenize(s, config)) == len(s) - 2
+
+    def test_folded_text_folds_to_itself(self):
+        # casefold maps each character on its own, so when no character's
+        # folding has a character that folds again, every part of a folded
+        # entry is folded and its tokens need no second fold
+        for char in map(chr, range(sys.maxunicode + 1)):
+            folded = char.casefold()
+            if folded != char:
+                assert all(c.casefold() == c for c in folded), hex(ord(char))
+
+    # folding changes length (ß, İ, ﬁ) or merges letters (Σ, σ, ς), and
+    # stop words may be given unfolded (TokenizerConfig does not fold them)
+    FOLD_TEXT = "aßSsİiıﬁfΣσς THE"
+
+    @given(
+        st.text(alphabet=FOLD_TEXT, max_size=12),
+        st.sampled_from(["word", "ngram"]),
+        st.integers(min_value=1, max_value=4),
+        st.booleans(),
+        st.frozensets(st.text(alphabet=FOLD_TEXT, min_size=1, max_size=4), max_size=6),
+    )
+    @example("Straße the SS", "word", 3, True, frozenset({"ss", "the", "strasse"}))
+    @example("İﬁΣ Σσς", "ngram", 2, True, frozenset({"i̇", "fi", "σσ", "ﬁ", "Σ"}))
+    @example("İﬁΣ Σσς", "ngram", 1, False, frozenset({"σ", "ß", "ﬁ"}))
+    def test_matches_folding_every_token_again(self, entry, mode, size, fold, stop):
+        config = TokenizerConfig(mode=mode, ngram_size=size, case_fold=fold,
+                                 stop_words=stop)
+        assert tokenize(entry, config) == two_fold_tokenize(entry, config)
 
 
 def field_tokens(column):

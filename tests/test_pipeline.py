@@ -68,11 +68,11 @@ class TestBuildSimilarity:
                 small_dataset(), WORD, SimilarityParams(method=method)
             )
 
-    @pytest.mark.parametrize("sparsity_mode, passes", [("adjust", 1), ("impute", 2)])
+    @pytest.mark.parametrize("sparsity_mode, passes", [("adjust", 1), ("impute", 1)])
     @pytest.mark.parametrize("method", ["soft_tfidf", "tfidf"])
     def test_tokenizes_each_entry_once_per_pass(self, sparsity_mode, passes, method):
         # one pass builds every field's lexicon, TF-IDF matrix and mask;
-        # imputation takes one more to find the missing entries
+        # imputation fills the missing entries' token lists from that pass
         data = small_dataset()
         calls = []
         tokenize = corpus.tokenize

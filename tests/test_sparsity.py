@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softdedupe import pipeline
-from softdedupe.corpus import DataSet, TokenizerConfig, tokenize
+from softdedupe.corpus import DataSet, TokenizerConfig, tokenize, tokenize_field
 from softdedupe.similarity import CompositeSimilarity, SimilarityParams
-from softdedupe.sparsity import adjust, impute_mode, presence_mask
+from softdedupe.sparsity import adjust, impute_mode, impute_tokens, presence_mask
 
 from conftest import presence, raw_composite
+from oracles import two_pass_impute_mode
 
 WORD = TokenizerConfig(mode="word")
 
@@ -204,3 +205,45 @@ class TestImputeMode:
         out = impute_mode(data, WORD, seed=1)
         for k in range(out.a):
             assert all(tokenize(e, WORD) for e in out.column(k))
+
+
+# entries equal when case-folded but apart in their tokens when case_fold
+# is off, and missing ones: empty or stop words only
+IMPUTE_ENTRIES = ["", "the", "The", "a", "A", "b", "a b", "A B", "ß", "SS", "ss"]
+
+
+@st.composite
+def imputable(draw):
+    """A small data set of IMPUTE_ENTRIES, often with ties for a field's
+    mode, and a tokenizer config."""
+    n = draw(st.integers(2, 8))
+    a = draw(st.integers(1, 3))
+    entry = st.sampled_from(IMPUTE_ENTRIES)
+    records = draw(st.lists(st.tuples(*[entry] * a), min_size=n, max_size=n))
+    config = TokenizerConfig(mode=draw(st.sampled_from(["word", "ngram"])),
+                             case_fold=draw(st.booleans()))
+    return DataSet(records=tuple(records), schema=tuple(f"f{k}" for k in range(a))), config
+
+
+class TestImputeOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(imputable(), st.integers(0, 5))
+    def test_matches_two_pass_imputation(self, data_and_config, seed):
+        # impute_mode's data set, the token lists filled from one pass and
+        # the impute build all match imputing the data set and tokenizing
+        # it again
+        data, config = data_and_config
+        try:
+            want = two_pass_impute_mode(data, config, seed)
+        except ValueError:
+            with pytest.raises(ValueError, match="no non-missing entries"):
+                impute_mode(data, config, seed)
+            return
+        assert impute_mode(data, config, seed) == want
+        rng = random.Random(seed)
+        for k in range(data.a):
+            filled = impute_tokens(data.column(k), tokenize_field(data, k, config), rng)
+            assert filled == tokenize_field(want, k, config)
+        params = SimilarityParams()
+        got = pipeline.build_similarity(data, config, params, "impute", seed=seed)
+        assert got.tobytes() == pipeline.build_similarity(want, config, params).tobytes()
