@@ -1,11 +1,16 @@
 """Command line interface for the deduplication pipeline.
 
-Every command runs on one core and calls no BLAS routine, yet numpy's
-OpenBLAS starts one worker thread per further core when numpy loads, and
-each worker spins for a while, costing CPU time but no wall time. So
-importing this module sets OPENBLAS_NUM_THREADS to 1 in os.environ when it
-is unset; set it yourself to override it. OpenBLAS reads the variable once,
-when numpy loads, so it only takes effect if numpy is not loaded yet.
+Every command runs on one core. The one BLAS routine the program calls is
+the float64 product in similarity.build_jw_matrix, which counts the
+characters two features share from 0/1 matrices; its sums are small
+integers, so its result is exact under any summation order and thread
+count. numpy's OpenBLAS still starts one worker thread per further core when
+numpy loads, and each worker spins for a while, at load and after each
+product it helps with, costing CPU time but saving no wall time on products
+this small. So importing this module sets OPENBLAS_NUM_THREADS to 1 in
+os.environ when it is unset; set it yourself to override it. OpenBLAS reads
+the variable once, when numpy loads, so it only takes effect if numpy is not
+loaded yet.
 """
 
 from __future__ import annotations
@@ -131,18 +136,21 @@ class _Delimiter(click.ParamType):
 
 
 def _read(reader, path: str, **kwargs):
-    """reader(path, **kwargs), reporting malformed input as a usage error."""
+    """reader(path, **kwargs), reporting malformed or unreadable input
+    (text that is not UTF-8 included) as a usage error."""
     try:
         return reader(path, **kwargs)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise click.UsageError(f"{path}: {exc}") from exc
 
 
 def pipeline_options(fn):
     opts = [
-        click.option("--config", type=click.Path(exists=True), default=None,
+        click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                     default=None,
                      help="JSON file with option defaults (flags override)."),
-        click.option("--input", "input_path", type=click.Path(), default=None,
+        click.option("--input", "input_path", type=click.Path(dir_okay=False),
+                     default=None,
                      help="Delimited input file."),
         click.option("--delimiter", type=_Delimiter(), default=",",
                      show_default=True),
@@ -155,7 +163,7 @@ def pipeline_options(fn):
                      default="word", show_default=True),
         click.option("--ngram-size", default=3, show_default=True),
         click.option("--stop-words", "stop_words_path",
-                     type=click.Path(exists=True), default=None,
+                     type=click.Path(exists=True, dir_okay=False), default=None,
                      help="Extra stop words, one per line."),
         click.option("--no-case-fold", is_flag=True, default=False),
         click.option("--method",
@@ -173,10 +181,11 @@ def pipeline_options(fn):
                      help="Iterate refinement to a fixed point."),
         click.option("--truth-column", default=None,
                      help="Input column holding ground-truth entity ids."),
-        click.option("--truth-file", type=click.Path(exists=True), default=None,
+        click.option("--truth-file", type=click.Path(exists=True, dir_okay=False),
+                     default=None,
                      help="Two-column file: record_index entity_id."),
         click.option("--seed", default=0, show_default=True),
-        click.option("--output-dir", type=click.Path(), default="out",
+        click.option("--output-dir", type=click.Path(file_okay=False), default="out",
                      show_default=True),
     ]
     for opt in reversed(opts):
@@ -264,7 +273,8 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     if p.get("stop_words_path"):
-        tok_config = tok_config.with_stop_words(load_stop_words(p["stop_words_path"]))
+        tok_config = tok_config.with_stop_words(
+            _read(load_stop_words, p["stop_words_path"]))
     # every option of the command but --config, with --fields as resolved
     manifest = {key: value for key, value in p.items() if key != "config"}
     manifest["fields"] = ",".join(names)
@@ -382,8 +392,10 @@ def sweep(ctx, **kwargs):
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--output", "output_path", type=click.Path(), required=True)
+@click.option("--input", "input_path",
+              type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--output", "output_path", type=click.Path(dir_okay=False),
+              required=True)
 @click.option("--fields", required=True,
               help="Comma-separated fields to blank entries from.")
 @click.option("--fraction", type=float, default=0.30, show_default=True)
@@ -405,10 +417,12 @@ def degrade(input_path, output_path, fields, fraction, seed, delimiter, no_heade
 
 
 @main.command("eval")
-@click.option("--clusters", "clusters_path", type=click.Path(exists=True),
-              required=True)
-@click.option("--truth", "truth_path", type=click.Path(exists=True), required=True)
-@click.option("--output", "output_path", type=click.Path(), default=None)
+@click.option("--clusters", "clusters_path",
+              type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--truth", "truth_path",
+              type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--output", "output_path", type=click.Path(dir_okay=False),
+              default=None)
 def eval_cmd(clusters_path, truth_path, output_path):
     """Score a clustering file against a ground-truth clustering file."""
     clusters = _read(read_clusters, clusters_path)
@@ -430,7 +444,8 @@ def eval_cmd(clusters_path, truth_path, output_path):
 @main.command("synth")
 @click.option("--dataset", "which", type=click.Choice(["restaurants", "citations"]),
               required=True)
-@click.option("--output", "output_path", type=click.Path(), required=True)
+@click.option("--output", "output_path", type=click.Path(dir_okay=False),
+              required=True)
 @click.option("--seed", type=int, default=None,
               help="Generator seed (defaults per dataset).")
 def synth_cmd(which, output_path, seed):

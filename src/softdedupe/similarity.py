@@ -23,10 +23,13 @@ import numpy as np
 
 # off-diagonal field scores below this are set to 0
 SPARSE_FLOOR = 1e-12
-# build_jw_matrix bounds feature pairs a block of rows at a time; a block's
-# character-count minima, one per pair and character, stop at this many,
-# which bounds the memory of every temporary of the block
-JW_BLOCK_ENTRIES = 1 << 18
+# build_jw_matrix bounds feature pairs a block of rows at a time: a block of
+# r rows against the m - lo features from its first row on holds at most
+# this many shared-character counts, r = 1 at least, and every temporary of
+# the block is one value per such pair
+JW_BLOCK_ENTRIES = 1 << 16
+# the LCS of a pair comes from one uint64 bit vector over its shorter feature
+LCS_BITS = 64
 # the field products expand at most about this many product terms at a time,
 # and read and write n x n arrays this many entries at a time
 PRODUCT_BLOCK_ENTRIES = 1 << 16
@@ -160,43 +163,157 @@ class JaroWinklerMatrix:
 
 
 def _character_tables(features: Sequence[str], max_width: int):
-    """Lengths, m x alphabet character counts and the first characters'
-    ids, at most max_width of them, padded with -1, of the features."""
+    """Per-character tables of the features for build_jw_matrix.
+
+    Returns the lengths; each feature's first position in the concatenated
+    text; the character id at every position of that text; the m x alphabet
+    match masks; the 0/1 level matrix; and the first characters' ids, at
+    most max_width of them, padded with -1.
+
+    Bit q of mask [f, c] is set when character q of feature f is c, for
+    features of at most LCS_BITS characters; the masks of longer features
+    are 0. The level matrix has one column per character c and level k
+    below the second-largest count of c among the features, holding
+    [count[c] > k]. Since min(a, b) = sum over k of [a > k][b > k], the
+    product of two of its rows is the number of characters the two features
+    share. Levels that at most one feature reaches add nothing to a pair and
+    are left out.
+    """
     m = len(features)
     lens = np.fromiter(map(len, features), dtype=np.int64, count=m)
-    width = min(max_width, int(lens.max(initial=0)))
+    starts = np.cumsum(lens) - lens
     codes = np.frombuffer("".join(features).encode("utf-32-le"), dtype=np.uint32)
     alphabet, chars = np.unique(codes, return_inverse=True)
+    size = len(alphabet)
     owner = np.repeat(np.arange(m), lens)
-    counts = np.bincount(
-        owner * len(alphabet) + chars, minlength=m * len(alphabet)
-    ).reshape(m, len(alphabet))
-    counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
+    short = lens[owner] <= LCS_BITS
+    position = np.arange(len(chars)) - starts[owner]
+    match = np.zeros(m * size, dtype=np.uint64)
+    np.bitwise_or.at(match, owner[short] * size + chars[short],
+                     np.uint64(1) << position[short].astype(np.uint64))
+    counts = np.bincount(owner * size + chars, minlength=m * size).reshape(m, size)
+    if m > 1:
+        levels = np.partition(counts, m - 2, axis=0)[m - 2]
+    else:
+        levels = np.zeros(size, dtype=np.int64)
+    reached = np.minimum(counts, levels)
+    feat, char = np.nonzero(reached)
+    first_column = np.cumsum(levels) - levels
+    entry, column = _spans(first_column[char], first_column[char] + reached[feat, char])
+    indicator = np.zeros((m, int(levels.sum())))
+    indicator[feat[entry], column] = 1.0
+    width = min(max_width, int(lens.max(initial=0)))
     offsets = np.arange(width)
-    at = np.minimum((np.cumsum(lens) - lens)[:, None] + offsets, len(chars) - 1)
+    at = np.minimum(starts[:, None] + offsets, len(chars) - 1)
     heads = np.where(offsets < lens[:, None], chars[at], -1)
-    return lens, counts, heads
+    return lens, starts, chars, match.reshape(m, size), indicator, heads
 
 
-def _jw_upper_bound(lo, hi, lens, counts, heads, prefix_factor):
-    """Upper bound on JW for features lo..hi-1 against features lo..m-1."""
-    shared = np.minimum(counts[lo:hi, None, :], counts[None, lo:, :]).sum(
-        axis=2, dtype=np.int64
-    )
-    length = np.maximum(lens, 1).astype(float)
-    j_ub = np.where(
-        shared > 0,
-        (shared / length[lo:hi, None] + shared / length[None, lo:] + 1.0) / 3.0,
-        0.0,
-    )
-    # -1 pads each head, so two distinct features agree on a padded position
-    # only after disagreeing on a real one: runs stop where jaro_winkler's do
-    prefix = np.zeros(shared.shape)
-    run = np.ones(shared.shape, dtype=bool)
+def _shared_prefix(first, second, heads) -> np.ndarray:
+    """The length of the common prefix of each pair of heads rows, as a
+    float. -1 pads each row, so two distinct features agree on a padded
+    position only after disagreeing on a real one: runs stop where
+    jaro_winkler's do."""
+    prefix = np.zeros(len(first))
+    run = np.ones(len(first), dtype=bool)
     for k in range(heads.shape[1]):
-        run &= heads[lo:hi, k, None] == heads[None, lo:, k]
+        run &= heads[first, k] == heads[second, k]
         prefix += run
-    return j_ub + prefix_factor * prefix * (1.0 - j_ub)
+    return prefix
+
+
+def _count_candidates(length, indicator, heads, prefix_factor, top, floor):
+    """The pairs i < j whose count bound reaches floor, with their shared
+    character counts and shared prefixes.
+
+    A block of rows at a time, one float64 product of level rows gives the
+    shared counts s. Every term and partial sum of it is an integer below
+    2^53, so the counts are exact under any summation order and any number
+    of BLAS threads. The count bound is B = J + p*l*(1 - J) with
+    J = (s/l1 + s/l2 + 1)/3, or 0 when s = 0, where l1 and l2 are the
+    lengths (at least 1). As p*l <= top, B <= 1 - (1 - J)*(1 - top), so
+    B >= floor needs s*(1/l1 + 1/l2) >= 2 - 3*(1 - floor)/(1 - top) when
+    top < 1. That test runs on the whole block, with 1e-6 more slack than
+    floor, far more than the rounding of either side; B itself runs only on
+    the pairs the test keeps.
+    """
+    m = len(length)
+    inverse = 1.0 / length
+    need = -np.inf
+    if top < 1.0:
+        need = 2.0 - 3.0 * (1.0 - floor + 1e-6) / (1.0 - top)
+    if floor > 0.0:  # B = 0 when s = 0
+        need = max(need, np.finfo(float).tiny)
+    step = max(1, JW_BLOCK_ENTRIES // max(m, 1))
+    first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    shared = [np.zeros(0)]
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        block = indicator[lo:hi] @ indicator[lo:].T
+        reach = np.add.outer(inverse[lo:hi], inverse[lo:])
+        reach *= block
+        a, b = np.nonzero(reach >= need)
+        upper = b > a  # column b of the block is feature lo + b
+        a, b = a[upper], b[upper]
+        first.append(lo + a)
+        second.append(lo + b)
+        shared.append(block[a, b])
+    first, second, shared = map(np.concatenate, (first, second, shared))
+    prefix = _shared_prefix(first, second, heads)
+    la, lb = length[first], length[second]
+    j_ub = np.where(shared > 0, (shared / la + shared / lb + 1.0) / 3.0, 0.0)
+    keep = j_ub + prefix_factor * prefix * (1.0 - j_ub) >= floor
+    return first[keep], second[keep], shared[keep], prefix[keep]
+
+
+def _lcs_lengths(first, second, lens, starts, chars, match) -> np.ndarray:
+    """The length of the longest common subsequence of each pair of
+    features, as a float.
+
+    Hyyro's bit-parallel recurrence holds the shorter feature of a pair in
+    one uint64, one bit per position, and reads the longer one a character
+    at a time: U = V & match[c], V = (V + U) | (V - U), from V all ones; the
+    zero bits of V count the LCS. match holds _character_tables' masks. A
+    pair whose shorter feature has more than LCS_BITS characters gets that
+    feature's length, which bounds its LCS.
+    """
+    swap = lens[first] > lens[second]
+    pattern = np.where(swap, second, first)
+    text = np.where(swap, first, second)
+    out = lens[pattern].astype(float)
+    fits = np.flatnonzero(out <= LCS_BITS)
+    # longest texts first, so the pairs still reading at step k are a prefix
+    fits = fits[np.argsort(-lens[text[fits]], kind="stable")]
+    pattern = pattern[fits]
+    at = starts[text[fits]]
+    left = -lens[text[fits]]
+    v = np.full(len(fits), ~np.uint64(0))
+    for k in range(-int(left[0]) if len(fits) else 0):
+        live = int(np.searchsorted(left, -k))  # pairs whose text is longer than k
+        u = v[:live] & match[pattern[:live], chars[at[:live] + k]]
+        v[:live] = (v[:live] + u) | (v[:live] - u)
+    # U is a subset of V, so V - U never borrows and bits past the pattern
+    # stay 1: every zero bit is a matched position
+    zeros = np.unpackbits((~v).view(np.uint8)).reshape(len(fits), 64).sum(axis=1)
+    out[fits] = zeros
+    return out
+
+
+def _transposition_bound(shared, lcs, la, lb) -> np.ndarray:
+    """Upper bound on J given at most `shared` matches and an LCS of `lcs`.
+
+    With m matches, Jaro's two matched sequences agree at positions that
+    form a common subsequence of the two features, so at most min(m, lcs)
+    of them, and t >= (m - min(m, lcs))/2. Then J <= g(m) =
+    (m/l1 + m/l2 + (m + min(m, lcs))/(2m))/3, which rises in m up to lcs
+    and is convex beyond, so its maximum over 0 < m <= shared is at
+    min(lcs, shared) or at shared. g(0) reads 0.
+    """
+    def g(count):
+        agree = (count + np.minimum(count, lcs)) / (2.0 * np.maximum(count, 1.0))
+        return (count / la + count / lb + agree) / 3.0
+
+    return np.maximum(g(np.minimum(lcs, shared)), g(shared))
 
 
 def build_jw_matrix(
@@ -204,28 +321,38 @@ def build_jw_matrix(
 ) -> JaroWinklerMatrix:
     """All-pairs thresholded Jaro-Winkler matrix over a field's lexicon.
 
-    Only pairs whose upper bound reaches theta are scored. Jaro matches
-    pair identical characters one to one, so the match count of s1 and s2
-    is at most M = sum over characters c of min(count1[c], count2[c]), and
-    J <= (M/l1 + M/l2 + 1)/3, or 0 when M = 0. JW = J + p*l*(1 - J) grows
-    with J when 0 <= p*l <= 1, which SimilarityParams ensures, so with the
-    exact shared prefix l the bound never drops a pair with JW >= theta.
-    A slack of 1e-9 below theta covers float rounding. Survivors are scored
-    exactly, so the result equals the naive double loop.
+    Only pairs that pass two upper bounds on JW are scored, each survivor by
+    one call of the module's jaro_winkler; both bounds allow a slack of 1e-9
+    below theta for float rounding, so the result equals the naive double
+    loop. JW = J + p*l*(1 - J) grows with J when 0 <= p*l <= 1, so a bound
+    on J with the exact shared prefix l bounds JW. SimilarityParams lets
+    p*l reach 1 + 1e-12; then JW falls with J, by at most 1e-12 over
+    J in [0, 1], which the slack absorbs.
+
+    Count bound: Jaro pairs identical characters one to one, so there are
+    at most M = sum over characters c of min(count1[c], count2[c]) matches,
+    and J <= (M/l1 + M/l2 + 1)/3, or 0 when M = 0 (_count_candidates).
+
+    Transposition bound, on the pairs the count bound keeps: J <= the
+    maximum over m in {min(LCS, M), M} of (m/l1 + m/l2 + (m + min(m, LCS))
+    /(2m))/3 (_transposition_bound), with the LCS of the two features from
+    a uint64 bit vector (_lcs_lengths). A pair whose shorter feature has
+    more than LCS_BITS characters is exempt from this bound: it keeps the
+    count bound's verdict.
     """
     feats = features
     m = len(feats)
     p, cap, theta = params.prefix_factor, params.max_prefix, params.theta
-    lens, counts, heads = _character_tables(feats, cap if p > 0 else 0)
-    step = max(1, JW_BLOCK_ENTRIES // max(counts.size, 1))
-    first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        bound = _jw_upper_bound(lo, hi, lens, counts, heads, p)
-        a, b = np.nonzero(np.triu(bound >= theta - 1e-9, 1))
-        first.append(lo + a)
-        second.append(lo + b)
-    first, second = np.concatenate(first), np.concatenate(second)
+    floor = theta - 1e-9
+    lens, starts, chars, match, indicator, heads = _character_tables(
+        feats, cap if p > 0 else 0)
+    length = np.maximum(lens, 1).astype(float)
+    first, second, shared, prefix = _count_candidates(
+        length, indicator, heads, p, p * cap, floor)
+    lcs = _lcs_lengths(first, second, lens, starts, chars, match)
+    j_ub = _transposition_bound(shared, lcs, length[first], length[second])
+    keep = j_ub + p * prefix * (1.0 - j_ub) >= floor
+    first, second = first[keep], second[keep]
     scores = np.array([
         jaro_winkler(feats[i], feats[j], p, cap)
         for i, j in zip(first.tolist(), second.tolist())

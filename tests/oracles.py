@@ -10,6 +10,11 @@ entry again and counts its features in a dict keyed by lexicon index, and
 the matrix is read from those dicts. The program's one-pass build_tfidf must
 give the same bits.
 
+Jaro-Winkler candidates: the count bound the program applied alone before
+it added a transposition bound. One m x m x alphabet minimum per block of
+rows gives every pair's shared-character count; the program's scored pairs
+must lie within the pairs this bound keeps.
+
 Similarity: the TF-IDF matrix, the field products TFIDF @ M @ TFIDF.T and
 TFIDF @ TFIDF.T, their finishing and the weighted composite, by scipy's CSR
 matrices. The program computes them with numpy alone and must give the same
@@ -225,6 +230,61 @@ def tfidf_csr(counted, m):
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     mat.data /= row_sums[np.repeat(np.arange(n), np.diff(mat.indptr))]
     return mat
+
+
+def _character_tables(features, max_width):
+    """Lengths, m x alphabet character counts and the first characters'
+    ids, at most max_width of them, padded with -1, of the features."""
+    m = len(features)
+    lens = np.fromiter(map(len, features), dtype=np.int64, count=m)
+    width = min(max_width, int(lens.max(initial=0)))
+    codes = np.frombuffer("".join(features).encode("utf-32-le"), dtype=np.uint32)
+    alphabet, chars = np.unique(codes, return_inverse=True)
+    owner = np.repeat(np.arange(m), lens)
+    counts = np.bincount(
+        owner * len(alphabet) + chars, minlength=m * len(alphabet)
+    ).reshape(m, len(alphabet))
+    counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
+    offsets = np.arange(width)
+    at = np.minimum((np.cumsum(lens) - lens)[:, None] + offsets, len(chars) - 1)
+    heads = np.where(offsets < lens[:, None], chars[at], -1)
+    return lens, counts, heads
+
+
+def _jw_upper_bound(lo, hi, lens, counts, heads, prefix_factor):
+    """Upper bound on JW for features lo..hi-1 against features lo..m-1."""
+    shared = np.minimum(counts[lo:hi, None, :], counts[None, lo:, :]).sum(
+        axis=2, dtype=np.int64
+    )
+    length = np.maximum(lens, 1).astype(float)
+    j_ub = np.where(
+        shared > 0,
+        (shared / length[lo:hi, None] + shared / length[None, lo:] + 1.0) / 3.0,
+        0.0,
+    )
+    # -1 pads each head, so two distinct features agree on a padded position
+    # only after disagreeing on a real one: runs stop where jaro_winkler's do
+    prefix = np.zeros(shared.shape)
+    run = np.ones(shared.shape, dtype=bool)
+    for k in range(heads.shape[1]):
+        run &= heads[lo:hi, k, None] == heads[None, lo:, k]
+        prefix += run
+    return j_ub + prefix_factor * prefix * (1.0 - j_ub)
+
+
+def count_bound_candidates(features, params, block_rows=16):
+    """The pairs (i, j), i < j, whose count bound on JW reaches
+    theta - 1e-9: the pairs the program scored before the transposition
+    bound."""
+    p, cap = params.prefix_factor, params.max_prefix
+    lens, counts, heads = _character_tables(features, cap if p > 0 else 0)
+    pairs = set()
+    for lo in range(0, len(features), block_rows):
+        hi = min(len(features), lo + block_rows)
+        bound = _jw_upper_bound(lo, hi, lens, counts, heads, p)
+        a, b = np.nonzero(np.triu(bound >= params.theta - 1e-9, 1))
+        pairs.update(zip((lo + a).tolist(), (lo + b).tolist()))
+    return pairs
 
 
 def finish_field_matrix(mat):

@@ -243,6 +243,60 @@ def test_single_record_is_usage_error(runner, tmp_path, args):
     assert "need at least two records, got 1" in result.output
 
 
+def _bad_path_args(case, tmp_path, small_csv):
+    """The command line of one bad-path case, and the message it gives."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    clusters = tmp_path / "clusters.txt"
+    write_clusters(ClusterSet.from_labels([0, 0, 1]), str(clusters))
+    latin1 = tmp_path / "stop.txt"
+    latin1.write_bytes("caf\xe9\n".encode("latin-1"))
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    run = ["run", "--input", small_csv, "--output-dir", str(tmp_path / "out")]
+    is_dir = f"'{folder}' is a directory"
+    return {
+        "run_input": (["run", "--input", str(folder)], is_dir),
+        "run_stop_words": ([*run, "--stop-words", str(folder)], is_dir),
+        "run_truth_file": ([*run, "--truth-file", str(folder)], is_dir),
+        "run_config": ([*run, "--config", str(folder)], is_dir),
+        "run_stop_words_not_utf8": ([*run, "--stop-words", str(latin1)],
+                                    "'utf-8' codec can't decode"),
+        "run_output_dir_is_file": (["run", "--input", small_csv,
+                                    "--output-dir", str(a_file)],
+                                   f"'{a_file}' is a file"),
+        "degrade_input": (["degrade", "--input", str(folder), "--output",
+                           str(tmp_path / "x.csv"), "--fields", "city",
+                           "--seed", "1"], is_dir),
+        "degrade_output": (["degrade", "--input", small_csv, "--output",
+                            str(folder), "--fields", "city", "--seed", "1"],
+                           is_dir),
+        "eval_clusters": (["eval", "--clusters", str(folder), "--truth",
+                           str(clusters)], is_dir),
+        "eval_truth": (["eval", "--clusters", str(clusters), "--truth",
+                        str(folder)], is_dir),
+        "eval_output": (["eval", "--clusters", str(clusters), "--truth",
+                         str(clusters), "--output", str(folder)], is_dir),
+        "synth_output": (["synth", "--dataset", "restaurants", "--output",
+                          str(folder)], is_dir),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "run_input", "run_stop_words", "run_truth_file", "run_config",
+    "run_stop_words_not_utf8", "run_output_dir_is_file", "degrade_input",
+    "degrade_output", "eval_clusters", "eval_truth", "eval_output",
+    "synth_output",
+])
+def test_bad_path_is_usage_error(runner, tmp_path, small_csv, case):
+    # each path is refused before anything is scored or written
+    args, message = _bad_path_args(case, tmp_path, small_csv)
+    with mock.patch.object(pipeline, "build_similarity", side_effect=AssertionError):
+        result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
 MANIFEST_KEYS = {
     "input_path", "delimiter", "no_header", "fields", "mode", "ngram_size",
     "stop_words_path", "no_case_fold", "method", "theta", "prefix_factor",
@@ -464,6 +518,29 @@ class TestStartup:
             "print(missing, unbound, hasattr(softdedupe, 'no_such_name'))\n"
         )
         assert run_python(code) == "[] [] False"
+
+
+def test_blas_thread_count_keeps_outputs(tmp_path):
+    # build_jw_matrix's shared-character product is the program's one BLAS
+    # call; its sums are small integers, exact under any thread count
+    data = synth.make_restaurants()
+    path = tmp_path / "restaurants.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data.schema)
+        writer.writerows(data.records)
+    src = str(Path(softdedupe.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "softdedupe.cli", "run",
+                        "--input", str(path), "--truth-column", "entity_id",
+                        "--output-dir", str(out)],
+                       env=env, capture_output=True, check=True)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("clusters.txt", "metrics.json")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")

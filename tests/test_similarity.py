@@ -88,28 +88,41 @@ class TestJaroWinkler:
         assert jaro_winkler(s, s) == 1.0
 
 
+PHONE_DIGITS = st.sampled_from(["0123456789", "12", "345"])
+
+
 @st.composite
 def jw_cases(draw):
     """A lexicon of distinct features and JW parameters for the prefilter.
 
-    Lexicons mix lengths, share one length (like phone numbers), or share
-    a stem longer than the longest prefix scored; alphabets run from two
-    letters, so characters repeat, to non-ASCII ones. theta is a fixed
-    level or a JW value the lexicon attains.
+    Lexicons mix lengths, share one length, share a stem longer than the
+    longest prefix scored, are phone numbers (equal-length digits and
+    dashes), or run to either side of the 64 characters a bit vector holds;
+    alphabets run from two letters, so characters repeat, to non-ASCII
+    ones. prefix_factor * max_prefix reaches 1. theta is a fixed level or a
+    JW value the lexicon attains.
     """
     alphabet = draw(st.sampled_from(["ab", "abc", "abcdefghij", "aé-ß中😀"]))
-    shape = draw(st.sampled_from(["mixed", "equal", "stem"]))
+    shape = draw(st.sampled_from(["mixed", "equal", "stem", "phone", "long"]))
+    size = 20
     if shape == "mixed":
         words = st.text(alphabet, min_size=1, max_size=10)
     elif shape == "equal":
-        size = draw(st.integers(1, 8))
-        words = st.text(alphabet, min_size=size, max_size=size)
-    else:
+        length = draw(st.integers(1, 8))
+        words = st.text(alphabet, min_size=length, max_size=length)
+    elif shape == "stem":
         stem = draw(st.text(alphabet, min_size=5, max_size=6))
         words = st.text(alphabet, max_size=4).map(lambda tail: stem + tail)
-    feats = tuple(draw(st.lists(words, min_size=1, max_size=20, unique=True)))
-    prefix_factor = draw(st.sampled_from([0.0, 0.1, 0.25]))
-    max_prefix = draw(st.sampled_from([0, 1, 4]))
+    elif shape == "phone":
+        words = st.text(draw(PHONE_DIGITS), min_size=10, max_size=10).map(
+            lambda d: f"{d[:3]}-{d[3:6]}-{d[6:]}")
+    else:
+        words = st.text(alphabet, min_size=56, max_size=72)
+        size = 8  # the naive loop scores each pair in O(length^2)
+    feats = tuple(draw(st.lists(words, min_size=1, max_size=size, unique=True)))
+    prefix_factor, max_prefix = draw(st.sampled_from([
+        (p, cap) for p in (0.0, 0.1, 0.25) for cap in (0, 1, 4)
+    ] + [(0.5, 2), (1.0, 1)]))
     attained = sorted(
         {jaro_winkler(a, b, prefix_factor, max_prefix) for a in feats for b in feats}
         - {1.0}
@@ -118,6 +131,20 @@ def jw_cases(draw):
     return feats, SimilarityParams(
         prefix_factor=prefix_factor, max_prefix=max_prefix, theta=theta
     )
+
+
+def naive_jw(feats, params):
+    """The thresholded JW matrix by the double loop over every pair."""
+    m = len(feats)
+    want = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            v = 1.0 if i == j else jaro_winkler(
+                feats[i], feats[j], params.prefix_factor, params.max_prefix
+            )
+            if v >= params.theta:
+                want[i, j] = v
+    return want
 
 
 class TestJaroWinklerMatrix:
@@ -150,21 +177,68 @@ class TestJaroWinklerMatrix:
     @given(st.data())
     def test_prefilter_matches_naive_double_loop(self, data):
         feats, params = data.draw(jw_cases())
+        want = naive_jw(feats, params)
+        # a block of r rows holds at most r * m shared counts: from one row
+        # to all
         m = len(feats)
-        want = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                v = 1.0 if i == j else jaro_winkler(
-                    feats[i], feats[j], params.prefix_factor, params.max_prefix
-                )
-                if v >= params.theta:
-                    want[i, j] = v
-        # a block of r rows takes r * m * alphabet entries: from one row to all
         rows = data.draw(st.integers(1, m), label="rows_per_block")
-        block_entries = rows * m * len(set("".join(feats)))
-        with mock.patch.object(similarity, "JW_BLOCK_ENTRIES", block_entries):
+        with mock.patch.object(similarity, "JW_BLOCK_ENTRIES", rows * m):
             got = build_jw_matrix(feats, params).rows.toarray()
         assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(jw_cases())
+    def test_scored_pairs_lie_between_naive_and_count_bound(self, case):
+        # jaro_winkler scores every pair the naive loop keeps, once, and no
+        # pair the count bound alone would have dropped
+        feats, params = case
+        index = {f: k for k, f in enumerate(feats)}
+        with mock.patch.object(similarity, "jaro_winkler",
+                               wraps=jaro_winkler) as scorer:
+            build_jw_matrix(feats, params)
+        scored = [(index[c.args[0]], index[c.args[1]])
+                  for c in scorer.call_args_list]
+        assert len(set(scored)) == len(scored)
+        assert all(i < j for i, j in scored)
+        assert set(scored) <= oracles.count_bound_candidates(feats, params)
+        want = naive_jw(feats, params)
+        kept = {(i, j) for i, j in zip(*np.nonzero(want)) if i < j}
+        assert kept <= set(scored)
+
+    def test_transposition_bound_peaks_at_lcs_matches(self):
+        # two shared characters but an LCS of one: one match without a
+        # transposition gives J = 0.412, above the bound at two matches
+        # (0.407), so the bound must also try min(LCS, M) matches
+        feats = ("ddcdcaga", "gjfffcffi")
+        v = jaro_winkler(*feats)
+        assert v == pytest.approx(0.412, abs=5e-4)
+        got = build_jw_matrix(feats, SimilarityParams(theta=v)).rows.toarray()
+        assert got[0, 1] == got[1, 0] == v
+
+    @pytest.mark.parametrize("shape", ["prefix", "phone"])
+    def test_prefix_weight_at_accepted_edge(self, shape):
+        # SimilarityParams accepts prefix_factor * max_prefix up to
+        # 1 + 1e-12; there JW falls with J, by at most 1e-12, which the
+        # bounds' slack of 1e-9 absorbs
+        p = 0.25 + 2.5e-13
+        assert 1.0 < p * 4 <= 1.0 + 1e-12
+        rng = random.Random(23)
+        if shape == "prefix":
+            feats = {"abca" + "".join(rng.choice("abc") for _ in range(rng.randint(0, 6)))
+                     for _ in range(30)}
+            feats |= {"".join(rng.choice("abc") for _ in range(rng.randint(3, 9)))
+                      for _ in range(30)}
+        else:
+            feats = {"".join(rng.choice("0123") for _ in range(10)) for _ in range(40)}
+            feats = {f"{d[:3]}-{d[3:6]}-{d[6:]}" for d in feats}
+        feats = tuple(sorted(feats))
+        attained = sorted({jaro_winkler(a, b, p, 4) for a in feats for b in feats})
+        for theta in [0.0, 0.5, 0.9, *attained[::7]]:
+            if theta >= 1.0:
+                continue
+            params = SimilarityParams(prefix_factor=p, max_prefix=4, theta=theta)
+            got = build_jw_matrix(feats, params).rows.toarray()
+            assert np.array_equal(got, naive_jw(feats, params)), theta
 
     def test_symmetric_with_unit_diagonal(self):
         feats = ("bruin", "bruins", "joan", "joe", "lurin")
