@@ -21,7 +21,7 @@ _EXPORTS = {
         "similarity",
     ),
     **dict.fromkeys(
-        ["PresenceMask", "adjust", "impute_mode", "presence_mask"], "sparsity"
+        ["PresenceMask", "adjust", "presence_mask"], "sparsity"
     ),
     **dict.fromkeys(
         ["ClusterSet", "ThresholdedGraph", "auto_threshold", "group",

@@ -144,6 +144,15 @@ def _read(reader, path: str, **kwargs):
         raise click.UsageError(f"{path}: {exc}") from exc
 
 
+def _output_file(ctx, param, value):
+    """An --output path whose folder exists, checked before any work."""
+    if value is not None:
+        folder = os.path.dirname(value) or "."
+        if not os.path.isdir(folder):
+            raise click.BadParameter(f"{folder!r} is not a directory", ctx, param)
+    return value
+
+
 def pipeline_options(fn):
     opts = [
         click.option("--config", type=click.Path(exists=True, dir_okay=False),
@@ -219,6 +228,9 @@ def _field_names(spec: str, schema) -> list[str]:
 
 
 def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
+    """The run's inputs and settings, each checked, and its output folder,
+    created before any scoring; run and sweep check their threshold options
+    before calling this."""
     p = ctx_params
     if not p.get("input_path"):
         raise click.UsageError("--input is required")
@@ -275,6 +287,10 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
     if p.get("stop_words_path"):
         tok_config = tok_config.with_stop_words(
             _read(load_stop_words, p["stop_words_path"]))
+    try:
+        os.makedirs(p["output_dir"], exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"--output-dir: {exc}") from exc
     # every option of the command but --config, with --fields as resolved
     manifest = {key: value for key, value in p.items() if key != "config"}
     manifest["fields"] = ",".join(names)
@@ -303,7 +319,6 @@ def _build_similarity(run: ResolvedRun) -> np.ndarray:
 
 
 def _write_manifest(run: ResolvedRun, extra: dict) -> None:
-    os.makedirs(run.output_dir, exist_ok=True)
     manifest = dict(run.manifest, **extra)
     path = os.path.join(run.output_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -336,8 +351,8 @@ def run(ctx, **kwargs):
     """Run the full pipeline once and write cluster assignments."""
     _apply_config_file(ctx, ctx.params.get("config"))
     p = ctx.params
-    run_spec = _resolve(p)
     tau_arg = _parse_tau(p["tau"])
+    run_spec = _resolve(p)
     scores = _build_similarity(run_spec)
     clusters, tau_used = pipeline.cluster_records(
         scores, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
@@ -367,7 +382,6 @@ def sweep(ctx, **kwargs):
     """Evaluate the clustering over a range of thresholds."""
     _apply_config_file(ctx, ctx.params.get("config"))
     p = ctx.params
-    run_spec = _resolve(p, require_truth=True)
     taus = None
     if p["tau_start"] is not None or p["tau_stop"] is not None:
         if p["tau_start"] is None or p["tau_stop"] is None or not p["tau_step"]:
@@ -379,6 +393,7 @@ def sweep(ctx, **kwargs):
         taus = tau_grid(p["tau_start"], p["tau_stop"], p["tau_step"])
         if not taus:
             raise click.UsageError("empty threshold range")
+    run_spec = _resolve(p, require_truth=True)
     scores = _build_similarity(run_spec)
     rows = pipeline.sweep_thresholds(
         scores, run_spec.truth, taus=taus, grid_size=p["grid"],
@@ -395,7 +410,7 @@ def sweep(ctx, **kwargs):
 @click.option("--input", "input_path",
               type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--output", "output_path", type=click.Path(dir_okay=False),
-              required=True)
+              required=True, callback=_output_file)
 @click.option("--fields", required=True,
               help="Comma-separated fields to blank entries from.")
 @click.option("--fraction", type=float, default=0.30, show_default=True)
@@ -422,7 +437,7 @@ def degrade(input_path, output_path, fields, fraction, seed, delimiter, no_heade
 @click.option("--truth", "truth_path",
               type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--output", "output_path", type=click.Path(dir_okay=False),
-              default=None)
+              default=None, callback=_output_file)
 def eval_cmd(clusters_path, truth_path, output_path):
     """Score a clustering file against a ground-truth clustering file."""
     clusters = _read(read_clusters, clusters_path)
@@ -445,7 +460,7 @@ def eval_cmd(clusters_path, truth_path, output_path):
 @click.option("--dataset", "which", type=click.Choice(["restaurants", "citations"]),
               required=True)
 @click.option("--output", "output_path", type=click.Path(dir_okay=False),
-              required=True)
+              required=True, callback=_output_file)
 @click.option("--seed", type=int, default=None,
               help="Generator seed (defaults per dataset).")
 def synth_cmd(which, output_path, seed):

@@ -19,39 +19,14 @@ from .evaluation import MetricsReport
 from .similarity import METHOD_SOFT_TFIDF, SimilarityParams
 
 
-def _composite_and_mask(
-    dataset: DataSet,
-    tok_config: TokenizerConfig,
-    params: SimilarityParams,
-    impute: random.Random | None = None,
-) -> tuple[similarity.CompositeSimilarity, sparsity.PresenceMask]:
-    """The raw composite of every field's similarity, and the presence mask.
-
-    Each field is tokenized once; its token lists give its lexicon, its
-    TF-IDF matrix and its column of the mask. With an impute generator,
-    each field's missing entries first take its mode entry's tokens (see
-    sparsity.impute_tokens). Each field's n x n array is built as the
-    composite takes it and goes once it is added, so the composite and one
-    field are held at a time.
-    """
-    fields_tokens = []
-
-    def fields():
-        for k in range(dataset.a):
-            tokens = tokenize_field(dataset, k, tok_config)
-            if impute is not None:
-                tokens = sparsity.impute_tokens(dataset.column(k), tokens, impute)
-            fields_tokens.append(tokens)
-            features = build_lexicon(tokens)
-            tfidf = similarity.build_tfidf(tokens, features)
-            if params.method == METHOD_SOFT_TFIDF:
-                jw = similarity.build_jw_matrix(features, params)
-                yield similarity.soft_tfidf_field(tfidf, jw)
-            else:
-                yield similarity.tfidf_field(tfidf)
-
-    raw = similarity.composite(fields(), params.weights)
-    return raw, sparsity.presence_mask(fields_tokens)
+def _field_scores(tokens: list[list[str]], params: SimilarityParams) -> np.ndarray:
+    """One field's dense n x n similarity, from its token lists."""
+    features = build_lexicon(tokens)
+    tfidf = similarity.build_tfidf(tokens, features)
+    if params.method == METHOD_SOFT_TFIDF:
+        jw = similarity.build_jw_matrix(features, params)
+        return similarity.soft_tfidf_field(tfidf, jw)
+    return similarity.tfidf_field(tfidf)
 
 
 def build_similarity(
@@ -66,11 +41,26 @@ def build_similarity(
     sparsity_mode "adjust" divides composite scores by shared-field
     counts; "impute" first fills missing entries with each field's mode
     and then applies the same division for comparability.
+
+    Each field is tokenized once; its token lists give its column of the
+    presence mask, its lexicon and its TF-IDF matrix. Under "impute", each
+    field's missing entries take its mode entry's tokens (see
+    sparsity.impute_tokens), drawing from one seeded generator in field
+    order. Each field's n x n array is built as the composite takes it and
+    goes once it is added, so the composite and one field are held at a
+    time.
     """
     if sparsity_mode not in ("adjust", "impute"):
         raise ValueError(f"unknown sparsity mode: {sparsity_mode!r}")
-    impute = random.Random(seed) if sparsity_mode == "impute" else None
-    raw, mask = _composite_and_mask(dataset, tok_config, params, impute)
+    fields = [tokenize_field(dataset, k, tok_config) for k in range(dataset.a)]
+    if sparsity_mode == "impute":
+        rng = random.Random(seed)
+        fields = [sparsity.impute_tokens(dataset.column(k), tokens, rng)
+                  for k, tokens in enumerate(fields)]
+    mask = sparsity.presence_mask(fields)
+    raw = similarity.composite(
+        (_field_scores(tokens, params) for tokens in fields), params.weights
+    )
     return sparsity.adjust(raw, mask)
 
 

@@ -9,16 +9,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DataSet, TokenizerConfig, tokenize
-from .similarity import CompositeSimilarity
+from .similarity import CompositeSimilarity, _row_blocks
 
 
 @dataclass(frozen=True)
 class PresenceMask:
-    """Binary n x a presence matrix B and the pairwise shared-field counts B B^T."""
+    """Binary n x a presence matrix B: B[i, k] = 1 when entry (i, k) is
+    present."""
 
     mask: np.ndarray
-    shared_counts: np.ndarray
 
 
 def presence_mask(fields: Sequence[Sequence[Sequence[str]]]) -> PresenceMask:
@@ -30,9 +29,7 @@ def presence_mask(fields: Sequence[Sequence[Sequence[str]]]) -> PresenceMask:
         [[1 if entry else 0 for entry in tokens] for tokens in fields],
         dtype=np.int64,
     ).T
-    # counts never exceed a, so the smallest type holding a stores them exactly
-    small = b.astype(np.min_scalar_type(b.shape[1]))
-    return PresenceMask(mask=b, shared_counts=small @ small.T)
+    return PresenceMask(mask=b)
 
 
 def adjust(raw: CompositeSimilarity, mask: PresenceMask) -> np.ndarray:
@@ -42,17 +39,22 @@ def adjust(raw: CompositeSimilarity, mask: PresenceMask) -> np.ndarray:
     NaN-skipping reductions and comparisons with a threshold leave self-pairs
     out. The composite's array is adjusted in place and returned, so raw
     holds the adjusted scores afterwards. Adjusting twice, the returned
-    array or raw again, is an error.
+    array or raw again, is an error. The shared-field counts B B^T are
+    formed a block of rows at a time, never as one n x n array.
     """
     # a composite's diagonal holds the sum of the field weights, never NaN
     if isinstance(raw, np.ndarray) or np.isnan(raw.scores[:1, :1]).any():
         raise ValueError("similarity is already adjusted")
-    counts = mask.shared_counts
+    b = mask.mask
     scores = raw.scores
-    if counts.shape != scores.shape:
+    if scores.shape != (len(b), len(b)):
         raise ValueError("presence mask size does not match similarity matrix")
-    np.divide(scores, counts, out=scores, where=counts > 0)
-    scores[counts == 0] = 0.0
+    for lo, hi in _row_blocks(len(b)):
+        counts = b[lo:hi] @ b.T
+        none = counts == 0
+        block = scores[lo:hi]
+        np.divide(block, counts, out=block, where=~none)
+        block[none] = 0.0
     np.fill_diagonal(scores, np.nan)
     return scores
 
@@ -64,10 +66,10 @@ def _mode_entry(
     when none is missing.
 
     tokens are the entries' token lists (see corpus.tokenize_field); an
-    empty one is a missing entry, and at least one must be present. The
-    fill is the first occurrence of the most frequent present entry,
-    compared case-folded; a tie takes one draw from rng. A field with no
-    missing entry draws nothing.
+    empty one is a missing entry, and a field with none present is a
+    ValueError. The fill is the first occurrence of the most frequent
+    present entry, compared case-folded; a tie takes one draw from rng. A
+    field with no missing entry draws nothing.
     """
     if all(tokens):
         return None
@@ -78,6 +80,8 @@ def _mode_entry(
             key = entry.casefold()
             counts[key] += 1
             first.setdefault(key, i)
+    if not counts:
+        raise ValueError("no non-missing entries to impute from")
     top = max(counts.values())
     candidates = sorted(key for key, c in counts.items() if c == top)
     return first[rng.choice(candidates)]
@@ -87,35 +91,10 @@ def impute_tokens(
     entries: Sequence[str], tokens: list[list[str]], rng: random.Random
 ) -> list[list[str]]:
     """A field's token lists with each missing entry's list replaced by the
-    fill entry's (see _mode_entry): the token lists of the field impute_mode
-    returns, without tokenizing it again."""
+    fill entry's (see _mode_entry): the token lists the field would give if
+    each missing entry were replaced by the fill entry and tokenized again."""
     fill = _mode_entry(entries, tokens, rng)
     if fill is None:
         return tokens
     return [entry_tokens or tokens[fill] for entry_tokens in tokens]
 
-
-def impute_mode(
-    dataset: DataSet, config: TokenizerConfig, seed: int | None = None
-) -> DataSet:
-    """Replace missing entries by the most frequent entry of their field.
-
-    Missingness means the entry tokenizes to nothing (empty or stop words
-    only). Entries are compared case-folded; ties are broken by one seeded
-    random choice per field, reused for every missing entry in that field
-    (see _mode_entry).
-    """
-    rng = random.Random(seed)
-    columns = []
-    for k in range(dataset.a):
-        col = dataset.column(k)
-        tokens = [tokenize(entry, config) for entry in col]
-        if not any(tokens):
-            raise ValueError(f"field {k} has no non-missing entries to impute from")
-        fill = _mode_entry(col, tokens, rng)
-        if fill is not None:
-            col = [entry if entry_tokens else col[fill]
-                   for entry, entry_tokens in zip(col, tokens)]
-        columns.append(col)
-    records = tuple(zip(*columns))
-    return DataSet(records=tuple(tuple(r) for r in records), schema=dataset.schema)

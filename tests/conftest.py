@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from softdedupe import pipeline, synth
@@ -12,7 +14,7 @@ from softdedupe.similarity import (
     soft_tfidf_field,
     tfidf_field,
 )
-from softdedupe.sparsity import presence_mask
+from softdedupe.sparsity import impute_tokens, presence_mask
 
 
 def tokenized_fields(data, tok_config):
@@ -38,6 +40,14 @@ def raw_composite(data, tok_config, params):
         else:
             fields.append(tfidf_field(tfidf))
     return composite(fields, params.weights).scores
+
+
+def imputed_fields(data, tok_config, seed):
+    """Each field's token lists with its missing entries filled, as an
+    impute build fills them: one seeded generator drawn in field order."""
+    rng = random.Random(seed)
+    return [impute_tokens(data.column(k), tokenize_field(data, k, tok_config), rng)
+            for k in range(data.a)]
 
 
 def presence(data, tok_config):

@@ -32,9 +32,9 @@ from softdedupe.similarity import (
     soft_tfidf_field,
     tfidf_field,
 )
-from softdedupe.sparsity import impute_mode
+from softdedupe.sparsity import presence_mask
 
-from conftest import presence, raw_composite
+from conftest import imputed_fields, raw_composite
 from oracles import components
 
 WORD = TokenizerConfig(mode="word")
@@ -335,8 +335,8 @@ def test_criterion_12_sparsity_modes_run_end_to_end(scores):
             ok = ok and clusters.n == len(sim)
             if sparsity == "impute":
                 # the cache imputes with seed 1
-                imputed = impute_mode(scores.datasets[name][0], WORD, seed=1)
-                if not (presence(imputed, WORD).mask == 1).all():
+                filled = imputed_fields(scores.datasets[name][0], WORD, seed=1)
+                if not (presence_mask(filled).mask == 1).all():
                     ok = False
                     results.append(f"{name}: imputed mask has holes")
     check("C12 both sparsity modes complete", ok, "; ".join(results))

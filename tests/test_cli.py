@@ -255,6 +255,9 @@ def _bad_path_args(case, tmp_path, small_csv):
     a_file.write_text("")
     run = ["run", "--input", small_csv, "--output-dir", str(tmp_path / "out")]
     is_dir = f"'{folder}' is a directory"
+    under_file = ["--output-dir", str(a_file / "sub")]
+    no_dir = tmp_path / "no_dir"
+    no_dir_msg = f"'{no_dir}' is not a directory"
     return {
         "run_input": (["run", "--input", str(folder)], is_dir),
         "run_stop_words": ([*run, "--stop-words", str(folder)], is_dir),
@@ -265,28 +268,43 @@ def _bad_path_args(case, tmp_path, small_csv):
         "run_output_dir_is_file": (["run", "--input", small_csv,
                                     "--output-dir", str(a_file)],
                                    f"'{a_file}' is a file"),
+        "run_output_dir_under_file": (["run", "--input", small_csv, *under_file],
+                                      "Not a directory"),
+        "sweep_output_dir_under_file": (["sweep", "--input", small_csv,
+                                         "--truth-column", "id", *under_file],
+                                        "Not a directory"),
         "degrade_input": (["degrade", "--input", str(folder), "--output",
                            str(tmp_path / "x.csv"), "--fields", "city",
                            "--seed", "1"], is_dir),
         "degrade_output": (["degrade", "--input", small_csv, "--output",
                             str(folder), "--fields", "city", "--seed", "1"],
                            is_dir),
+        "degrade_output_no_dir": (["degrade", "--input", small_csv, "--output",
+                                   str(no_dir / "x.csv"), "--fields", "city",
+                                   "--seed", "1"], no_dir_msg),
         "eval_clusters": (["eval", "--clusters", str(folder), "--truth",
                            str(clusters)], is_dir),
         "eval_truth": (["eval", "--clusters", str(clusters), "--truth",
                         str(folder)], is_dir),
         "eval_output": (["eval", "--clusters", str(clusters), "--truth",
                          str(clusters), "--output", str(folder)], is_dir),
+        "eval_output_no_dir": (["eval", "--clusters", str(clusters), "--truth",
+                                str(clusters), "--output", str(no_dir / "m.json")],
+                               no_dir_msg),
         "synth_output": (["synth", "--dataset", "restaurants", "--output",
                           str(folder)], is_dir),
+        "synth_output_no_dir": (["synth", "--dataset", "restaurants", "--output",
+                                 str(no_dir / "x.csv")], no_dir_msg),
     }[case]
 
 
 @pytest.mark.parametrize("case", [
     "run_input", "run_stop_words", "run_truth_file", "run_config",
-    "run_stop_words_not_utf8", "run_output_dir_is_file", "degrade_input",
-    "degrade_output", "eval_clusters", "eval_truth", "eval_output",
-    "synth_output",
+    "run_stop_words_not_utf8", "run_output_dir_is_file",
+    "run_output_dir_under_file", "sweep_output_dir_under_file",
+    "degrade_input", "degrade_output", "degrade_output_no_dir",
+    "eval_clusters", "eval_truth", "eval_output", "eval_output_no_dir",
+    "synth_output", "synth_output_no_dir",
 ])
 def test_bad_path_is_usage_error(runner, tmp_path, small_csv, case):
     # each path is refused before anything is scored or written

@@ -12,8 +12,8 @@ from softdedupe import clustering, corpus, evaluation, pipeline, similarity, spa
 from softdedupe.corpus import DataSet, TokenizerConfig
 from softdedupe.similarity import SimilarityParams
 
-from conftest import presence
-from oracles import batched_refine_all, components
+from conftest import imputed_fields
+from oracles import batched_refine_all, components, two_pass_impute_mode
 
 WORD = TokenizerConfig(mode="word")
 
@@ -81,8 +81,7 @@ class TestBuildSimilarity:
             calls.append(entry)
             return tokenize(entry, config)
 
-        with mock.patch.object(corpus, "tokenize", counted), \
-                mock.patch.object(sparsity, "tokenize", counted):
+        with mock.patch.object(corpus, "tokenize", counted):
             pipeline.build_similarity(data, WORD, SimilarityParams(method=method),
                                       sparsity_mode=sparsity_mode, seed=1)
         assert len(calls) == passes * data.n * data.a
@@ -95,11 +94,12 @@ class TestBuildSimilarity:
 
     def test_impute_mode_fills_every_entry(self):
         data = small_dataset()
-        imputed = sparsity.impute_mode(data, WORD, seed=3)
-        assert (presence(imputed, WORD).mask == 1).all()
+        filled = imputed_fields(data, WORD, seed=3)
+        assert (sparsity.presence_mask(filled).mask == 1).all()
         sim = pipeline.build_similarity(
             data, WORD, SimilarityParams(), sparsity_mode="impute", seed=3
         )
+        imputed = two_pass_impute_mode(data, WORD, seed=3)
         want = pipeline.build_similarity(imputed, WORD, SimilarityParams())
         assert np.array_equal(sim, want, equal_nan=True)
 

@@ -1,17 +1,19 @@
 import math
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from softdedupe import pipeline
-from softdedupe.corpus import DataSet, TokenizerConfig, tokenize, tokenize_field
+from softdedupe import pipeline, similarity
+from softdedupe.corpus import DataSet, TokenizerConfig, tokenize_field
 from softdedupe.similarity import CompositeSimilarity, SimilarityParams
-from softdedupe.sparsity import adjust, impute_mode, impute_tokens, presence_mask
+from softdedupe.sparsity import adjust, impute_tokens, presence_mask
 
-from conftest import presence, raw_composite
+from conftest import imputed_fields, presence, raw_composite
 from oracles import two_pass_impute_mode
 
 WORD = TokenizerConfig(mode="word")
@@ -23,6 +25,11 @@ def mask_from_bits(bits):
     return presence_mask([[["x"] if b else [] for b in col] for col in bits])
 
 
+def shared_counts(pm):
+    """Each pair's shared-field count, B B^T, as one n x n array."""
+    return pm.mask @ pm.mask.T
+
+
 class TestPresenceMask:
     def test_mask_layout(self):
         pm = mask_from_bits([[1, 0, 1], [1, 1, 0]])
@@ -30,11 +37,13 @@ class TestPresenceMask:
         assert pm.mask.tolist() == [[1, 1], [0, 1], [1, 0]]
 
     def test_shared_counts_are_pairwise_overlaps(self):
-        pm = mask_from_bits([[1, 0, 1], [1, 1, 0], [1, 1, 1]])
-        want = pm.mask @ pm.mask.T
-        assert np.array_equal(pm.shared_counts, want)
-        assert pm.shared_counts[0, 1] == 2  # fields 1 and 2
-        assert pm.shared_counts[1, 2] == 1  # field 2 only
+        bits = [[1, 0, 1], [1, 1, 0], [1, 1, 1]]
+        counts = shared_counts(mask_from_bits(bits))
+        want = [[sum(col[i] and col[j] for col in bits) for j in range(3)]
+                for i in range(3)]
+        assert counts.tolist() == want
+        assert counts[0, 1] == 2  # fields 1 and 2
+        assert counts[1, 2] == 1  # field 2 only
 
     def test_mismatched_columns(self):
         with pytest.raises(ValueError):
@@ -82,7 +91,7 @@ class TestAdjust:
     def test_zero_shared_pair_stays_zero(self):
         raw = self.small_sim([[1.0, 0.0], [0.0, 1.0]])
         pm = mask_from_bits([[1, 0], [0, 1]])
-        assert pm.shared_counts[0, 1] == 0
+        assert shared_counts(pm)[0, 1] == 0
         adj = adjust(raw, pm)
         assert adj[0, 1] == 0.0
 
@@ -97,11 +106,20 @@ class TestAdjust:
             adjust(raw, pm)
 
     @settings(max_examples=300, deadline=None)
-    @given(raw_and_bits())
-    def test_matches_naive_per_pair_loop(self, case):
+    @given(raw_and_bits(), st.integers(1, 64))
+    # records 1 and 2 share no field yet have a raw score; blocks of one
+    # row, then all rows
+    @example(([[1.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.0]],
+              [[1, 1, 0], [1, 0, 1]]), 1)
+    @example(([[1.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.0]],
+              [[1, 1, 0], [1, 0, 1]]), 64)
+    def test_matches_naive_per_pair_loop(self, case, block_entries):
+        # adjust counts shared fields a block of rows at a time: with at most
+        # 8 records, blocks range from one row to all rows
         rows, bits = case
         raw = self.small_sim(rows)
-        adj = adjust(raw, mask_from_bits(bits))
+        with mock.patch.object(similarity, "PRODUCT_BLOCK_ENTRIES", block_entries):
+            adj = adjust(raw, mask_from_bits(bits))
         assert adj.dtype == np.float64
         assert np.array_equal(adj, naive_adjust(rows, bits), equal_nan=True)
 
@@ -127,7 +145,7 @@ class TestAdjust:
         # each shared field contributes at most 1, so ST <= shared counts
         raw = raw_composite(data, WORD, params)
         off = ~np.eye(data.n, dtype=bool)
-        assert (raw[off] <= presence(data, WORD).shared_counts[off] + 1e-9).all()
+        assert (raw[off] <= shared_counts(presence(data, WORD))[off] + 1e-9).all()
         adj = pipeline.build_similarity(data, WORD, params, sparsity_mode="adjust")
         assert (adj[off] <= 1.0 + 1e-9).all() and (adj[off] >= 0).all()
 
@@ -151,7 +169,7 @@ class TestExactMatchPair:
         assert raw[0, 1] == 1.0
 
     def test_shared_field_count_is_one(self):
-        assert presence(self.dataset(), WORD).shared_counts[0, 1] == 1
+        assert shared_counts(presence(self.dataset(), WORD))[0, 1] == 1
 
     def test_adjusted_score_is_exactly_one(self):
         sim = pipeline.build_similarity(self.dataset(), WORD, SimilarityParams())
@@ -159,52 +177,62 @@ class TestExactMatchPair:
 
 
 class TestImputeMode:
+    """Mode imputation on a field's token lists (sparsity.impute_tokens)."""
+
     def test_fills_with_most_frequent_entry(self):
         data = DataSet(
             records=(("x", "red"), ("y", "red"), ("z", "blue"), ("w", "")),
             schema=("k", "color"),
         )
-        out = impute_mode(data, WORD, seed=0)
-        assert out.records[3] == ("w", "red")
+        out = imputed_fields(data, WORD, seed=0)
+        assert out[1][3] == ["red"]
+        assert out[0] == tokenize_field(data, 0, WORD)
 
     def test_identity_when_nothing_missing(self):
         data = DataSet(records=(("a", "b"), ("c", "d")), schema=("x", "y"))
-        assert impute_mode(data, WORD, seed=0).records == data.records
+        rng = random.Random(0)
+        for k in range(data.a):
+            tokens = tokenize_field(data, k, WORD)
+            assert impute_tokens(data.column(k), tokens, rng) is tokens
+        assert rng.getstate() == random.Random(0).getstate()  # no draw
 
     def test_stop_word_entries_count_as_missing(self):
         data = DataSet(records=(("red",), ("red",), ("the",)), schema=("c",))
-        out = impute_mode(data, WORD, seed=0)
-        assert out.records[2] == ("red",)
+        out = imputed_fields(data, WORD, seed=0)
+        assert out[0][2] == ["red"]
 
     def test_tie_break_is_seed_deterministic(self):
         data = DataSet(
             records=(("red",), ("blue",), ("",), ("",)), schema=("c",)
         )
-        fills = {impute_mode(data, WORD, seed=s).records[2][0] for s in range(20)}
-        assert fills <= {"red", "blue"}
+        fills = {tuple(imputed_fields(data, WORD, seed=s)[0][2]) for s in range(20)}
+        assert fills <= {("red",), ("blue",)}
         assert len(fills) == 2  # both outcomes reachable across seeds
         for s in (0, 7):
-            a = impute_mode(data, WORD, seed=s)
-            assert a.records == impute_mode(data, WORD, seed=s).records
-            assert a.records[2] == a.records[3]  # one draw reused per field
+            a = imputed_fields(data, WORD, seed=s)
+            assert a == imputed_fields(data, WORD, seed=s)
+            assert a[0][2] == a[0][3]  # one draw reused per field
 
     def test_mode_compared_case_folded(self):
         data = DataSet(
             records=(("Red",), ("red",), ("blue",), ("",)), schema=("c",)
         )
-        out = impute_mode(data, WORD, seed=0)
-        assert out.records[3] == ("Red",)  # first-seen raw form of the mode
+        # without case folding the two forms tokenize apart, so the fill
+        # shows which form's tokens are used
+        out = imputed_fields(data, TokenizerConfig(case_fold=False), seed=0)
+        assert out[0][3] == ["Red"]  # first-seen raw form of the mode
 
     def test_all_missing_field_is_error(self):
+        with pytest.raises(ValueError, match="no non-missing entries"):
+            impute_tokens(["", "the"], [[], []], random.Random(0))
         data = DataSet(records=(("a", ""), ("b", "")), schema=("x", "y"))
         with pytest.raises(ValueError, match="field 1"):
-            impute_mode(data, WORD, seed=0)
+            pipeline.build_similarity(data, WORD, SimilarityParams(), "impute", seed=0)
 
     def test_imputed_dataset_has_no_missing_entries(self, scores):
         data, _ = scores.datasets["restaurants30"]
-        out = impute_mode(data, WORD, seed=1)
-        for k in range(out.a):
-            assert all(tokenize(e, WORD) for e in out.column(k))
+        out = imputed_fields(data, WORD, seed=1)
+        assert (presence_mask(out).mask == 1).all()
 
 
 # entries equal when case-folded but apart in their tokens when case_fold
@@ -229,21 +257,18 @@ class TestImputeOracle:
     @settings(max_examples=150, deadline=None)
     @given(imputable(), st.integers(0, 5))
     def test_matches_two_pass_imputation(self, data_and_config, seed):
-        # impute_mode's data set, the token lists filled from one pass and
-        # the impute build all match imputing the data set and tokenizing
-        # it again
+        # the token lists filled from one pass and the impute build both
+        # match imputing the data set and tokenizing it again
         data, config = data_and_config
+        params = SimilarityParams()
         try:
             want = two_pass_impute_mode(data, config, seed)
-        except ValueError:
-            with pytest.raises(ValueError, match="no non-missing entries"):
-                impute_mode(data, config, seed)
+        except ValueError as exc:
+            field = re.match(r"field \d+ ", str(exc)).group()
+            with pytest.raises(ValueError, match=field):
+                pipeline.build_similarity(data, config, params, "impute", seed=seed)
             return
-        assert impute_mode(data, config, seed) == want
-        rng = random.Random(seed)
-        for k in range(data.a):
-            filled = impute_tokens(data.column(k), tokenize_field(data, k, config), rng)
-            assert filled == tokenize_field(want, k, config)
-        params = SimilarityParams()
+        filled = imputed_fields(data, config, seed)
+        assert filled == [tokenize_field(want, k, config) for k in range(data.a)]
         got = pipeline.build_similarity(data, config, params, "impute", seed=seed)
         assert got.tobytes() == pipeline.build_similarity(want, config, params).tobytes()
