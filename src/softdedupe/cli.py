@@ -21,6 +21,7 @@ import os
 # set wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import contextlib
 import csv as csv_module
 import dataclasses
 import json
@@ -38,8 +39,8 @@ from .evaluation import MetricsReport
 from .similarity import METHOD_SOFT_TFIDF, METHOD_TFIDF, SimilarityParams
 
 # most thresholds one sweep takes, from --grid or an explicit range; each one
-# costs an evaluation and a table row, so the limit is checked on the count
-# before any threshold is built
+# costs a metrics report and a table row, so the limit is checked on the
+# count before any threshold is built
 MAX_SWEEP_POINTS = 100_000
 
 SWEEP_COLUMNS = [
@@ -228,9 +229,8 @@ def _field_names(spec: str, schema) -> list[str]:
 
 
 def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
-    """The run's inputs and settings, each checked, and its output folder,
-    created before any scoring; run and sweep check their threshold options
-    before calling this."""
+    """The run's inputs and settings, each checked; run and sweep check their
+    threshold options before calling this."""
     p = ctx_params
     if not p.get("input_path"):
         raise click.UsageError("--input is required")
@@ -287,10 +287,6 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
     if p.get("stop_words_path"):
         tok_config = tok_config.with_stop_words(
             _read(load_stop_words, p["stop_words_path"]))
-    try:
-        os.makedirs(p["output_dir"], exist_ok=True)
-    except OSError as exc:
-        raise click.UsageError(f"--output-dir: {exc}") from exc
     # every option of the command but --config, with --fields as resolved
     manifest = {key: value for key, value in p.items() if key != "config"}
     manifest["fields"] = ",".join(names)
@@ -306,6 +302,28 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
         output_dir=p["output_dir"],
         manifest=manifest,
     )
+
+
+@contextlib.contextmanager
+def _output_folder(path: str):
+    """Create the folder `path`, and any missing parents, before the block's
+    work; if the block fails, remove those of them that are still empty."""
+    made = []  # the folders this creates, deepest first
+    folder = os.path.abspath(path)
+    while not os.path.lexists(folder):
+        made.append(folder)
+        folder = os.path.dirname(folder)
+    try:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise click.UsageError(f"--output-dir: {exc}") from exc
+        yield
+    except BaseException:
+        for folder in made:
+            with contextlib.suppress(OSError):  # not empty, or never made
+                os.rmdir(folder)
+        raise
 
 
 def _build_similarity(run: ResolvedRun) -> np.ndarray:
@@ -353,19 +371,20 @@ def run(ctx, **kwargs):
     p = ctx.params
     tau_arg = _parse_tau(p["tau"])
     run_spec = _resolve(p)
-    scores = _build_similarity(run_spec)
-    clusters, tau_used = pipeline.cluster_records(
-        scores, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
-    )
-    _write_manifest(run_spec, {"tau_used": tau_used})
-    write_clusters(clusters, os.path.join(run_spec.output_dir, "clusters.txt"))
-    if run_spec.truth is not None:
-        report = evaluation.evaluate(clusters, run_spec.truth, tau=tau_used)
-        with open(
-            os.path.join(run_spec.output_dir, "metrics.json"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+    with _output_folder(run_spec.output_dir):
+        scores = _build_similarity(run_spec)
+        clusters, tau_used = pipeline.cluster_records(
+            scores, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
+        )
+        _write_manifest(run_spec, {"tau_used": tau_used})
+        write_clusters(clusters, os.path.join(run_spec.output_dir, "clusters.txt"))
+        if run_spec.truth is not None:
+            report = evaluation.evaluate(clusters, run_spec.truth, tau=tau_used)
+            with open(
+                os.path.join(run_spec.output_dir, "metrics.json"), "w", encoding="utf-8"
+            ) as fh:
+                fh.write(report.to_json())
+                fh.write("\n")
     click.echo(f"tau={tau_used:.6g} clusters={clusters.c} n={clusters.n}")
 
 
@@ -394,15 +413,16 @@ def sweep(ctx, **kwargs):
         if not taus:
             raise click.UsageError("empty threshold range")
     run_spec = _resolve(p, require_truth=True)
-    scores = _build_similarity(run_spec)
-    rows = pipeline.sweep_thresholds(
-        scores, run_spec.truth, taus=taus, grid_size=p["grid"],
-        refine=run_spec.refine, iterate=run_spec.iterate,
-    )
-    _write_manifest(run_spec, {
-        "tau_auto": next(tau for tau, is_auto, _ in rows if is_auto),
-    })
-    _write_sweep_table(os.path.join(run_spec.output_dir, "sweep.csv"), rows)
+    with _output_folder(run_spec.output_dir):
+        scores = _build_similarity(run_spec)
+        rows = pipeline.sweep_thresholds(
+            scores, run_spec.truth, taus=taus, grid_size=p["grid"],
+            refine=run_spec.refine, iterate=run_spec.iterate,
+        )
+        _write_manifest(run_spec, {
+            "tau_auto": next(tau for tau, is_auto, _ in rows if is_auto),
+        })
+        _write_sweep_table(os.path.join(run_spec.output_dir, "sweep.csv"), rows)
     click.echo(f"wrote {len(rows)} sweep rows to {run_spec.output_dir}/sweep.csv")
 
 

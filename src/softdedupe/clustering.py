@@ -210,25 +210,40 @@ def max_spanning_forest(sim: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
             np.array(ends, dtype=np.int64)[order], w[order])
 
 
-def single_linkage(sim: np.ndarray, taus: Sequence[float]) -> Iterator[ClusterSet]:
-    """The clusters at each tau of the descending `taus`, in that order: the
-    components of the graph linking every pair with sim >= tau, from one
-    maximum spanning forest, without threshold's warning.
+def forest_merges(sim: np.ndarray,
+                  taus: Sequence[float]) -> Iterator[list[tuple[int, int]]]:
+    """For each tau of the descending `taus`, in that order, the maximum
+    spanning forest's edges (i, j) with w >= tau not given for an earlier
+    tau, heaviest first. Merging every edge given up to tau yields the
+    components of the graph linking every pair with sim >= tau.
 
-    Each tau merges the forest edges with w >= tau not taken yet: an edge
-    gives its second end's cluster the label of its first end's, in one
-    comparison over the label array. A merge cannot be undone, so a tau
-    above the one before it, or NaN, is a ValueError.
+    A merge cannot be undone, so a tau above the one before it, or NaN, is a
+    ValueError.
     """
     i, j, w = max_spanning_forest(sim)
-    label = np.arange(len(sim))
     merged = 0
     for previous, tau in zip([inf, *taus], taus):
         if not tau <= previous:
             raise ValueError(f"thresholds must descend, got {tau} after {previous}")
+        start = merged
         while merged < len(w) and w[merged] >= tau:
-            label[label == label[j[merged]]] = label[i[merged]]
             merged += 1
+        yield list(zip(i[start:merged].tolist(), j[start:merged].tolist()))
+
+
+def single_linkage(sim: np.ndarray, taus: Sequence[float]) -> Iterator[ClusterSet]:
+    """The clusters at each tau of the descending `taus`, in that order: the
+    components of the graph linking every pair with sim >= tau, from one
+    maximum spanning forest (see forest_merges), without threshold's
+    warning.
+
+    An edge gives its second end's cluster the label of its first end's, in
+    one comparison over the label array.
+    """
+    label = np.arange(len(sim))
+    for edges in forest_merges(sim, taus):
+        for u, v in edges:
+            label[label == label[v]] = label[u]
         yield ClusterSet.from_labels(label)
 
 

@@ -95,11 +95,14 @@ def sweep_thresholds(
 
     Returns (tau, is_auto, metrics) tuples sorted by tau.
 
-    The clusterings come from one maximum spanning forest
-    (clustering.single_linkage): one O(n^2) pass over sim, then one evaluate
-    per tau. A refined sweep then refines each tau's clusters on a view of
-    sim at that tau, which reads only the rows of records in clusters of
-    three or more.
+    The clusterings come from one maximum spanning forest (single linkage):
+    one O(n^2) pass over sim, whose edges then merge from the highest tau
+    down. Without refinement, evaluation.MergeMetrics updates every metric
+    as each edge merges two clusters, so a tau costs only the NMI terms of
+    the clusters that grew since the tau before it; no partition is built.
+    A refined sweep takes each tau's clusters from clustering.single_linkage,
+    refines them on a view of sim at that tau, which reads only the rows of
+    records in clusters of three or more, and evaluates the result.
     """
     interval = clustering.nontrivial_interval(sim)
     if taus is None:
@@ -113,14 +116,24 @@ def sweep_thresholds(
     tau_auto = clustering.auto_threshold(sim)
     points = sorted([(t, False) for t in taus] + [(tau_auto, True)])
     clustering.warn_trivial([tau for tau, _ in points], interval)
+    if len(sim) != truth.n:
+        raise ValueError("partitions cover different numbers of records")
     points.reverse()  # the forest merges from the highest tau down
-    forest = clustering.single_linkage(sim, [tau for tau, _ in points])
+    descending = [tau for tau, _ in points]
     rows = []
-    for (tau, is_auto), clusters in zip(points, forest):
-        if refine:
+    if refine:
+        forest = clustering.single_linkage(sim, descending)
+        for (tau, is_auto), clusters in zip(points, forest):
             graph = clustering.ThresholdedGraph(tau=tau, scores=sim)
             clusters = clustering.refine_all(clusters, graph, iterate=iterate)
-        rows.append((tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau)))
+            rows.append((tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau)))
+    else:
+        metrics = evaluation.MergeMetrics(truth)
+        merges = clustering.forest_merges(sim, descending)
+        for (tau, is_auto), edges in zip(points, merges):
+            for u, v in edges:
+                metrics.merge(u, v)
+            rows.append((tau, is_auto, metrics.report(tau)))
     return rows[::-1]
 
 

@@ -243,6 +243,42 @@ def test_single_record_is_usage_error(runner, tmp_path, args):
     assert "need at least two records, got 1" in result.output
 
 
+BLANK_FIELD_CSV = "id,name,city\ne1,Joe,\ne2,Joan,\n"
+
+
+@pytest.mark.parametrize("args", [["run"], ["sweep", "--truth-column", "id"]],
+                         ids=["run", "sweep"])
+class TestFailedRunOutputFolder:
+    """A usage error raised while scoring (here a field blank in every row)
+    removes the output folders the command made, and keeps one it found."""
+
+    def fail(self, runner, tmp_path, args, out):
+        path = tmp_path / "input.csv"
+        path.write_text(BLANK_FIELD_CSV)
+        result = runner.invoke(main, [*args, "--input", str(path),
+                                      "--output-dir", str(out)])
+        assert result.exit_code == 2
+        assert "has no features after stop-word removal" in result.output
+
+    def test_new_folders_removed(self, runner, tmp_path, args):
+        self.fail(runner, tmp_path, args, tmp_path / "new" / "deeper")
+        assert sorted(os.listdir(tmp_path)) == ["input.csv"]
+
+    def test_existing_folder_kept(self, runner, tmp_path, args):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept")
+        self.fail(runner, tmp_path, args, out)
+        assert os.listdir(out) == ["earlier.txt"]
+        assert (out / "earlier.txt").read_text() == "kept"
+
+    def test_existing_empty_folder_kept(self, runner, tmp_path, args):
+        out = tmp_path / "out"
+        out.mkdir()
+        self.fail(runner, tmp_path, args, out / "new")
+        assert os.listdir(out) == []
+
+
 def _bad_path_args(case, tmp_path, small_csv):
     """The command line of one bad-path case, and the message it gives."""
     folder = tmp_path / "folder"

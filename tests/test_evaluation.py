@@ -1,15 +1,18 @@
 import dataclasses
 import json
 import math
+import operator
 import random
+from functools import reduce
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softdedupe.clustering import ClusterSet
-from softdedupe.evaluation import _contingency, evaluate, z_rand
+from softdedupe.evaluation import MergeMetrics, _contingency, evaluate, z_rand
 
 from oracles import dict_contingency, dict_evaluate
 
@@ -228,8 +231,77 @@ class TestOracle:
         truth = ClusterSet.from_labels(data.draw(st.one_of(
             st.just(labels), partitions(n)
         )))
-        got, want = evaluate(c, truth, tau=0.5), dict_evaluate(c, truth, tau=0.5)
-        for field in dataclasses.fields(got):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            # the same type and value; repr tells apart floats that == does not
-            assert (type(a), a, repr(a)) == (type(b), b, repr(b)), field.name
+        assert_same(evaluate(c, truth, tau=0.5), dict_evaluate(c, truth, tau=0.5))
+
+
+def assert_same(got, want):
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        # the same type and value; repr tells apart floats that == does not
+        assert (type(a), a, repr(a)) == (type(b), b, repr(b)), field.name
+
+
+class TestMergeMetrics:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reports_equal_evaluate(self, data):
+        # merges along a random forest, in random order, reported after every
+        # `every` merges and at the end
+        n = data.draw(st.integers(min_value=1, max_value=60))
+        truth = ClusterSet.from_labels(data.draw(partitions(n)))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        order = rng.sample(range(n), n)
+        edges = [(order[k], order[rng.randrange(k)]) for k in range(1, n)]
+        rng.shuffle(edges)
+        edges = edges[:data.draw(st.integers(0, n - 1))]
+        every = data.draw(st.integers(1, 8))
+        metrics, label = MergeMetrics(truth), np.arange(n)
+        for k in range(len(edges) + 1):
+            if k:
+                u, v = edges[k - 1]
+                metrics.merge(u, v)
+                label[label == label[v]] = label[u]
+            if k % every == 0 or k == len(edges):
+                want = evaluate(ClusterSet.from_labels(label), truth, tau=k / 2)
+                assert_same(metrics.report(tau=k / 2), want)
+
+
+    def test_merging_one_cluster_is_error(self):
+        metrics = MergeMetrics(cs([0, 1, 2]))
+        metrics.merge(0, 1)
+        with pytest.raises(ValueError, match="already in one cluster"):
+            metrics.merge(1, 0)
+
+    def test_log_is_math_log(self):
+        # the cell of cluster {0, 1, 2, 3} and truth cluster {0, 1, 2, 4, 5}
+        # has ratio 7 * 3 / (4 * 5) = 1.05, whose np.log is 1 ulp below its
+        # math.log, and that ulp reaches the NMI
+        assert float(np.log(np.array([1.05]))[0]) != math.log(1.05)
+        truth = ClusterSet.from_labels([0, 0, 0, 1, 0, 0, 1])
+        metrics = MergeMetrics(truth)
+        for u, v in [(0, 1), (4, 5), (0, 2), (4, 6), (0, 3)]:
+            metrics.merge(u, v)
+        c = cs([0, 1, 2, 3], [4, 5, 6])
+        assert_same(metrics.report(), evaluate(c, truth))
+
+
+class TestLeftToRightSum:
+    """MergeMetrics adds its NMI terms with np.add.accumulate, which numpy
+    does not document as a left-to-right sum; evaluate adds them with reduce.
+    NMI terms are never -0.0, so neither are these."""
+
+    @given(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=300))
+    @settings(max_examples=500)
+    def test_accumulate_matches_reduce(self, terms):
+        terms = [t + 0.0 for t in terms]  # -0.0 becomes 0.0
+        got = float(np.add.accumulate(np.array(terms))[-1])
+        assert repr(got) == repr(reduce(operator.add, terms, 0.0))
+
+    @pytest.mark.parametrize("size", [2, 8191, 8192, 8193, 50_000])
+    def test_long_arrays_with_zero_slots(self, size):
+        # past numpy's 8192-element buffer, half the slots 0.0 as absorbed cells
+        rng = np.random.default_rng(size)
+        terms = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        terms[rng.random(size) < 0.5] = 0.0
+        got = float(np.add.accumulate(terms)[-1])
+        assert repr(got) == repr(reduce(operator.add, terms.tolist(), 0.0))

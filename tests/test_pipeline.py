@@ -159,6 +159,12 @@ class TestSweepThresholds:
             pipeline.sweep_thresholds(self.sim, self.truth, taus=[])
 
     @pytest.mark.parametrize("refine", [False, True])
+    def test_truth_of_other_size_is_error(self, refine):
+        truth = clustering.ClusterSet.from_labels([0, 0, 1, 2, 2])
+        with pytest.raises(ValueError, match="different numbers of records"):
+            pipeline.sweep_thresholds(self.sim, truth, grid_size=5, refine=refine)
+
+    @pytest.mark.parametrize("refine", [False, True])
     def test_nan_threshold_is_error(self, refine):
         with pytest.raises(ValueError, match="NaN"):
             pipeline.sweep_thresholds(
@@ -255,10 +261,55 @@ def chained_sweeps(draw):
     return sim, truth, None, draw(st.integers(1, 8))
 
 
+@st.composite
+def forest_sweeps(draw):
+    """A symmetric score array of 2-60 records from a seeded generator, its
+    scores on a grid of 2-9 levels (ties everywhere) or continuous, with NaN
+    holes in none to nearly all pairs (disconnected forests), but never a
+    whole row of them; a truth partition that is one cluster, all
+    singletons, or random labels from up to n values; and a grid size."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 3, 5, 9, None]))
+    sim = rng.random((n, n)) if levels is None else (
+        rng.integers(0, levels, (n, n)) / (levels - 1))
+    sim[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]))] = np.nan
+    sim = np.triu(sim, 1) + np.triu(sim, 1).T
+    np.fill_diagonal(sim, np.nan)
+    for i in range(n):
+        if np.isnan(sim[i]).all():
+            j = (i + 1) % n
+            sim[i, j] = sim[j, i] = 0.5
+    truth = draw(st.sampled_from(["one", "singletons", "labels"]))
+    labels = {"one": np.zeros(n, dtype=int), "singletons": np.arange(n),
+              "labels": rng.integers(0, draw(st.integers(1, n)), n)}[truth]
+    return sim, clustering.ClusterSet.from_labels(labels), None, draw(
+        st.integers(1, 60))
+
+
+def per_tau_sweep(sim, truth, grid_size):
+    """sweep_thresholds' rows from single_linkage's partition and evaluate at
+    every tau, the way an unrefined sweep made them before MergeMetrics."""
+    lo, hi = clustering.nontrivial_interval(sim)
+    taus = [float(t) for t in np.linspace(lo, hi, grid_size + 1)[1:]]
+    points = sorted([(t, False) for t in taus]
+                    + [(clustering.auto_threshold(sim), True)], reverse=True)
+    forest = clustering.single_linkage(sim, [tau for tau, _ in points])
+    rows = [(tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau))
+            for (tau, is_auto), clusters in zip(points, forest)]
+    return rows[::-1]
+
+
 class TestOnePassSweep:
     @settings(max_examples=300, deadline=None)
     @given(tied_sweeps())
     def test_matches_per_tau_path(self, case):
+        sim, truth, taus, grid_size = case
+        self.check(sim, truth, taus, grid_size)
+
+    @settings(max_examples=150, deadline=None)
+    @given(forest_sweeps())
+    def test_matches_per_tau_path_on_larger_forests(self, case):
         sim, truth, taus, grid_size = case
         self.check(sim, truth, taus, grid_size)
 
@@ -269,17 +320,33 @@ class TestOnePassSweep:
         sim, truth, taus, grid_size = case
         self.check(sim, truth, taus, grid_size, refine=True, iterate=iterate)
 
+    @pytest.mark.parametrize("method", ["tfidf", "soft_tfidf"])
+    @pytest.mark.parametrize("name", ["restaurants", "citations"])
+    def test_data_sets_match_per_tau_path(self, scores, name, method):
+        sim, truth = scores.get(name, method=method), scores.truth(name)
+        rows = pipeline.sweep_thresholds(sim, truth, grid_size=200)
+        assert repr(rows) == repr(per_tau_sweep(sim, truth, 200))
+
     @staticmethod
-    def check(sim, truth, taus, grid_size, **refine):
+    def check(sim, truth, taus, grid_size, refine=False, iterate=False):
+        """The rows and warnings of sweep_thresholds equal oracle_sweep's. It
+        never thresholds or groups; unrefined, it builds no partition and
+        never calls evaluate, while a refined sweep evaluates every row."""
         expected, expected_warnings = with_warnings(
-            oracle_sweep, sim, truth, taus, grid_size, **refine)
+            oracle_sweep, sim, truth, taus, grid_size, refine, iterate)
+        fail = {} if refine else {"side_effect": AssertionError}
         with mock.patch.object(clustering, "threshold", side_effect=AssertionError), \
-                mock.patch.object(clustering, "group", side_effect=AssertionError):
+                mock.patch.object(clustering, "group", side_effect=AssertionError), \
+                mock.patch.object(evaluation, "evaluate", wraps=evaluation.evaluate,
+                                  **fail) as evaluate, \
+                mock.patch.object(clustering.ClusterSet, "from_labels",
+                                  wraps=clustering.ClusterSet.from_labels, **fail):
             rows, warned = with_warnings(
                 pipeline.sweep_thresholds, sim, truth, taus=taus,
-                grid_size=grid_size, **refine)
+                grid_size=grid_size, refine=refine, iterate=iterate)
         assert rows == expected
         assert warned == expected_warnings
+        assert evaluate.call_count == (len(rows) if refine else 0)
 
 
 class TestDegrade:
