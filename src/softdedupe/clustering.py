@@ -1,10 +1,12 @@
 """Threshold-and-group clustering with automatic threshold and refinement.
 
-Every clustering comes from one maximum spanning forest of the score array
-(single linkage): the clusters at tau are the components of the forest
-edges scoring >= tau, so no graph is built per tau. Refinement compares
-the rows of each cluster's records with tau and scores every single-record
-removal from one depth-first search of the cluster's links. A partition
+A run's clusters at tau are the connected components of the graph linking
+every pair scoring >= tau, found by a breadth-first search over each
+record's row of that graph packed into the bits of an int. Refinement
+reuses the same packed rows, and scores every single-record removal from
+one depth-first search of each cluster's links. A sweep takes its
+clusterings at every tau from one maximum spanning forest of the score
+array instead (single linkage), so no graph is built per tau. A partition
 is a ClusterSet: an array of one cluster label per record.
 """
 
@@ -34,12 +36,18 @@ LINK_ROWS = 64
 class ThresholdedGraph:
     """Record graph with an edge wherever scores >= tau.
 
-    scores is the caller's n x n array with NaN on its diagonal, held without
-    a copy; an off-diagonal NaN is no edge.
+    scores is the caller's symmetric n x n array, NaN on its diagonal, held
+    without a copy; an off-diagonal NaN is no edge, and grouping and
+    refinement never take the diagonal for one. `rows` keeps each
+    record's row of the graph once it is packed (see _links), so that
+    grouping and refinement on one graph read each row once. It takes no
+    part in comparison: graphs are equal when their taus are.
     """
 
     tau: float
     scores: np.ndarray = field(compare=False)
+    rows: dict[int, int] = field(default_factory=dict, init=False,
+                                 compare=False, repr=False)
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.scores >= self.tau)) // 2
@@ -248,8 +256,40 @@ def single_linkage(sim: np.ndarray, taus: Sequence[float]) -> Iterator[ClusterSe
 
 
 def group(graph: ThresholdedGraph) -> ClusterSet:
-    """Connected components of the thresholded graph, from single_linkage."""
-    return next(single_linkage(graph.scores, [graph.tau]))
+    """Connected components of the thresholded graph, numbered in order of
+    their least record.
+
+    Every record's row is read once as packed bits (see _links). From each
+    record not yet labelled, in record order, a breadth-first search takes
+    the union of its frontier's rows, less the records already found, as
+    the next frontier: O(n^2 / 64) word operations on the bit sets, linear
+    in the bits read (Hopcroft & Tarjan 1973). A record with no link is its
+    own cluster at once.
+    """
+    n = len(graph.scores)
+    rows = _links(graph, range(n))
+    label = [-1] * n
+    found = 0  # the records of clusters with a link, as bits
+    c = 0
+    for r in range(n):
+        if label[r] >= 0:
+            continue
+        label[r] = c
+        if rows[r]:
+            found |= 1 << r
+            frontier = rows[r] & ~found
+            while frontier:
+                found |= frontier
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    v = low.bit_length() - 1
+                    label[v] = c
+                    reach |= rows[v]
+                    frontier ^= low
+                frontier = reach & ~found
+        c += 1
+    return ClusterSet(np.array(label, dtype=np.int64))
 
 
 def _share(entries: int, p: int) -> float:
@@ -257,14 +297,17 @@ def _share(entries: int, p: int) -> float:
     return entries // 2 / comb(p, 2) if p >= 2 else 0.0
 
 
-def _links(graph: ThresholdedGraph, records: Sequence[int]) -> dict[int, int]:
-    """Each record's row of the graph, as an int whose bit k is set when it
-    links record k. Rows are compared with tau LINK_ROWS at a time."""
-    out: dict[int, int] = {}
-    for k in range(0, len(records), LINK_ROWS):
-        block = records[k : k + LINK_ROWS]
-        packed = np.packbits(graph.scores[block] >= graph.tau, axis=1,
-                             bitorder="little")
+def _links(graph: ThresholdedGraph, records: Iterable[int]) -> dict[int, int]:
+    """graph.rows, holding each of `records`' rows of the graph as an int
+    whose bit k is set when it links record k; a record's own bit is clear.
+    Rows not held yet are compared with tau LINK_ROWS at a time and kept."""
+    out = graph.rows
+    missing = [v for v in records if v not in out]
+    for k in range(0, len(missing), LINK_ROWS):
+        block = missing[k : k + LINK_ROWS]
+        linked = graph.scores[block] >= graph.tau
+        linked[np.arange(len(block)), block] = False
+        packed = np.packbits(linked, axis=1, bitorder="little")
         width, raw = packed.shape[1], packed.tobytes()
         out.update(zip(block, (int.from_bytes(raw[i : i + width], "little")
                                for i in range(0, len(raw), width))))
@@ -444,7 +487,8 @@ def refine_all(
     """
     pending = [g.tolist() for g in _members(clusters.labels)]  # each ascending
     done: list[list[int]] = []
-    # the rows of every record a pass may refine, read once for all passes
+    # the rows of every record a pass may refine, read once for all passes;
+    # group has read them already when it grouped this graph
     links = _links(graph, [v for c in pending if 2 < len(c) <= REFINE_SIZE_CAP
                            for v in c])
     while pending:

@@ -72,7 +72,10 @@ def cluster_records(
 ) -> tuple[ClusterSet, float]:
     """Threshold and group; tau=None picks the automatic threshold.
 
-    A NaN tau is a ValueError (see clustering.threshold).
+    The clusters are the components of the graph at tau, from each record's
+    row of it read once as packed bits (clustering.group); refinement reads
+    the same rows. No spanning forest is built. A NaN tau is a ValueError
+    (see clustering.threshold).
     """
     if tau is None:
         tau = clustering.auto_threshold(sim)

@@ -72,29 +72,31 @@ def jaro(s1: str, s2: str) -> float:
 
     Characters match when identical and within a window of
     floor(min(len)/2) positions; t is half the number of order mismatches
-    among the matched sequences (kept fractional).
+    among the matched sequences (kept fractional). Each character of s1
+    matches the first unused equal character of s2 in its window, found by
+    str.find; the used positions of s2 are the set bits of an int.
     """
     len1, len2 = len(s1), len(s2)
     if len1 == 0 or len2 == 0:
         return 0.0
     window = min(len1, len2) // 2
-    used2 = [False] * len2
+    used2 = 0
     m1: list[str] = []
     match_idx2: list[int] = []
     for i, ch in enumerate(s1):
-        lo = max(0, i - window)
-        hi = min(len2, i + window + 1)
-        for j in range(lo, hi):
-            if not used2[j] and s2[j] == ch:
-                used2[j] = True
-                m1.append(ch)
-                match_idx2.append(j)
-                break
+        hi = i + window + 1
+        j = s2.find(ch, max(0, i - window), hi)
+        while j >= 0 and used2 >> j & 1:
+            j = s2.find(ch, j + 1, hi)
+        if j >= 0:
+            used2 |= 1 << j
+            m1.append(ch)
+            match_idx2.append(j)
     m = len(m1)
     if m == 0:
         return 0.0
-    m2 = [s2[j] for j in sorted(match_idx2)]
-    t = sum(a != b for a, b in zip(m1, m2)) / 2.0
+    match_idx2.sort()
+    t = sum(a != s2[j] for a, j in zip(m1, match_idx2)) / 2.0
     return (m / len1 + m / len2 + (m - t) / m) / 3.0
 
 
@@ -473,13 +475,18 @@ def _scatter_products(out, rows, values, other: SparseRows, starts, stops):
 
 def _finish_field(mat: np.ndarray, scale: float) -> np.ndarray:
     """(mat + mat^T) * scale in place, off-diagonal values below
-    SPARSE_FLOOR set to 0 and the diagonal to exactly 1, in row blocks."""
+    SPARSE_FLOOR set to 0 and the diagonal to exactly 1, in row blocks.
+
+    The floor multiplies each block by its mask block >= SPARSE_FLOOR, which
+    is exact: every entry is a sum of finite non-negative terms from +0.0,
+    scaled by a positive factor, and for such x, x * 1.0 == x and
+    x * 0.0 == +0.0."""
     n = len(mat)
     for lo, hi in _row_blocks(n):
         block = mat[lo:hi, lo:] + mat[lo:, lo:hi].T
         if scale != 1.0:
             block *= scale
-        block[block < SPARSE_FLOOR] = 0.0
+        block *= block >= SPARSE_FLOOR
         mat[lo:hi, lo:] = block
         mat[lo:, lo:hi] = block.T
     np.fill_diagonal(mat, 1.0)

@@ -10,6 +10,10 @@ entry again and counts its features in a dict keyed by lexicon index, and
 the matrix is read from those dicts. The program's one-pass build_tfidf must
 give the same bits.
 
+Jaro: the loop the program ran before it found matches with str.find. Each
+character of s1 walks its window of s2 position by position to the first
+unused equal character, and the used positions are a list of flags.
+
 Jaro-Winkler candidates: the count bound the program applied alone before
 it added a transposition bound. One m x m x alphabet minimum per block of
 rows gives every pair's shared-character count; the program's scored pairs
@@ -22,8 +26,9 @@ bits.
 
 Clustering: scipy components of the CSR graph `scores >= tau`, and the
 refinement rule applied to every single removal through batched component
-labelling. The program groups from a maximum spanning forest and refines
-from one depth-first search; the tests compare it with these.
+labelling. The program groups by a breadth-first search over packed rows,
+sweeps from a maximum spanning forest and refines from one depth-first
+search; the tests compare it with these.
 
 Partitions: the tuple-of-sorted-tuples ClusterSet the program held before it
 held a label array, with its dict-based from_labels, sort-based from_groups
@@ -230,6 +235,32 @@ def tfidf_csr(counted, m):
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     mat.data /= row_sums[np.repeat(np.arange(n), np.diff(mat.indptr))]
     return mat
+
+
+def naive_jaro(s1, s2):
+    """Jaro similarity by a position-by-position walk of each window."""
+    len1, len2 = len(s1), len(s2)
+    if len1 == 0 or len2 == 0:
+        return 0.0
+    window = min(len1, len2) // 2
+    used2 = [False] * len2
+    m1 = []
+    match_idx2 = []
+    for i, ch in enumerate(s1):
+        lo = max(0, i - window)
+        hi = min(len2, i + window + 1)
+        for j in range(lo, hi):
+            if not used2[j] and s2[j] == ch:
+                used2[j] = True
+                m1.append(ch)
+                match_idx2.append(j)
+                break
+    m = len(m1)
+    if m == 0:
+        return 0.0
+    m2 = [s2[j] for j in sorted(match_idx2)]
+    t = sum(a != b for a, b in zip(m1, m2)) / 2.0
+    return (m / len1 + m / len2 + (m - t) / m) / 3.0
 
 
 def _character_tables(features, max_width):

@@ -498,8 +498,9 @@ SCIPY_CASES = {
     *SCIPY_CASES.values(),
 ], ids=[*SCIPY_CASES, *(f"{name}_soft" for name in SCIPY_CASES)])
 def test_csgraph_never_loaded(small_csv, tmp_path, args):
-    # the field products use numpy alone, every clustering comes from a
-    # spanning forest and every refinement from one depth-first search, so
+    # the field products use numpy alone, a run's clusters come from a
+    # breadth-first search over packed rows and a sweep's from a spanning
+    # forest, and every refinement from one depth-first search, so
     # no command loads scipy, let alone scipy.sparse.csgraph; nor numpy.ma,
     # which a bare np.unique(x) imports (np.unique with return_counts=,
     # return_index= or return_inverse= does not)

@@ -538,6 +538,72 @@ def refinement_graphs(draw):
     return n, [(names[u], names[v]) for u, v in edges]
 
 
+class TestGroup:
+    """group's breadth-first search over packed rows against single linkage,
+    and refinement's reuse of the rows it packs."""
+
+    @pytest.mark.parametrize("tau", ["auto", 0.20])
+    @pytest.mark.parametrize("method", ["tfidf", "soft_tfidf"])
+    @pytest.mark.parametrize("name", ["restaurants", "citations"])
+    def test_matches_single_linkage_on_data_sets(self, scores, name, method, tau):
+        sim = scores.get(name, method=method)
+        tau = auto_threshold(sim) if tau == "auto" else tau
+        assert group(ThresholdedGraph(tau=tau, scores=sim)) == next(
+            single_linkage(sim, [tau]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores_and_tau(), st.sampled_from([1.0, np.inf, 0.0, -np.inf]))
+    def test_diagonal_is_no_edge(self, case, diagonal):
+        sim, tau = case
+        full = sim.copy()
+        np.fill_diagonal(full, diagonal)
+        graph = ThresholdedGraph(tau=tau, scores=sim)
+        other = ThresholdedGraph(tau=tau, scores=full)
+        assert group(other) == group(graph)
+        for iterate in (False, True):
+            assert (refine_all(group(other), other, iterate=iterate)
+                    == refine_all(group(graph), graph, iterate=iterate))
+
+    @staticmethod
+    def packed_rows(monkeypatch):
+        """A list that gets the number of rows of every np.packbits call."""
+        counts = []
+        packbits = np.packbits
+
+        def counted(a, *args, **kwargs):
+            counts.append(len(a))
+            return packbits(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "packbits", counted)
+        return counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(refinement_graphs())
+    def test_refine_all_packs_each_row_once(self, graph):
+        n, edges = graph
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            counts = self.packed_rows(monkeypatch)
+            g = graph_from_edges(n, edges)
+            clusters = group(g)
+            assert sum(counts) == n
+            refine_all(clusters, g, iterate=True)
+            assert sum(counts) == n  # every row comes from group's reading
+            fresh = graph_from_edges(n, edges)
+            counts.clear()
+            refine_all(clusters, fresh, iterate=True)
+            assert sum(counts) == sum(len(c) for c in clusters.clusters
+                                      if len(c) > 2)
+        assert fresh == g and hash(fresh) == hash(g)  # the rows do not count
+
+    @pytest.mark.parametrize("method", ["tfidf", "soft_tfidf"])
+    def test_packs_each_row_once_on_citations(self, scores, monkeypatch, method):
+        sim = scores.get("citations", method=method)
+        counts = self.packed_rows(monkeypatch)
+        graph = ThresholdedGraph(tau=0.20, scores=sim)
+        refine_all(group(graph), graph, iterate=True)
+        assert sum(counts) == len(sim)
+
+
 class TestRefineAgainstBatchedOracle:
     """needs_refinement, refine_cluster and refine_all against the refinement
     that labels the components left by every single removal with scipy

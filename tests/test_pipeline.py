@@ -127,6 +127,29 @@ class TestClusterRecords:
         refined, _ = pipeline.cluster_records(sim, tau, refine=True)
         assert refined.c >= plain.c
 
+    @pytest.mark.parametrize("refine, iterate", [(False, False), (True, False),
+                                                 (True, True)])
+    @pytest.mark.parametrize("tau", [None, 0.20])
+    def test_never_builds_forest(self, scores, tau, refine, iterate):
+        sim = scores.get("citations")
+        with mock.patch.object(clustering, "max_spanning_forest",
+                               side_effect=AssertionError):
+            clusters, tau = pipeline.cluster_records(sim, tau, refine, iterate)
+        expected = next(clustering.single_linkage(sim, [tau]))
+        if refine:
+            graph = clustering.ThresholdedGraph(tau=tau, scores=sim)
+            expected = clustering.refine_all(expected, graph, iterate=iterate)
+        assert clusters == expected
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_sweep_builds_forest(self, refine):
+        sim = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
+        truth = clustering.ClusterSet.from_groups([[0, 1], [2], [3, 4], [5]])
+        with mock.patch.object(clustering, "max_spanning_forest",
+                               wraps=clustering.max_spanning_forest) as forest:
+            pipeline.sweep_thresholds(sim, truth, grid_size=10, refine=refine)
+        assert forest.call_count == 1
+
 
 class TestSweepThresholds:
     def setup_method(self):

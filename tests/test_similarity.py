@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -32,6 +32,9 @@ from softdedupe.similarity import (
 
 WORD = TokenizerConfig(mode="word")
 short_text = st.text(alphabet="abcdef", max_size=10)
+# long runs of few characters, so that a character has several unused
+# matches in its window
+repeated_text = st.lists(st.sampled_from(["a", "b", "é"]), max_size=40).map("".join)
 
 
 def field_pipeline(column, theta=0.90):
@@ -63,6 +66,20 @@ class TestJaro:
         v = jaro(s1, s2)
         assert jaro(s2, s1) == pytest.approx(v)
         assert 0.0 <= v <= 1.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(short_text, repeated_text, st.text(max_size=30)),
+           st.one_of(short_text, repeated_text, st.text(max_size=30)))
+    @example("", "")
+    @example("aabbaabb", "babababa")
+    @example("crème brûlée", "creme brulee")
+    @example("日本語", "日本")
+    @example("a" * 70, "a" * 65 + "b")
+    def test_matches_naive_loop(self, s1, s2):
+        # both argument orders, bit for bit; the strategies give empty
+        # strings, runs of one character and non-ASCII text
+        assert jaro(s1, s2) == oracles.naive_jaro(s1, s2)
+        assert jaro(s2, s1) == oracles.naive_jaro(s2, s1)
 
 
 class TestJaroWinkler:
