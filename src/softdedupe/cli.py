@@ -1,16 +1,16 @@
 """Command line interface for the deduplication pipeline.
 
-Every command runs on one core. The one BLAS routine the program calls is
-the float64 product in similarity.build_jw_matrix, which counts the
-characters two features share from 0/1 matrices; its sums are small
-integers, so its result is exact under any summation order and thread
-count. numpy's OpenBLAS still starts one worker thread per further core when
-numpy loads, and each worker spins for a while, at load and after each
-product it helps with, costing CPU time but saving no wall time on products
-this small. So importing this module sets OPENBLAS_NUM_THREADS to 1 in
-os.environ when it is unset; set it yourself to override it. OpenBLAS reads
-the variable once, when numpy loads, so it only takes effect if numpy is not
-loaded yet.
+Every command runs on one core. The program calls BLAS for two float64
+products of 0/1 matrices: similarity.build_jw_matrix's count of the
+characters two features share, and sparsity.adjust's count of the fields
+two records share. Their sums are small integers, so their results are
+exact under any summation order and thread count. numpy's OpenBLAS still
+starts one worker thread per further core when numpy loads, and each worker
+spins for a while, at load and after each product it helps with, costing
+CPU time but saving no wall time on products this small. So importing this
+module sets OPENBLAS_NUM_THREADS to 1 in os.environ when it is unset; set it
+yourself to override it. OpenBLAS reads the variable once, when numpy loads,
+so it only takes effect if numpy is not loaded yet.
 """
 
 from __future__ import annotations

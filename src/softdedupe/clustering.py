@@ -21,15 +21,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .similarity import row_blocks
+
 # refine_all leaves clusters beyond this size unrefined, with a warning; a
 # cluster of p records costs its p rows of the score array, compared with tau
 # once, and one depth-first search per pass that scores every removal, with
 # no component labelling
 REFINE_SIZE_CAP = 2000
-# _links compares this many rows of the score array with tau at a time: its
-# float temporary of LINK_ROWS x n x 8 bytes then stays in cache (0.66 MB at
-# 1,295 records, where blocks of 64 rows ran 2.5x faster than of 256)
-LINK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,11 @@ class ThresholdedGraph:
                                  compare=False, repr=False)
 
     def edge_count(self) -> int:
-        return int(np.count_nonzero(self.scores >= self.tau)) // 2
+        """The number of edges, from rows _links packs for a fresh copy of
+        the graph: `rows` keeps only what grouping and refinement read."""
+        fresh = ThresholdedGraph(tau=self.tau, scores=self.scores)
+        rows = _links(fresh, range(len(self.scores)))
+        return sum(bits.bit_count() for bits in rows.values()) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,11 +302,12 @@ def _share(entries: int, p: int) -> float:
 def _links(graph: ThresholdedGraph, records: Iterable[int]) -> dict[int, int]:
     """graph.rows, holding each of `records`' rows of the graph as an int
     whose bit k is set when it links record k; a record's own bit is clear.
-    Rows not held yet are compared with tau LINK_ROWS at a time and kept."""
+    Rows not held yet are compared with tau a block of rows at a time
+    (similarity.row_blocks) and kept."""
     out = graph.rows
     missing = [v for v in records if v not in out]
-    for k in range(0, len(missing), LINK_ROWS):
-        block = missing[k : k + LINK_ROWS]
+    for lo, hi in row_blocks(len(missing), len(graph.scores)):
+        block = missing[lo:hi]
         linked = graph.scores[block] >= graph.tau
         linked[np.arange(len(block)), block] = False
         packed = np.packbits(linked, axis=1, bitorder="little")

@@ -23,16 +23,11 @@ import numpy as np
 
 # off-diagonal field scores below this are set to 0
 SPARSE_FLOOR = 1e-12
-# build_jw_matrix bounds feature pairs a block of rows at a time: a block of
-# r rows against the m - lo features from its first row on holds at most
-# this many shared-character counts, r = 1 at least, and every temporary of
-# the block is one value per such pair
-JW_BLOCK_ENTRIES = 1 << 16
 # the LCS of a pair comes from one uint64 bit vector over its shorter feature
 LCS_BITS = 64
-# the field products expand at most about this many product terms at a time,
-# and read and write n x n arrays this many entries at a time
-PRODUCT_BLOCK_ENTRIES = 1 << 16
+# every chunked pass of the package takes at most this many entries or
+# product terms per block, one row at least (_runs, row_blocks)
+BLOCK_ENTRIES = 1 << 16
 
 METHOD_TFIDF = "tfidf"
 METHOD_SOFT_TFIDF = "soft_tfidf"
@@ -246,11 +241,9 @@ def _count_candidates(length, indicator, heads, prefix_factor, top, floor):
         need = 2.0 - 3.0 * (1.0 - floor + 1e-6) / (1.0 - top)
     if floor > 0.0:  # B = 0 when s = 0
         need = max(need, np.finfo(float).tiny)
-    step = max(1, JW_BLOCK_ENTRIES // max(m, 1))
     first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     shared = [np.zeros(0)]
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
+    for lo, hi in row_blocks(m, m):
         block = indicator[lo:hi] @ indicator[lo:].T
         reach = np.add.outer(inverse[lo:hi], inverse[lo:])
         reach *= block
@@ -418,25 +411,24 @@ class CompositeSimilarity:
         return sparse.csr_matrix(self.scores)
 
 
-def _row_blocks(n: int):
-    """Consecutive row ranges [lo, hi) of an n x n array, each of at most
-    PRODUCT_BLOCK_ENTRIES entries or one row."""
-    step = max(1, PRODUCT_BLOCK_ENTRIES // max(n, 1))
-    for lo in range(0, n, step):
-        yield lo, min(n, lo + step)
-
-
 def _runs(sizes: np.ndarray):
     """Consecutive ranges [lo, hi) of positions whose sizes add up to at most
-    PRODUCT_BLOCK_ENTRIES, one position at least."""
+    BLOCK_ENTRIES, one position at least."""
     ends = np.cumsum(sizes)
     lo = 0
     while lo < len(sizes):
         base = ends[lo - 1] if lo else 0
-        hi = int(np.searchsorted(ends, base + PRODUCT_BLOCK_ENTRIES, side="right"))
+        hi = int(np.searchsorted(ends, base + BLOCK_ENTRIES, side="right"))
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
+
+
+def row_blocks(rows: int, width: int):
+    """Consecutive row ranges [lo, hi) of `rows` rows of `width` entries
+    each: _runs over their sizes, so max(1, BLOCK_ENTRIES // width) rows a
+    block."""
+    return _runs(np.full(rows, width))
 
 
 def _spans(starts: np.ndarray, stops: np.ndarray):
@@ -482,7 +474,7 @@ def _finish_field(mat: np.ndarray, scale: float) -> np.ndarray:
     scaled by a positive factor, and for such x, x * 1.0 == x and
     x * 0.0 == +0.0."""
     n = len(mat)
-    for lo, hi in _row_blocks(n):
+    for lo, hi in row_blocks(n, n):
         block = mat[lo:hi, lo:] + mat[lo:, lo:hi].T
         if scale != 1.0:
             block *= scale
@@ -567,7 +559,7 @@ def composite(
         if weights is not None and count >= len(weights):
             raise ValueError("weights length does not match number of fields")
         w = 1.0 if weights is None else float(weights[count])
-        for lo, hi in _row_blocks(len(total)):
+        for lo, hi in row_blocks(len(total), len(total)):
             total[lo:hi] += scores[lo:hi] * w
         count += 1
         del scores  # free this field before the next one is built

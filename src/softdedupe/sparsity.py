@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .similarity import CompositeSimilarity, _row_blocks
+from .similarity import CompositeSimilarity, row_blocks
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,17 @@ def adjust(raw: CompositeSimilarity, mask: PresenceMask) -> np.ndarray:
     out. The composite's array is adjusted in place and returned, so raw
     holds the adjusted scores afterwards. Adjusting twice, the returned
     array or raw again, is an error. The shared-field counts B B^T are
-    formed a block of rows at a time, never as one n x n array.
+    formed a block of rows at a time, never as one n x n array, as a float64
+    product: each count is an integer of at most a, so exact.
     """
     # a composite's diagonal holds the sum of the field weights, never NaN
     if isinstance(raw, np.ndarray) or np.isnan(raw.scores[:1, :1]).any():
         raise ValueError("similarity is already adjusted")
-    b = mask.mask
+    b = mask.mask.astype(float)
     scores = raw.scores
     if scores.shape != (len(b), len(b)):
         raise ValueError("presence mask size does not match similarity matrix")
-    for lo, hi in _row_blocks(len(b)):
+    for lo, hi in row_blocks(len(b), len(b)):
         counts = b[lo:hi] @ b.T
         none = counts == 0
         block = scores[lo:hi]

@@ -576,8 +576,9 @@ class TestStartup:
 
 
 def test_blas_thread_count_keeps_outputs(tmp_path):
-    # build_jw_matrix's shared-character product is the program's one BLAS
-    # call; its sums are small integers, exact under any thread count
+    # the program's BLAS calls, build_jw_matrix's shared-character product
+    # and adjust's shared-field product, sum small integers, exact under any
+    # thread count
     data = synth.make_restaurants()
     path = tmp_path / "restaurants.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:

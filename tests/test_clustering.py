@@ -4,13 +4,14 @@ import operator
 import random
 import warnings
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from softdedupe import pipeline
+from softdedupe import pipeline, similarity
 from softdedupe.clustering import (
     ClusterSet,
     _links,
@@ -206,6 +207,11 @@ class TestThresholdAndGroup:
         assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
         assert g.edge_count() == 1
         assert not has_edge(g, 2, 2)
+
+    def test_edge_count_leaves_out_diagonal(self):
+        graph = ThresholdedGraph(0.5, np.ones((3, 3)))
+        assert graph.edge_count() == 3
+        assert graph.rows == {}  # counting packs no row into the graph
 
 
 class TestStrength:
@@ -560,9 +566,28 @@ class TestGroup:
         graph = ThresholdedGraph(tau=tau, scores=sim)
         other = ThresholdedGraph(tau=tau, scores=full)
         assert group(other) == group(graph)
+        assert other.edge_count() == graph.edge_count()
         for iterate in (False, True):
             assert (refine_all(group(other), other, iterate=iterate)
                     == refine_all(group(graph), graph, iterate=iterate))
+
+    @settings(max_examples=200, deadline=None)
+    @given(refinement_graphs(), st.data())
+    def test_every_block_size(self, graph, data):
+        # _links packs a block of at most BLOCK_ENTRIES entries of rows of n
+        # at a time: from one row to all rows
+        n, edges = graph
+        rows = data.draw(st.integers(1, n), label="rows_per_block")
+        with mock.patch.object(similarity, "BLOCK_ENTRIES", rows * n):
+            g = graph_from_edges(n, edges)
+            clusters = group(g)
+            assert clusters == next(single_linkage(g.scores, [g.tau]))
+            for iterate in (False, True):
+                fresh = graph_from_edges(n, edges)
+                assert (refine_all(clusters, fresh, iterate=iterate)
+                        == batched_refine_all(clusters, fresh, iterate))
+            count = graph_from_edges(n, edges).edge_count()
+            assert count == len({frozenset(e) for e in edges})
 
     @staticmethod
     def packed_rows(monkeypatch):

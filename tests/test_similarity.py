@@ -199,7 +199,7 @@ class TestJaroWinklerMatrix:
         # to all
         m = len(feats)
         rows = data.draw(st.integers(1, m), label="rows_per_block")
-        with mock.patch.object(similarity, "JW_BLOCK_ENTRIES", rows * m):
+        with mock.patch.object(similarity, "BLOCK_ENTRIES", rows * m):
             got = build_jw_matrix(feats, params).rows.toarray()
         assert np.array_equal(got, want)
 
@@ -493,7 +493,7 @@ class TestScipyOracle:
     def test_matches_scipy_bit_for_bit(self, case, block_entries):
         data, tok_config, params = case
         soft, plain, soft_ref, plain_ref = [], [], [], []
-        with mock.patch.object(similarity, "PRODUCT_BLOCK_ENTRIES", block_entries):
+        with mock.patch.object(similarity, "BLOCK_ENTRIES", block_entries):
             for k in range(data.a):
                 tokens = tokenize_field(data, k, tok_config)
                 lexicon = build_lexicon(tokens)

@@ -118,7 +118,7 @@ class TestAdjust:
         # 8 records, blocks range from one row to all rows
         rows, bits = case
         raw = self.small_sim(rows)
-        with mock.patch.object(similarity, "PRODUCT_BLOCK_ENTRIES", block_entries):
+        with mock.patch.object(similarity, "BLOCK_ENTRIES", block_entries):
             adj = adjust(raw, mask_from_bits(bits))
         assert adj.dtype == np.float64
         assert np.array_equal(adj, naive_adjust(rows, bits), equal_nan=True)
