@@ -15,9 +15,10 @@ _EXPORTS = {
         "corpus",
     ),
     **dict.fromkeys(
-        ["CompositeSimilarity", "JaroWinklerMatrix", "SimilarityParams",
-         "SparseRows", "build_jw_matrix", "build_tfidf", "composite", "jaro",
-         "jaro_winkler", "soft_tfidf_field", "tfidf_field"],
+        ["CompositeSimilarity", "FieldScores", "JaroWinklerMatrix",
+         "SimilarityParams", "SparseRows", "build_jw_matrix", "build_tfidf",
+         "composite", "jaro", "jaro_winkler", "soft_tfidf_field",
+         "tfidf_field"],
         "similarity",
     ),
     **dict.fromkeys(

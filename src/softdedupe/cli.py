@@ -348,11 +348,12 @@ def _write_sweep_table(path: str, rows: list[tuple[float, bool, MetricsReport]])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv_module.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
+        # each report's fields are read in place: dataclasses.asdict would
+        # deep-copy every report
+        metrics = SWEEP_COLUMNS[2:]
         for tau, is_auto, report in rows:
-            rec = dataclasses.asdict(report)
-            rec["tau"] = tau
-            rec["auto"] = "auto" if is_auto else ""
-            writer.writerow([_fmt(rec[col]) for col in SWEEP_COLUMNS])
+            writer.writerow([_fmt(tau), "auto" if is_auto else "",
+                             *(_fmt(getattr(report, col)) for col in metrics)])
 
 
 @click.group()

@@ -31,6 +31,9 @@ class DataSet:
     def __post_init__(self):
         if len(self.records) < 1 or len(self.schema) < 1:
             raise ValueError("dataset needs at least one record and one field")
+        for k, name in enumerate(self.schema):
+            if name in self.schema[:k]:
+                raise ValueError(f"field name {name!r} appears twice in the schema")
         a = len(self.schema)
         for i, rec in enumerate(self.records):
             if len(rec) != a:

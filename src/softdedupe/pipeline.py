@@ -19,8 +19,10 @@ from .evaluation import MetricsReport
 from .similarity import METHOD_SOFT_TFIDF, SimilarityParams
 
 
-def _field_scores(tokens: list[list[str]], params: SimilarityParams) -> np.ndarray:
-    """One field's dense n x n similarity, from its token lists."""
+def _field_scores(
+    tokens: list[list[str]], params: SimilarityParams
+) -> similarity.FieldScores:
+    """One field's similarity, from its token lists."""
     features = build_lexicon(tokens)
     tfidf = similarity.build_tfidf(tokens, features)
     if params.method == METHOD_SOFT_TFIDF:
@@ -46,9 +48,10 @@ def build_similarity(
     presence mask, its lexicon and its TF-IDF matrix. Under "impute", each
     field's missing entries take its mode entry's tokens (see
     sparsity.impute_tokens), drawing from one seeded generator in field
-    order. Each field's n x n array is built as the composite takes it and
-    goes once it is added, so the composite and one field are held at a
-    time.
+    order. Each field's scores are built as the composite takes them and go
+    once they are added, so the composite and one field are held at a time:
+    u x u scores of the field's u distinct TF-IDF rows, expanded to u x n
+    columns for the sum.
     """
     if sparsity_mode not in ("adjust", "impute"):
         raise ValueError(f"unknown sparsity mode: {sparsity_mode!r}")

@@ -3,9 +3,12 @@
 Per field the pipeline builds a thresholded Jaro-Winkler matrix over the
 feature lexicon and a log-scaled l1-normalized n x m TF-IDF matrix over
 entries, both held as row-sorted nonzero entries (SparseRows), and
-multiplies them into a dense n x n soft TF-IDF record similarity (or a plain
-TF-IDF one). The per-field arrays are summed into a composite score one at a
-time.
+multiplies them into a soft TF-IDF record similarity (or a plain TF-IDF
+one). A pair's field score depends only on the two records' TF-IDF rows,
+so the products score each distinct row once: a field is held as the
+u x u scores of its u distinct rows plus each record's row among them
+(FieldScores). The composite expands each field into its dense n x n sum
+one block of rows at a time, the fields one at a time.
 
 The products use elementwise numpy only, and every sum adds its terms in the
 order of scipy's CSR kernels, so each score has the bits that
@@ -411,6 +414,51 @@ class CompositeSimilarity:
         return sparse.csr_matrix(self.scores)
 
 
+@dataclass(frozen=True, eq=False)
+class FieldScores:
+    """One field's similarity of every record pair, by distinct TF-IDF row.
+
+    Records v != r score distinct[entry[v], entry[r]], and each record's own
+    score is 1. distinct is the symmetric u x u array of the scores of the
+    field's u distinct rows; its diagonal is the score of two different
+    records with the same row. A field whose grouping would keep more than
+    half the pairs (2u^2 > n^2) keeps every row whole: then distinct is
+    n x n and entry is 0..n-1.
+    """
+
+    distinct: np.ndarray
+    entry: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.entry)
+
+    def blocks(self, weight: float = 1.0):
+        """The n x n field times weight, as (lo, hi, rows lo..hi-1) for each
+        block of row_blocks; each record's own score is 1, so weight. Each
+        block is a new array, gathered from the u x n scores of each
+        distinct row against every record (distinct itself when whole)."""
+        n = self.n
+        whole = len(self.distinct) == n
+        columns = self.distinct if whole else np.take(self.distinct, self.entry,
+                                                      axis=1)
+        for lo, hi in row_blocks(n, n):
+            if whole:
+                block = columns[lo:hi] * weight
+            else:
+                block = np.take(columns, self.entry[lo:hi], axis=0)
+                if weight != 1.0:
+                    block *= weight
+            block[np.arange(hi - lo), np.arange(lo, hi)] = weight
+            yield lo, hi, block
+
+    def toarray(self) -> np.ndarray:
+        out = np.empty((self.n, self.n))
+        for lo, hi, block in self.blocks():
+            out[lo:hi] = block
+        return out
+
+
 def _runs(sizes: np.ndarray):
     """Consecutive ranges [lo, hi) of positions whose sizes add up to at most
     BLOCK_ENTRIES, one position at least."""
@@ -465,15 +513,51 @@ def _scatter_products(out, rows, values, other: SparseRows, starts, stops):
                   values[owner] * other.data[pos])
 
 
-def _finish_field(mat: np.ndarray, scale: float) -> np.ndarray:
-    """(mat + mat^T) * scale in place, off-diagonal values below
-    SPARSE_FLOOR set to 0 and the diagonal to exactly 1, in row blocks.
+def _distinct_rows(tfidf: SparseRows) -> tuple[SparseRows, np.ndarray]:
+    """The rows the field products score, and each record's row among them.
 
-    The floor multiplies each block by its mask block >= SPARSE_FLOOR, which
-    is exact: every entry is a sum of finite non-negative terms from +0.0,
-    scaled by a positive factor, and for such x, x * 1.0 == x and
-    x * 0.0 == +0.0."""
+    Rows are grouped when bit-identical: one np.unique over each row's size,
+    columns and values as int64 bits, padded to the longest row and viewed
+    as one opaque item, so rows compare as byte strings (np.unique(axis=0)
+    compares them column by column, about four times slower). So entries
+    whose features differ only in order, or in a feature of idf 0, share a
+    row. When grouping would keep more than half the pairs (2u^2 > n^2),
+    every row is kept whole instead, in order: expanding a grouped field
+    costs one more pass over its n^2 scores than adding a whole one.
+    """
+    n = tfidf.shape[0]
+    sizes = np.diff(tfidf.indptr)
+    width = int(sizes.max(initial=0))
+    row = tfidf.row_of()
+    slot = np.arange(len(row)) - tfidf.indptr[row]
+    key = np.zeros((n, 1 + 2 * width), dtype=np.int64)
+    key[:, 0] = sizes
+    key[row, 1 + slot] = tfidf.indices
+    key[row, 1 + width + slot] = tfidf.data.view(np.int64)
+    items = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))
+    _, first, entry = np.unique(items.reshape(-1), return_index=True,
+                                return_inverse=True)
+    if 2 * len(first) ** 2 > n * n:
+        return tfidf, np.arange(n)
+    _, pos = _spans(tfidf.indptr[first], tfidf.indptr[first + 1])
+    indptr = np.zeros(len(first) + 1, dtype=np.int64)
+    np.cumsum(sizes[first], out=indptr[1:])
+    rows = SparseRows((len(first), tfidf.shape[1]), indptr,
+                      tfidf.indices[pos], tfidf.data[pos])
+    return rows, entry
+
+
+def _finish_field(mat: np.ndarray, scale: float) -> np.ndarray:
+    """(mat + mat^T) * scale in place off the diagonal, which keeps mat's
+    own values; then values below SPARSE_FLOOR are set to 0. In row blocks.
+
+    Each diagonal value of mat is already a whole score: that of two
+    different records with the same row. The floor multiplies each block by
+    its mask block >= SPARSE_FLOOR, which is exact: every entry is a sum of
+    finite non-negative terms from +0.0, scaled by a positive factor, and
+    for such x, x * 1.0 == x and x * 0.0 == +0.0."""
     n = len(mat)
+    own = mat.diagonal().copy()
     for lo, hi in row_blocks(n, n):
         block = mat[lo:hi, lo:] + mat[lo:, lo:hi].T
         if scale != 1.0:
@@ -481,24 +565,29 @@ def _finish_field(mat: np.ndarray, scale: float) -> np.ndarray:
         block *= block >= SPARSE_FLOOR
         mat[lo:hi, lo:] = block
         mat[lo:, lo:hi] = block.T
-    np.fill_diagonal(mat, 1.0)
+    own *= own >= SPARSE_FLOOR
+    np.fill_diagonal(mat, own)
     return mat
 
 
-def soft_tfidf_field(tfidf: SparseRows, jw: JaroWinklerMatrix) -> np.ndarray:
+def soft_tfidf_field(tfidf: SparseRows, jw: JaroWinklerMatrix) -> FieldScores:
     """Hybrid similarity: TFIDF . M . TFIDF^T with the thresholded JW matrix.
 
-    Symmetric n x n, diagonal fixed at 1. Each block of rows of T = TFIDF
-    goes through both products before the next. Score (i, k) of TM = T . M
-    adds T[i, j] * M[j, k] over features j in ascending order. scipy's
-    csr_matmat stores row i of TM in the reverse of the order in which it
-    first touches each column, and score (i, r) of TM . T^T adds its terms
-    in that stored order.
+    Symmetric, own scores 1, computed over the distinct rows of T = TFIDF
+    (_distinct_rows). Each block of rows of T goes through both products
+    before the next. Score (i, k) of TM = T . M adds T[i, j] * M[j, k] over
+    features j in ascending order. scipy's csr_matmat stores row i of TM in
+    the reverse of the order in which it first touches each column, and
+    score (i, r) of TM . T^T adds its terms in that stored order. Both sums
+    depend on rows i and r alone, so records with the same rows get the
+    same bits.
     """
-    n, m = tfidf.shape
+    m = tfidf.shape[1]
     jw_rows = jw.rows
     if m != jw_rows.shape[0]:
         raise ValueError("TF-IDF and JW matrix dimensions disagree")
+    tfidf, entry = _distinct_rows(tfidf)
+    n = tfidf.shape[0]
     cols, _ = _transpose(tfidf)
     row = tfidf.row_of()
     out = np.zeros((n, n))
@@ -520,47 +609,50 @@ def soft_tfidf_field(tfidf: SparseRows, jw: JaroWinklerMatrix) -> np.ndarray:
         tm_row, tm_col = np.divmod(keys[stored], m)
         _scatter_products(out, tm_row, tm[stored], cols,
                           cols.indptr[tm_col], cols.indptr[tm_col + 1])
-    return _finish_field(out, 0.5)
+    return FieldScores(_finish_field(out, 0.5), entry)
 
 
-def tfidf_field(tfidf: SparseRows) -> np.ndarray:
-    """Exact-match similarity: TFIDF . TFIDF^T (off-diagonal), diagonal 1.
+def tfidf_field(tfidf: SparseRows) -> FieldScores:
+    """Exact-match similarity: TFIDF . TFIDF^T, own scores 1, computed over
+    the distinct rows of TFIDF (_distinct_rows).
 
     Score (i, k) adds T[i, j] * T[k, j] over shared features j in ascending
-    order. That sum is the same for (k, i), so only pairs i < k are summed
-    and then mirrored.
+    order. That sum is the same for (k, i), so only pairs i <= k are summed
+    and then mirrored; (i, i) is the score of two records with row i.
     """
+    tfidf, entry = _distinct_rows(tfidf)
     n = tfidf.shape[0]
     cols, at = _transpose(tfidf)
     out = np.zeros((n, n))
-    # the records after i in the column of each stored entry (i, j)
+    # the records from i on in the column of each stored entry (i, j)
     _scatter_products(out, tfidf.row_of(), tfidf.data, cols,
-                      at + 1, cols.indptr[tfidf.indices + 1])
-    return _finish_field(out, 1.0)
+                      at, cols.indptr[tfidf.indices + 1])
+    return FieldScores(_finish_field(out, 1.0), entry)
 
 
 def composite(
-    fields: Iterable[np.ndarray],
+    fields: Iterable[FieldScores],
     weights: Sequence[float] | None = None,
 ) -> CompositeSimilarity:
     """Weighted sum of per-field similarities (unit weights by default).
 
     The fields are added in order into one n x n array, as
     ((w1 F1 + w2 F2) + ...), so a generator of fields needs only one of them
-    held at a time.
+    held at a time. Each field is expanded to records one block of rows at
+    a time (FieldScores.blocks).
     """
     total = None
     count = 0
     for scores in fields:
         if total is None:
-            total = np.zeros(scores.shape)
-        elif scores.shape != total.shape:
+            total = np.zeros((scores.n, scores.n))
+        elif scores.n != len(total):
             raise ValueError("field similarities have mismatched record counts")
         if weights is not None and count >= len(weights):
             raise ValueError("weights length does not match number of fields")
         w = 1.0 if weights is None else float(weights[count])
-        for lo, hi in row_blocks(len(total), len(total)):
-            total[lo:hi] += scores[lo:hi] * w
+        for lo, hi, block in scores.blocks(w):
+            total[lo:hi] += block
         count += 1
         del scores  # free this field before the next one is built
     if total is None:

@@ -108,7 +108,7 @@ def test_criterion_03_matrix_form_matches_direct_summation():
         lexicon = build_lexicon(tokens)
         tfidf = build_tfidf(tokens, lexicon)
         params = SimilarityParams(theta=theta)
-        got = soft_tfidf_field(tfidf, build_jw_matrix(lexicon, params))
+        got = soft_tfidf_field(tfidf, build_jw_matrix(lexicon, params)).toarray()
         t_dense = tfidf.toarray()
         m = len(lexicon)
         m_dense = np.zeros((m, m))
@@ -123,7 +123,7 @@ def test_criterion_03_matrix_form_matches_direct_summation():
         worst = max(worst, float(np.abs(got - expected).max()))
         # with an identity feature-match matrix the soft form must reduce
         # to the exact TF-IDF variant
-        exact = tfidf_field(tfidf)
+        exact = tfidf_field(tfidf).toarray()
         kron = t_dense @ np.eye(m) @ t_dense.T
         np.fill_diagonal(kron, 1.0)
         worst_exact = max(worst_exact, float(np.abs(exact - kron).max()))

@@ -125,6 +125,18 @@ class TestRun:
         assert result.exit_code == 2
         assert "field 'name' is listed twice" in result.output
 
+    def test_repeated_header_name_is_usage_error(self, runner, tmp_path):
+        # both names would select the first column, which would count twice
+        path = tmp_path / "repeated.csv"
+        path.write_text(SMALL_CSV.replace("id,name,city", "name,name,id", 1))
+        result = runner.invoke(main, [
+            "run", "--input", str(path), "--truth-column", "id",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2
+        assert "field name 'name' appears twice" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_is_usage_error(self, runner):
         result = runner.invoke(main, ["run"])
         assert result.exit_code == 2

@@ -52,6 +52,14 @@ class TestLoadDataset:
         with pytest.raises(LoadError):
             load_dataset(io.StringIO("a,b\n"))
 
+    @pytest.mark.parametrize("header", ["name,name,entity_id", "name, name ,entity_id"])
+    def test_repeated_field_name_is_error(self, header):
+        # select_fields would map both names to the first column
+        with pytest.raises(ValueError, match="field name 'name' appears twice"):
+            load_dataset(io.StringIO(f"{header}\nx,y,1\n"))
+        with pytest.raises(ValueError, match="'name' appears twice"):
+            DataSet(records=(("x", "y"),), schema=("name", "name"))
+
 
 class TestTokenize:
     def test_word_mode(self):

@@ -341,14 +341,14 @@ def soft_tfidf_oracle(tfidf_dense, feats, theta):
 class TestFieldSimilarity:
     def test_exact_match_scores_one(self):
         _, tfidf, jw = field_pipeline(["bruin x", "bruin y", "zzz"])
-        sim = soft_tfidf_field(tfidf, jw)
+        sim = soft_tfidf_field(tfidf, jw).toarray()
         # 'x' and 'y' are ubiquitous-free single chars; bruin carries weight
         assert sim[0, 1] == pytest.approx(sim[1, 0])
         assert 0 <= sim[0, 1] <= 1
 
     def test_missing_entry_scores_zero_everywhere(self):
         _, tfidf, jw = field_pipeline(["alpha", "beta", "the"])
-        sim = soft_tfidf_field(tfidf, jw)
+        sim = soft_tfidf_field(tfidf, jw).toarray()
         assert sim[2, 0] == 0 and sim[2, 1] == 0 and sim[2, 2] == 1.0
 
     def test_triple_product_matches_direct_summation(self):
@@ -359,19 +359,19 @@ class TestFieldSimilarity:
             for _ in range(20)
         ]
         lex, tfidf, jw = field_pipeline(column, theta=0.5)
-        got = soft_tfidf_field(tfidf, jw)
+        got = soft_tfidf_field(tfidf, jw).toarray()
         want = soft_tfidf_oracle(tfidf.toarray(), lex, 0.5)
         assert np.abs(got - want).max() < 1e-10
 
     def test_tfidf_variant_examples(self):
         _, tfidf, _ = field_pipeline(["a b", "a"])
-        sim = tfidf_field(tfidf)
+        sim = tfidf_field(tfidf).toarray()
         assert sim[0, 1] == 0.0  # rows [0,1] and [0,0]
         _, tfidf2, _ = field_pipeline(["alpha", "beta"])
-        sim2 = tfidf_field(tfidf2)
+        sim2 = tfidf_field(tfidf2).toarray()
         assert sim2[0, 1] == 0.0  # disjoint features
         _, tfidf3, _ = field_pipeline(["bruin", "bruin", "zzz"])
-        sim3 = tfidf_field(tfidf3)
+        sim3 = tfidf_field(tfidf3).toarray()
         assert sim3[0, 1] == pytest.approx(1.0)  # identical single feature
 
     def test_soft_dominates_exact_variant(self):
@@ -382,13 +382,13 @@ class TestFieldSimilarity:
             for _ in range(15)
         ]
         _, tfidf, jw = field_pipeline(column, theta=0.5)
-        soft = soft_tfidf_field(tfidf, jw)
-        exact = tfidf_field(tfidf)
+        soft = soft_tfidf_field(tfidf, jw).toarray()
+        exact = tfidf_field(tfidf).toarray()
         assert (soft - exact).min() > -1e-12
 
     def test_offdiagonal_range(self):
         _, tfidf, jw = field_pipeline(["aaa bbb", "aaa", "bbb ccc", "ddd"])
-        sim = soft_tfidf_field(tfidf, jw)
+        sim = soft_tfidf_field(tfidf, jw).toarray()
         off = sim[~np.eye(4, dtype=bool)]
         assert (off >= 0).all() and (off <= 1 + 1e-12).all()
 
@@ -405,7 +405,7 @@ class TestComposite:
         one = soft_tfidf_field(tfidf, jw)
         _, t2, j2 = field_pipeline(["aa bb", "aa cc", "dd"], theta=0.99)
         quarter_ish = soft_tfidf_field(t2, j2)
-        pair = quarter_ish[0, 1]
+        pair = quarter_ish.toarray()[0, 1]
         st_mat = composite([one, one, quarter_ish], weights=[0.5, 0.5, 2.0])
         assert st_mat.scores[0, 1] == pytest.approx(1.0 + 2.0 * pair)
 
@@ -458,20 +458,33 @@ def oracle_cases(draw):
     3-12 short words over a few letters, so records share several features
     and the JW rows of similar words overlap. Any entry of a record after
     the first may be empty, so records miss fields or are empty; the first
-    record fills every field so that each field has a feature.
+    record fills every field so that each field has a feature. An entry
+    after the first may instead copy an earlier record's entry, with the
+    same words or with the words reordered, so fields often hold records
+    with the same TF-IDF row.
     """
     vocab = draw(st.lists(st.text("abcd", min_size=2, max_size=6),
                           min_size=3, max_size=12, unique=True))
     a = draw(st.integers(1, 3))
     n = draw(st.integers(2, 12))
-    records = tuple(
-        tuple(
-            " ".join(draw(st.lists(st.sampled_from(vocab),
-                                   min_size=1 if i == 0 else 0, max_size=6)))
-            for _ in range(a)
-        )
-        for i in range(n)
-    )
+    words = []
+    for i in range(n):
+        record = []
+        for k in range(a):
+            how = "new" if i == 0 else draw(
+                st.sampled_from(["new", "copy", "reorder"]))
+            if how == "new":
+                record.append(draw(st.lists(st.sampled_from(vocab),
+                                            min_size=1 if i == 0 else 0,
+                                            max_size=6)))
+                continue
+            copied = words[draw(st.integers(0, i - 1))][k]
+            if how == "reorder":
+                copied = draw(st.permutations(copied))
+            record.append(list(copied))
+        words.append(record)
+    records = tuple(tuple(" ".join(entry) for entry in record)
+                    for record in words)
     data = DataSet(records=records, schema=tuple(f"f{k}" for k in range(a)))
     tok_config = TokenizerConfig(mode=draw(st.sampled_from(["word", "ngram"])))
     weights = draw(st.none() | st.lists(
@@ -481,42 +494,133 @@ def oracle_cases(draw):
     return data, tok_config, SimilarityParams(theta=theta, weights=weights)
 
 
+# "common" is in every record, so its idf is 0 and it leaves no trace in
+# the TF-IDF rows: records 0 and 2 of field "a" have the same row through it
+# alone; records 0 and 1 through word order. Field "b" has no two equal rows.
+IDF_ZERO_CASE = DataSet(
+    records=tuple(zip(
+        ["aa common", "common aa", "aa common common", "bb common",
+         "common bb cc", "cc common bb", "common", "aa common"],
+        ["common p1", "p2 common", "p3 common", "common p4",
+         "p5 common", "common p6", "p7 common", "common p8"],
+    )),
+    schema=("a", "b"),
+)
+BLOCK_SIZES = [1, 2, 7, 64, 1 << 16]
+
+
 def csr_bytes(mat):
     return mat.toarray().tobytes()
+
+
+def assert_matches_scipy(case, block_entries):
+    """Every field, both composites and build_similarity of the case have
+    the bits of scipy's products, with blocks of block_entries."""
+    data, tok_config, params = case
+    soft, plain, soft_ref, plain_ref = [], [], [], []
+    with mock.patch.object(similarity, "BLOCK_ENTRIES", block_entries):
+        for k in range(data.a):
+            tokens = tokenize_field(data, k, tok_config)
+            lexicon = build_lexicon(tokens)
+            tfidf = build_tfidf(tokens, lexicon)
+            ref = oracles.tfidf_csr(oracles.dict_counts(tokens, lexicon),
+                                    len(lexicon))
+            assert tfidf.toarray().tobytes() == csr_bytes(ref)
+            jw = build_jw_matrix(lexicon, params)
+            soft.append(soft_tfidf_field(tfidf, jw))
+            soft_ref.append(oracles.field_csr(ref, jw.matrix))
+            assert soft[-1].toarray().tobytes() == csr_bytes(soft_ref[-1])
+            plain.append(tfidf_field(tfidf))
+            plain_ref.append(oracles.field_csr(ref))
+            assert plain[-1].toarray().tobytes() == csr_bytes(plain_ref[-1])
+        for got, want in ((soft, soft_ref), (plain, plain_ref)):
+            total = composite(iter(got), params.weights).scores
+            assert total.tobytes() == csr_bytes(
+                oracles.composite_csr(want, params.weights))
+        for method in (METHOD_SOFT_TFIDF, METHOD_TFIDF):
+            p = replace(params, method=method)
+            got = pipeline.build_similarity(data, tok_config, p)
+            want = oracles.adjusted_similarity(data, tok_config, p)
+            assert got.tobytes() == want.tobytes()
+
+
+def field_scores(data, tok_config, params):
+    """Each field's TF-IDF matrix with its soft and its plain FieldScores."""
+    for k in range(data.a):
+        tokens = tokenize_field(data, k, tok_config)
+        lexicon = build_lexicon(tokens)
+        tfidf = build_tfidf(tokens, lexicon)
+        jw = build_jw_matrix(lexicon, params)
+        yield tfidf, soft_tfidf_field(tfidf, jw), tfidf_field(tfidf)
+
+
+class TestFieldScores:
+    """The products score each distinct TF-IDF row once."""
+
+    @staticmethod
+    def check_grouping(tfidf, scores):
+        # records share an entry exactly when their rows are bit-identical,
+        # unless grouping would keep more than half the pairs
+        n = tfidf.shape[0]
+        _, inverse = np.unique(tfidf.toarray().view(np.int64), axis=0,
+                               return_inverse=True)
+        inverse = inverse.reshape(-1)
+        u = int(inverse.max()) + 1
+        if 2 * u * u > n * n:
+            assert scores.distinct.shape == (n, n)
+            assert np.array_equal(scores.entry, np.arange(n))
+        else:
+            assert scores.distinct.shape == (u, u)
+            assert np.array_equal(scores.entry[:, None] == scores.entry,
+                                  inverse[:, None] == inverse)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_cases())
+    def test_groups_bit_identical_rows(self, case):
+        for tfidf, soft, plain in field_scores(*case):
+            self.check_grouping(tfidf, soft)
+            self.check_grouping(tfidf, plain)
+
+    def test_rows_equal_through_idf_zero_word(self):
+        (tfidf_a, soft_a, plain_a), (_, soft_b, plain_b) = field_scores(
+            IDF_ZERO_CASE, WORD, SimilarityParams())
+        # rows {aa}, {bb}, {bb, cc} and the empty row of "common"
+        assert len(soft_a.distinct) == len(plain_a.distinct) == 4
+        assert soft_a.entry[0] == soft_a.entry[1] == soft_a.entry[2]
+        assert plain_a.entry[4] == plain_a.entry[5] != plain_a.entry[3]
+        self.check_grouping(tfidf_a, soft_a)
+        for scores in (soft_b, plain_b):
+            assert np.array_equal(scores.entry, np.arange(8))
+
+    def test_same_row_pairs_score_the_distinct_diagonal(self):
+        _, soft, plain = next(field_scores(IDF_ZERO_CASE, WORD,
+                                           SimilarityParams()))
+        for scores in (soft, plain):
+            full = scores.toarray()
+            assert np.array_equal(np.diag(full), np.ones(8))
+            own = scores.entry[0]
+            assert full[0, 2] == full[1, 7] == scores.distinct[own, own]
+            # a single-feature row has unit weight
+            assert scores.distinct[own, own] == 1.0
+            empty = scores.entry[6]
+            assert scores.distinct[empty, empty] == 0.0
 
 
 class TestScipyOracle:
     """The numpy field products give the bits of scipy's CSR products."""
 
     @settings(max_examples=150, deadline=None)
-    @given(oracle_cases(), st.sampled_from([1, 2, 7, 64, 1 << 16]))
+    @given(oracle_cases(), st.sampled_from(BLOCK_SIZES))
     def test_matches_scipy_bit_for_bit(self, case, block_entries):
-        data, tok_config, params = case
-        soft, plain, soft_ref, plain_ref = [], [], [], []
-        with mock.patch.object(similarity, "BLOCK_ENTRIES", block_entries):
-            for k in range(data.a):
-                tokens = tokenize_field(data, k, tok_config)
-                lexicon = build_lexicon(tokens)
-                tfidf = build_tfidf(tokens, lexicon)
-                ref = oracles.tfidf_csr(oracles.dict_counts(tokens, lexicon),
-                                        len(lexicon))
-                assert tfidf.toarray().tobytes() == csr_bytes(ref)
-                jw = build_jw_matrix(lexicon, params)
-                soft.append(soft_tfidf_field(tfidf, jw))
-                soft_ref.append(oracles.field_csr(ref, jw.matrix))
-                assert soft[-1].tobytes() == csr_bytes(soft_ref[-1])
-                plain.append(tfidf_field(tfidf))
-                plain_ref.append(oracles.field_csr(ref))
-                assert plain[-1].tobytes() == csr_bytes(plain_ref[-1])
-            for got, want in ((soft, soft_ref), (plain, plain_ref)):
-                total = composite(iter(got), params.weights).scores
-                assert total.tobytes() == csr_bytes(
-                    oracles.composite_csr(want, params.weights))
-            for method in (METHOD_SOFT_TFIDF, METHOD_TFIDF):
-                p = replace(params, method=method)
-                got = pipeline.build_similarity(data, tok_config, p)
-                want = oracles.adjusted_similarity(data, tok_config, p)
-                assert got.tobytes() == want.tobytes()
+        assert_matches_scipy(case, block_entries)
+
+    @pytest.mark.parametrize("block_entries", BLOCK_SIZES)
+    @pytest.mark.parametrize("mode", ["word", "ngram"])
+    def test_idf_zero_case_matches_scipy(self, mode, block_entries):
+        for theta in (0.0, 0.9):
+            case = (IDF_ZERO_CASE, TokenizerConfig(mode=mode),
+                    SimilarityParams(theta=theta, weights=(1.7, 0.5)))
+            assert_matches_scipy(case, block_entries)
 
     def test_sum_order_changes_bits(self):
         # Here adding each soft score's terms in ascending feature order
@@ -533,4 +637,4 @@ class TestScipyOracle:
         ascending.sort_indices()
         assert csr_bytes(oracles.finish_field_matrix(ascending @ ref.T)) != want
         tfidf = build_tfidf(tokens, lex)
-        assert soft_tfidf_field(tfidf, jw).tobytes() == want
+        assert soft_tfidf_field(tfidf, jw).toarray().tobytes() == want
