@@ -58,6 +58,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def _usage_errors(prefix: str = "", errors=ValueError):
+    """Report an exception of the type(s) `errors` raised in the block as a
+    usage error: its message after `prefix`."""
+    try:
+        yield
+    except errors as exc:
+        raise click.UsageError(f"{prefix}{exc}") from exc
+
+
 def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
     """Fill in parameters from a JSON config file; explicit flags win.
 
@@ -67,11 +77,9 @@ def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
     """
     if not config_path:
         return
-    try:
+    with _usage_errors(f"{config_path}: ", (OSError, ValueError)):
         with open(config_path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise click.UsageError(f"{config_path}: {exc}") from exc
     if not isinstance(data, dict):
         raise click.UsageError(f"{config_path}: top level must be a JSON object")
     params = {p.name: p for p in ctx.command.params if p.name != "config"}
@@ -139,10 +147,8 @@ class _Delimiter(click.ParamType):
 def _read(reader, path: str, **kwargs):
     """reader(path, **kwargs), reporting malformed or unreadable input
     (text that is not UTF-8 included) as a usage error."""
-    try:
+    with _usage_errors(f"{path}: ", (OSError, ValueError)):
         return reader(path, **kwargs)
-    except (OSError, ValueError) as exc:
-        raise click.UsageError(f"{path}: {exc}") from exc
 
 
 def _output_file(ctx, param, value):
@@ -265,13 +271,11 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
 
     weights = None
     if p.get("weights"):
-        try:
+        with _usage_errors("--weights: "):
             weights = tuple(float(w) for w in str(p["weights"]).split(","))
-        except ValueError as exc:
-            raise click.UsageError(f"--weights: {exc}") from exc
         if len(weights) != dataset.a:
             raise click.UsageError("weights length does not match field count")
-    try:
+    with _usage_errors():
         tok_config = TokenizerConfig(
             mode=p["mode"], ngram_size=p["ngram_size"], case_fold=not p["no_case_fold"]
         )
@@ -282,8 +286,6 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
             method=p["method"],
             weights=weights,
         )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     if p.get("stop_words_path"):
         tok_config = tok_config.with_stop_words(
             _read(load_stop_words, p["stop_words_path"]))
@@ -327,13 +329,11 @@ def _output_folder(path: str):
 
 
 def _build_similarity(run: ResolvedRun) -> np.ndarray:
-    try:
+    with _usage_errors():  # e.g. a field with no features in any record
         return pipeline.build_similarity(
             run.dataset, run.tok_config, run.params,
             sparsity_mode=run.sparsity, seed=run.seed,
         )
-    except ValueError as exc:  # e.g. a field with no features in any record
-        raise click.UsageError(str(exc)) from exc
 
 
 def _write_manifest(run: ResolvedRun, extra: dict) -> None:
@@ -374,9 +374,10 @@ def run(ctx, **kwargs):
     run_spec = _resolve(p)
     with _output_folder(run_spec.output_dir):
         scores = _build_similarity(run_spec)
-        clusters, tau_used = pipeline.cluster_records(
-            scores, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
-        )
+        with _usage_errors("--weights: "):  # no finite automatic threshold
+            clusters, tau_used = pipeline.cluster_records(
+                scores, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
+            )
         _write_manifest(run_spec, {"tau_used": tau_used})
         write_clusters(clusters, os.path.join(run_spec.output_dir, "clusters.txt"))
         if run_spec.truth is not None:
@@ -416,10 +417,11 @@ def sweep(ctx, **kwargs):
     run_spec = _resolve(p, require_truth=True)
     with _output_folder(run_spec.output_dir):
         scores = _build_similarity(run_spec)
-        rows = pipeline.sweep_thresholds(
-            scores, run_spec.truth, taus=taus, grid_size=p["grid"],
-            refine=run_spec.refine, iterate=run_spec.iterate,
-        )
+        with _usage_errors("--weights: "):  # no finite automatic threshold
+            rows = pipeline.sweep_thresholds(
+                scores, run_spec.truth, taus=taus, grid_size=p["grid"],
+                refine=run_spec.refine, iterate=run_spec.iterate,
+            )
         _write_manifest(run_spec, {
             "tau_auto": next(tau for tau, is_auto, _ in rows if is_auto),
         })
@@ -442,12 +444,10 @@ def degrade(input_path, output_path, fields, fraction, seed, delimiter, no_heade
     """Blank a random fraction of entries per field to induce sparsity."""
     dataset = _read(load_dataset, input_path, header=not no_header,
                     delimiter=delimiter)
-    try:
+    with _usage_errors():
         degraded = pipeline.degrade(
             dataset, _field_names(fields, dataset.schema), fraction, seed
         )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     _write_csv(degraded, output_path, delimiter)
     click.echo(f"wrote degraded dataset to {output_path}")
 

@@ -16,7 +16,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
-from math import comb, inf, isnan
+from math import comb, inf, isfinite, isnan
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -86,7 +86,9 @@ class ClusterSet:
     @property
     def clusters(self) -> tuple[tuple[int, ...], ...]:
         """Each cluster's records, ascending, in cluster order."""
-        return tuple(tuple(g.tolist()) for g in _members(self.labels))
+        order = np.argsort(self.labels, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.labels)).tolist()
+        return tuple(tuple(order[lo:hi]) for lo, hi in zip([0, *ends], ends))
 
     @staticmethod
     def from_labels(labels: Sequence) -> "ClusterSet":
@@ -110,13 +112,6 @@ class ClusterSet:
         return ClusterSet.from_labels(owner[np.argsort(records)])
 
 
-def _members(labels: np.ndarray) -> list[np.ndarray]:
-    """Each cluster's records, ascending, in label order: one stable argsort."""
-    order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.split(order, cuts) if len(order) else []
-
-
 def h_statistics(sim: np.ndarray) -> np.ndarray:
     """H_i = max over j != i of SIM_{i,j}; sim has NaN on its diagonal."""
     if len(sim) < 2:
@@ -125,10 +120,14 @@ def h_statistics(sim: np.ndarray) -> np.ndarray:
 
 
 def threshold_from_h(h: np.ndarray) -> float:
-    """mu(H) + sigma(H), falling back to mu(H) when that reaches max(H)."""
+    """mu(H) + sigma(H), falling back to mu(H) when that reaches max(H). A
+    mean that is not finite, as when the sum of H overflows, is a ValueError."""
     h = np.asarray(h, dtype=float)
-    mean = float(h.mean())
-    tau = mean + float(h.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(h.mean())
+        tau = mean + float(h.std(ddof=1))
+    if not isfinite(mean):
+        raise ValueError(f"automatic threshold is not finite: mean H is {mean}")
     return tau if tau < float(h.max()) else mean
 
 
@@ -486,35 +485,35 @@ def refine_all(
     """Replace every unstable cluster by its refinement.
 
     By default one pass is made; with iterate=True the pass repeats until
-    no cluster is unstable.
+    no cluster is unstable. Only clusters of three or more records are
+    searched, and a split gives its pieces after the first fresh labels.
     """
-    pending = [g.tolist() for g in _members(clusters.labels)]  # each ascending
-    done: list[list[int]] = []
+    labels, fresh = clusters.labels.copy(), clusters.c
+    pending = [list(c) for c in clusters.clusters if len(c) > 2]  # each ascending
     # the rows of every record a pass may refine, read once for all passes;
     # group has read them already when it grouped this graph
-    links = _links(graph, [v for c in pending if 2 < len(c) <= REFINE_SIZE_CAP
+    links = _links(graph, [v for c in pending if len(c) <= REFINE_SIZE_CAP
                            for v in c])
-    while pending:
-        split: list[list[int]] = []
-        for cluster in pending:
-            if len(cluster) > REFINE_SIZE_CAP:
-                warnings.warn(
-                    f"skipping refinement of cluster with {len(cluster)} records "
-                    f"(cap {REFINE_SIZE_CAP})",
-                    stacklevel=2,
-                )
-                done.append(cluster)
-                continue
-            pieces = _refine(cluster, links)
-            # stable, or refined back into itself: either way a fixed point
-            if pieces is None or len(pieces) == 1:
-                done.append(cluster)
-            else:
-                split.extend(pieces)
-        if not iterate:
-            return ClusterSet.from_groups(done + split)
-        pending = split
-    return ClusterSet.from_groups(done)
+    # with iterate, a split appends its pieces of three or more records to
+    # pending, so that this loop takes them up in the next pass
+    for cluster in pending:
+        if len(cluster) > REFINE_SIZE_CAP:
+            warnings.warn(
+                f"skipping refinement of cluster with {len(cluster)} records "
+                f"(cap {REFINE_SIZE_CAP})",
+                stacklevel=2,
+            )
+            continue
+        pieces = _refine(cluster, links)
+        # stable, or refined back into itself: either way a fixed point
+        if pieces is None or len(pieces) == 1:
+            continue
+        for piece in pieces[1:]:
+            labels[piece] = fresh
+            fresh += 1
+        if iterate:
+            pending += [piece for piece in pieces if len(piece) > 2]
+    return ClusterSet.from_labels(labels)
 
 
 def write_clusters(clusters: ClusterSet, path: str) -> None:

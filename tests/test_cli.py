@@ -291,6 +291,35 @@ class TestFailedRunOutputFolder:
         assert os.listdir(out) == []
 
 
+class TestOverflowingWeights:
+    """Weights large enough that the sum of H overflows leave no finite
+    automatic threshold: run and sweep stop with a usage error naming
+    --weights and write nothing, while run at a given tau is unaffected."""
+
+    WEIGHTS = ["--truth-column", "id", "--weights", "1,1e308"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_auto_threshold_is_usage_error(self, runner, small_csv, tmp_path,
+                                           command):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--input", small_csv,
+                                      "--output-dir", str(out), *self.WEIGHTS])
+        assert result.exit_code == 2
+        assert ("--weights: automatic threshold is not finite: mean H is inf"
+                in result.output)
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_given_tau_runs(self, runner, small_csv, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli(runner, ["run", "--input", small_csv, "--tau", "0.5",
+                                  "--output-dir", str(out), *self.WEIGHTS])
+        assert result.exit_code == 0
+        assert json.loads((out / "manifest.json").read_text())["tau_used"] == 0.5
+        assert json.loads((out / "metrics.json").read_text())["tau"] == 0.5
+        assert (out / "clusters.txt").exists()
+
+
 def _bad_path_args(case, tmp_path, small_csv):
     """The command line of one bad-path case, and the message it gives."""
     folder = tmp_path / "folder"

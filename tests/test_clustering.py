@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from softdedupe import pipeline, similarity
+from softdedupe import clustering, pipeline, similarity
 from softdedupe.clustering import (
     ClusterSet,
     _links,
@@ -172,6 +172,12 @@ class TestThresholdFromH:
 
     def test_auto_threshold_uses_h(self):
         assert auto_threshold(FOUR) == threshold_from_h(h_statistics(FOUR))
+
+    def test_overflowing_mean_is_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning fails here
+            with pytest.raises(ValueError, match="not finite: mean H is inf"):
+                threshold_from_h(np.array([1e308, 1e308, 0.5]))
 
 
 class TestThresholdAndGroup:
@@ -657,6 +663,74 @@ class TestRefineAgainstBatchedOracle:
         n, edges = graph
         labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         self.check(n, edges, labels)
+
+
+def searched_clusters(clusters, graph, iterate):
+    """The clusters each pass of refine_all searches, pass after pass, by
+    oracles.batched_refine: those of three or more records, then the pieces
+    of three or more records of the clusters that split."""
+    pending = [list(c) for c in clusters.clusters if len(c) > 2]
+    out = []
+    while pending:
+        out += pending
+        split = []
+        for cluster in pending:
+            pieces = batched_refine(cluster, graph)
+            if pieces is not None and len(pieces) > 1:
+                split += [piece for piece in pieces if len(piece) > 2]
+        pending = split if iterate else []
+    return out
+
+
+class TestRefineAllTraffic:
+    """refine_all searches each cluster of three or more records once a
+    pass, and leaves a cluster above REFINE_SIZE_CAP whole, with a warning."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(refinement_graphs(), st.data())
+    def test_one_search_per_cluster_of_three_or_more(self, graph, data):
+        n, edges = graph
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        g = graph_from_edges(n, edges)
+        searched = []
+        refine = clustering._refine
+
+        def counted(members, links):
+            searched.append(list(members))
+            return refine(members, links)
+
+        with mock.patch.object(clustering, "_refine", counted):
+            for clusters in (group(g), ClusterSet.from_labels(labels)):
+                for iterate in (False, True):
+                    searched.clear()
+                    refine_all(clusters, g, iterate=iterate)
+                    assert searched == searched_clusters(clusters, g, iterate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(refinement_graphs(), st.data())
+    def test_capped_clusters_left_whole(self, graph, data):
+        n, edges = graph
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        cap = data.draw(st.integers(2, max(2, n)), label="cap")
+        g = graph_from_edges(n, edges)
+        for clusters in (group(g), ClusterSet.from_labels(labels)):
+            capped = [c for c in clusters.clusters if len(c) > cap]
+            inside = {v for c in capped for v in c}
+            for iterate in (False, True):
+                with mock.patch.object(clustering, "REFINE_SIZE_CAP", cap), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = refine_all(clusters, g, iterate=iterate)
+                assert [str(w.message) for w in caught] == [
+                    f"skipping refinement of cluster with {len(c)} records "
+                    f"(cap {cap})" for c in capped]
+                assert all(w.category is UserWarning and w.filename == __file__
+                           for w in caught)
+                # refinement splits within clusters, so each cluster the
+                # oracle leaves lies in one capped cluster or in none
+                want = batched_refine_all(clusters, g, iterate).clusters
+                assert got == ClusterSet.from_groups(
+                    capped + [c for c in want if c[0] not in inside])
 
 
 def left_to_right_mean(search, v):

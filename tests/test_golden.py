@@ -41,6 +41,8 @@ CASES = {
     "restaurants-run-tfidf-refine-0.3": (
         "restaurants", ("run", "--method", "tfidf", "--refine", "--tau", "0.3")),
     "citations-sweep-refine": ("citations", ("sweep", "--refine", "--grid", "20")),
+    "citations-sweep-refine-iterate": (
+        "citations", ("sweep", "--refine", "--iterate-refine", "--grid", "20")),
     # the only case here whose refinement meets a tie between removals
     "restaurants-sweep-refine": (
         "restaurants", ("sweep", "--refine", "--grid", "20")),
@@ -77,6 +79,9 @@ DIGESTS = {
     },
     'citations-sweep-refine': {
         'sweep.csv': 'cb6f2ee43af6e1ca5ac0bce720dfa3afef270d8f1b052617da79bd53e23c745a',
+    },
+    'citations-sweep-refine-iterate': {
+        'sweep.csv': '5b97e85b674206fa1b491103c4875c748dd4728d878407afd356232866b45a0d',
     },
     'restaurants-run': {
         'clusters.txt': 'e15ebc2cd1556d7e601409b3d396a8a419c473814e68e7ba621ef98fd0fded21',
