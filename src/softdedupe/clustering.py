@@ -180,43 +180,43 @@ def max_spanning_forest(sim: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     with sim >= tau, ties included (single linkage; Gower & Ross 1969).
     Without NaN the forest is a tree of n - 1 edges.
 
-    Prim's algorithm (Prim 1957) on the dense array: O(n^2) time, one row
-    read per record and O(n) temporaries.
+    Prim's algorithm (Prim 1957) on the dense array: O(n^2) time, one
+    contiguous row read per record and O(n) memory. Each record's best edge
+    into the forest is kept in full-length arrays, and each row updates them
+    with a few numpy calls into preallocated buffers. Of edges of equal
+    weight it may take any; every maximum spanning forest has the same
+    weights and the same components at every tau.
     """
-    rest = np.arange(1, len(sim))  # records not yet in the forest
-    best = np.full(len(rest), -np.inf)  # weight of each one's heaviest edge into it
-    linked = np.zeros(len(rest), dtype=bool)  # whether it has an edge into it at all
-    via = np.zeros(len(rest), dtype=np.int64)  # the forest end of that edge
-    ends: list[int] = []
-    starts: list[int] = []
-    weights: list[float] = []
+    n = len(sim)
+    best = np.full(n, -inf)  # weight of each record's heaviest edge into the forest
+    via = np.full(n, -1, dtype=np.int64)  # the forest end of that edge; -1: none
+    outside = np.ones(n, dtype=bool)  # records not yet in the forest
+    better = np.empty(n, dtype=bool)
+    order = np.zeros(n, dtype=np.int64)  # the records in the order they join
     v = 0
-    while len(rest):
-        row = sim[v, rest]
-        better = row > best
-        # an unlinked record's best is -inf, which row > best cannot beat
-        better |= ~linked & (row == best)
+    for step in range(1, n):
+        outside[v] = False
+        best[v] = -inf  # so that argmax takes a record in the forest last
+        row = sim[v]
+        # >= so that a -inf score links a record with no edge yet; a NaN
+        # score compares false and is no edge
+        np.greater_equal(row, best, out=better)
+        better &= outside
         np.copyto(best, row, where=better)
         np.copyto(via, v, where=better)
-        linked |= better
-        k = int(np.argmax(best))
-        if not linked[k]:
-            # best[k] is -inf: take a record linked by a -inf edge, if any,
-            # else start a new tree at record rest[k]
-            k = int(np.argmax(linked)) if linked.any() else k
-        v = int(rest[k])
-        if linked[k]:
-            starts.append(int(via[k]))
-            ends.append(v)
-            weights.append(float(best[k]))
-        last = len(rest) - 1  # drop position k by moving the last record there
-        for a in (rest, best, linked, via):
-            a[k] = a[last]
-        rest, best, linked, via = rest[:last], best[:last], linked[:last], via[:last]
-    w = np.array(weights, dtype=float)
-    order = np.argsort(-w, kind="stable")
-    return (np.array(starts, dtype=np.int64)[order],
-            np.array(ends, dtype=np.int64)[order], w[order])
+        v = best.argmax()
+        if best[v] == -inf:
+            # no edge weighs more than -inf: take a record linked by a -inf
+            # edge, if any, else start a new tree at the first record left
+            linked = np.flatnonzero(outside & (via >= 0))
+            v = linked[0] if len(linked) else outside.argmax()
+        order[step] = v
+    joined = order[1:]
+    ends = joined[via[joined] >= 0]  # a tree's first record joins by no edge
+    starts = via[ends]
+    w = sim[starts, ends]
+    heaviest = np.argsort(-w, kind="stable")
+    return starts[heaviest], ends[heaviest], w[heaviest]
 
 
 def forest_merges(sim: np.ndarray,

@@ -18,7 +18,9 @@ TFIDF @ M @ TFIDF.T by scipy.sparse would give.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -63,6 +65,11 @@ class SimilarityParams:
             math.isfinite(w) and w > 0 for w in self.weights
         ):
             raise ValueError("weights must be finite and positive")
+        # a field scores at most 1 per pair, so the composite, summed field
+        # by field, stays at most the weights summed left to right
+        if self.weights is not None and not math.isfinite(
+                reduce(operator.add, self.weights, 0.0)):
+            raise ValueError(f"weights must have a finite sum, got {self.weights}")
 
 
 def jaro(s1: str, s2: str) -> float:

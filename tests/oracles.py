@@ -30,6 +30,12 @@ labelling. The program groups by a breadth-first search over packed rows,
 sweeps from a maximum spanning forest and refines from one depth-first
 search; the tests compare it with these.
 
+Spanning forest: the Prim loop the program ran before it kept full-length
+arrays. Each record gathers its row over the records still outside the
+forest, and the record that joins is dropped from four arrays by moving the
+last one into its place. The program's forest must have the same weights,
+as a multiset, and the same merges at every tau.
+
 Partitions: the tuple-of-sorted-tuples ClusterSet the program held before it
 held a label array, with its dict-based from_labels, sort-based from_groups
 and set-based validation.
@@ -371,6 +377,45 @@ def graph_from_edges(n, edges, tau=0.0):
         if i != j:
             scores[i, j] = scores[j, i] = tau
     return ThresholdedGraph(tau=tau, scores=scores)
+
+
+def swap_prim_forest(sim):
+    """Edges (i, j, w) of a maximum spanning forest of the records, heaviest
+    first, read as clustering.max_spanning_forest reads sim: an off-diagonal
+    NaN is no edge, a -inf score an edge of weight -inf, and a record with
+    no edge into the forest starts a new tree."""
+    rest = np.arange(1, len(sim))  # records not yet in the forest
+    best = np.full(len(rest), -np.inf)  # weight of each one's heaviest edge into it
+    linked = np.zeros(len(rest), dtype=bool)  # whether it has an edge into it at all
+    via = np.zeros(len(rest), dtype=np.int64)  # the forest end of that edge
+    ends, starts, weights = [], [], []
+    v = 0
+    while len(rest):
+        row = sim[v, rest]
+        better = row > best
+        # an unlinked record's best is -inf, which row > best cannot beat
+        better |= ~linked & (row == best)
+        np.copyto(best, row, where=better)
+        np.copyto(via, v, where=better)
+        linked |= better
+        k = int(np.argmax(best))
+        if not linked[k]:
+            # best[k] is -inf: take a record linked by a -inf edge, if any,
+            # else start a new tree at record rest[k]
+            k = int(np.argmax(linked)) if linked.any() else k
+        v = int(rest[k])
+        if linked[k]:
+            starts.append(int(via[k]))
+            ends.append(v)
+            weights.append(float(best[k]))
+        last = len(rest) - 1  # drop position k by moving the last record there
+        for a in (rest, best, linked, via):
+            a[k] = a[last]
+        rest, best, linked, via = rest[:last], best[:last], linked[:last], via[:last]
+    w = np.array(weights, dtype=float)
+    order = np.argsort(-w, kind="stable")
+    return (np.array(starts, dtype=np.int64)[order],
+            np.array(ends, dtype=np.int64)[order], w[order])
 
 
 def adjacency(graph):

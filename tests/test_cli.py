@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import io
 import json
 import os
 import signal
@@ -13,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import softdedupe
-from softdedupe import pipeline, synth
+from softdedupe import cli, pipeline, synth
 from softdedupe.cli import SWEEP_COLUMNS, main, tau_grid
 from softdedupe.clustering import ClusterSet, write_clusters
 
@@ -307,6 +308,20 @@ class TestOverflowingWeights:
         assert result.exit_code == 2
         assert ("--weights: automatic threshold is not finite: mean H is inf"
                 in result.output)
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["run", "--tau", "0.5"], ["sweep"]],
+                             ids=["run", "sweep"])
+    def test_overflowing_sum_is_usage_error(self, runner, small_csv, tmp_path,
+                                            args):
+        # each weight is finite, but the composite, at most their sum, is not
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, "--input", small_csv,
+                                      "--output-dir", str(out), "--truth-column",
+                                      "id", "--weights", "1e308,1e308"])
+        assert result.exit_code == 2
+        assert "Error: weights must have a finite sum" in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
 
@@ -614,6 +629,128 @@ class TestStartup:
             "print(missing, unbound, hasattr(softdedupe, 'no_such_name'))\n"
         )
         assert run_python(code) == "[] [] False"
+
+
+class TestScript:
+    """script() ends a standalone main() with os._exit(code) once stdout and
+    stderr are flushed, and otherwise lets the SystemExit through for a
+    normal exit. os._exit is replaced by a function that records its code."""
+
+    @staticmethod
+    def run_script(monkeypatch, args, entry=None, error=None):
+        """The events from the end of main() on: flushes of stdout and
+        stderr, and the os._exit call. `entry` replaces main; `error` is
+        raised by every stdout flush."""
+        events = []
+
+        class Stream(io.StringIO):
+            def __init__(self, name, error=None):
+                super().__init__()
+                self.name, self.error = name, error
+
+            def flush(self):
+                events.append((self.name, "flush"))
+                if self.error is not None:
+                    raise self.error
+
+        def ended(main=entry or cli.main):
+            try:
+                main()
+            finally:
+                events.append("main ended")
+
+        monkeypatch.setattr(cli, "main", ended)
+        monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+        monkeypatch.setattr(sys, "argv", ["softdedupe", *args])
+        monkeypatch.setattr(sys, "stdout", Stream("stdout", error))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+        try:
+            cli.script()
+        finally:
+            del events[:events.index("main ended")]
+        return events, sys.stdout.getvalue(), sys.stderr.getvalue()
+
+    @pytest.mark.parametrize("args, code, shown", [
+        (["run", "--input", "{csv}", "--tau", "0.7", "--output-dir", "{out}"], 0,
+         "clusters="),
+        (["run", "--output-dir", "{out}"], 2, "Error: --input is required"),
+        (["--help"], 0, "Usage:"),
+    ], ids=["run", "usage_error", "help"])
+    def test_flushes_then_exits(self, monkeypatch, small_csv, tmp_path, args,
+                                code, shown):
+        args = [a.format(csv=small_csv, out=tmp_path / "out") for a in args]
+        events, out, err = self.run_script(monkeypatch, args)
+        assert events == ["main ended", ("stdout", "flush"), ("stderr", "flush"),
+                          ("exit", code)]
+        assert shown in out + err
+
+    def test_other_exit_codes_exit_normally(self, monkeypatch):
+        def entry():
+            sys.exit("text")
+
+        with pytest.raises(SystemExit) as info:
+            self.run_script(monkeypatch, [], entry=entry)
+        assert info.value.code == "text"
+
+    def test_failed_flush_exits_normally(self, monkeypatch):
+        def entry():
+            sys.exit(0)
+
+        with pytest.raises(SystemExit) as info:
+            self.run_script(monkeypatch, [], entry=entry, error=BrokenPipeError())
+        assert info.value.code == 0
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def entry():
+            raise KeyError("lost")
+
+        with pytest.raises(KeyError, match="lost"):
+            self.run_script(monkeypatch, [], entry=entry)
+
+
+class TestScriptMatchesMain:
+    """`python -m softdedupe.cli`, which ends through script() without
+    teardown, against main() run by `python -c`, which exits normally: the
+    same exit code, output files, stdout, and Error: and warning lines."""
+
+    @pytest.mark.parametrize("args, code, shown", [
+        (["run", "--input", "{csv}", "--truth-column", "id", "--output-dir", "out"],
+         0, "clusters="),
+        (["sweep", "--input", "{csv}", "--truth-column", "id", "--grid", "10",
+          "--output-dir", "out"], 0, "sweep rows"),
+        (["eval", "--clusters", "{clusters}", "--truth", "{truth}"], 0, '"nmi"'),
+        (["run", "--output-dir", "out"], 2, "Error: --input is required"),
+        (["run", "--input", "{csv}", "--tau", "5", "--output-dir", "out"], 0,
+         "UserWarning: tau=5.0 outside the nontrivial interval"),
+    ], ids=["run", "sweep", "eval", "missing_input", "trivial_tau"])
+    def test_same_results(self, small_csv, tmp_path, args, code, shown):
+        write_clusters(ClusterSet.from_labels([0, 0, 1, 2, 2, 3]),
+                       str(tmp_path / "clusters.txt"))
+        write_clusters(ClusterSet.from_labels([0, 0, 1, 2, 3, 3]),
+                       str(tmp_path / "truth.txt"))
+        args = [a.format(csv=small_csv, clusters=tmp_path / "clusters.txt",
+                         truth=tmp_path / "truth.txt") for a in args]
+        src = str(Path(softdedupe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        results = []
+        for name, launch in [("script", ["-m", "softdedupe.cli"]),
+                             ("main", ["-c", "from softdedupe.cli import main; main()"])]:
+            cwd = tmp_path / name
+            cwd.mkdir()
+            # stdout and stderr are pipes
+            proc = subprocess.run([sys.executable, *launch, *args], cwd=cwd,
+                                  env=env, capture_output=True, text=True)
+            files = {path.relative_to(cwd).as_posix(): path.read_bytes()
+                     for path in sorted(cwd.rglob("*")) if path.is_file()}
+            lines = [line for line in proc.stderr.splitlines()
+                     if line.startswith("Error:") or "Warning:" in line]
+            results.append((proc.returncode, files, proc.stdout, lines))
+        assert results[0] == results[1]
+        returncode, files, stdout, lines = results[0]
+        assert returncode == code
+        assert shown in stdout + "\n".join(lines)
+        if args[0] != "eval" and code == 0:
+            assert "out/manifest.json" in files
 
 
 def test_blas_thread_count_keeps_outputs(tmp_path):

@@ -41,6 +41,7 @@ from oracles import (
     graph_from_edges,
     has_edge,
     strength,
+    swap_prim_forest,
 )
 
 
@@ -496,6 +497,37 @@ class TestSingleLinkage:
         assert w.tolist() == [0.9, 0.8, 0.3]
         assert sorted(map(sorted, zip(i.tolist(), j.tolist()))) == [
             [0, 1], [1, 2], [2, 3]]
+
+
+class TestForestOracle:
+    """max_spanning_forest against the swap-and-slice Prim it replaced
+    (oracles.swap_prim_forest). Of edges of equal weight either may take
+    any, but every maximum spanning forest has the same weights and the
+    same single-linkage partitions at every tau."""
+
+    @staticmethod
+    def check(sim, taus):
+        i, j, w = max_spanning_forest(sim)
+        _, _, expected = swap_prim_forest(sim)
+        assert np.array_equal(np.sort(w), np.sort(expected))
+        assert np.all(w[:-1] >= w[1:])
+        assert np.array_equal(sim[i, j], w)
+        # single_linkage merges the edges forest_merges gives for each tau
+        with mock.patch.object(clustering, "max_spanning_forest", swap_prim_forest):
+            oracle = list(single_linkage(sim, taus))
+        assert list(single_linkage(sim, taus)) == oracle
+
+    @settings(max_examples=300, deadline=None)
+    @given(extreme_scores_and_taus())
+    def test_matches_swap_prim(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("name, method", [("restaurants", "tfidf"),
+                                              ("citations", "soft_tfidf")])
+    def test_matches_swap_prim_on_data_sets(self, scores, name, method):
+        sim = scores.get(name, method=method)
+        lo, hi = nontrivial_interval(sim)
+        self.check(sim, np.linspace(lo, hi, 41)[:0:-1].tolist())
 
 
 class TestClusterFiles:

@@ -449,6 +449,15 @@ class TestSimilarityParams:
         with pytest.raises(ValueError, match="finite and positive"):
             SimilarityParams(weights=(1.0, bad))
 
+    def test_weights_must_have_finite_sum(self):
+        # each field scores at most 1 per pair, so the composite is at most
+        # the weights' left-to-right sum; one that overflows is rejected
+        with pytest.raises(ValueError, match="finite sum"):
+            SimilarityParams(weights=(1e308, 1e308, 1e308))
+        with pytest.raises(ValueError, match="finite sum"):
+            SimilarityParams(weights=(1.0, 1.7e308, 1.7e308))
+        assert SimilarityParams(weights=(1.0, 1e308)).weights == (1.0, 1e308)
+
 
 @st.composite
 def oracle_cases(draw):
