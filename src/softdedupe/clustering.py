@@ -16,7 +16,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
-from math import comb, inf, isfinite, isnan
+from math import comb, frexp, inf, isfinite, isnan
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -121,13 +121,21 @@ def h_statistics(sim: np.ndarray) -> np.ndarray:
 
 def threshold_from_h(h: np.ndarray) -> float:
     """mu(H) + sigma(H), falling back to mu(H) when that reaches max(H). A
-    mean that is not finite, as when the sum of H overflows, is a ValueError."""
+    mean that is not finite, as when the sum of H overflows, is a ValueError.
+
+    sigma is taken of H times 2**-e, where 2**e is the power of two just
+    above max |H|, and scaled back by 2**e. Both scalings are exact on
+    normal floats, and the squared deviations of the scaled H neither
+    underflow to 0 nor overflow to inf, so tau scales with H (with the
+    weights) at any magnitude.
+    """
     h = np.asarray(h, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(h.mean())
-        tau = mean + float(h.std(ddof=1))
-    if not isfinite(mean):
-        raise ValueError(f"automatic threshold is not finite: mean H is {mean}")
+        if not isfinite(mean):
+            raise ValueError(f"automatic threshold is not finite: mean H is {mean}")
+        e = frexp(float(np.abs(h).max()))[1]
+        tau = mean + float(np.ldexp(np.ldexp(h, -e).std(ddof=1), e))
     return tau if tau < float(h.max()) else mean
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -70,6 +71,17 @@ class SimilarityParams:
         if self.weights is not None and not math.isfinite(
                 reduce(operator.add, self.weights, 0.0)):
             raise ValueError(f"weights must have a finite sum, got {self.weights}")
+        # every nonzero field score is at least SPARSE_FLOOR and adjust divides
+        # by at most the field count a, so at or above this bound every nonzero
+        # weighted and adjusted score is a normal float, never a subnormal one
+        if self.weights and (min(self.weights) * SPARSE_FLOOR / len(self.weights)
+                             < sys.float_info.min):
+            smallest = sys.float_info.min * len(self.weights) / SPARSE_FLOOR
+            raise ValueError(
+                f"weights must be at least about {smallest:.3g} for "
+                f"{len(self.weights)} fields, so that no score is subnormal, "
+                f"got {self.weights}"
+            )
 
 
 def jaro(s1: str, s2: str) -> float:

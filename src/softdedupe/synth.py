@@ -7,6 +7,13 @@ with 864 records over 752 entities (5 fields, no missing entries) and a
 citation table with 1295 records over 122 entities (3 fields, ~3%
 missing). Noise mimics the documented error types: typos, transpositions,
 abbreviation variants, reformatting, and occasional conflicting values.
+
+Every bounded draw goes through _below, which takes bits from the
+generator's getrandbits exactly as the random module's choice and randrange
+do on Python 3.10-3.13, without their call frames; random(), sample,
+shuffle and lognormvariate are the module's own. So a seed gives the same
+records as the plain random calls would, and
+tests/test_synth.py::TestDigests pins the bytes of each generator's CSV.
 """
 
 from __future__ import annotations
@@ -110,19 +117,31 @@ _CUISINES = [
 ]
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n), n > 0: rng.randrange(n), drawn as CPython's
+    _randbelow_with_getrandbits draws it (the rule behind choice, randrange,
+    sample and shuffle), so the generator's stream advances the same way."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _typo(rng: random.Random, word: str) -> str:
     """One character-level error: transpose, drop, double, or substitute."""
     if len(word) < 4:
         return word
-    i = rng.randrange(1, len(word) - 1)
-    op = rng.randrange(4)
+    i = 1 + _below(rng, len(word) - 2)
+    op = _below(rng, 4)
     if op == 0:
         return word[:i] + word[i + 1] + word[i] + word[i + 2 :]
     if op == 1:
         return word[:i] + word[i + 1 :]
     if op == 2:
         return word[:i] + word[i] + word[i:]
-    return word[:i] + rng.choice(string.ascii_lowercase) + word[i + 1 :]
+    letter = string.ascii_lowercase[_below(rng, len(string.ascii_lowercase))]
+    return word[:i] + letter + word[i + 1 :]
 
 
 def _typo_in_phrase(rng: random.Random, phrase: str) -> str:
@@ -130,7 +149,7 @@ def _typo_in_phrase(rng: random.Random, phrase: str) -> str:
     candidates = [i for i, w in enumerate(words) if len(w) >= 4]
     if not candidates:
         return phrase
-    i = rng.choice(candidates)
+    i = candidates[_below(rng, len(candidates))]
     words[i] = _typo(rng, words[i])
     return " ".join(words)
 
@@ -141,15 +160,15 @@ def _abbreviate(phrase: str) -> str:
 
 def _phone(rng: random.Random) -> str:
     return (
-        f"{rng.randrange(200, 999)}-{rng.randrange(200, 999)}-"
-        f"{rng.randrange(1000, 9999)}"
+        f"{200 + _below(rng, 799)}-{200 + _below(rng, 799)}-"
+        f"{1000 + _below(rng, 8999)}"
     )
 
 
 def _restaurant_entity(rng: random.Random, used_names: set[str]) -> dict[str, str]:
     while True:
-        core = rng.choice(_NAME_CORE)
-        tail = rng.choice(_NAME_TAIL)
+        core = _NAME_CORE[_below(rng, len(_NAME_CORE))]
+        tail = _NAME_TAIL[_below(rng, len(_NAME_TAIL))]
         name = f"{core} {tail}"
         if rng.random() < 0.25:
             name = "the " + name
@@ -157,11 +176,11 @@ def _restaurant_entity(rng: random.Random, used_names: set[str]) -> dict[str, st
             used_names.add(name)
             break
     street = (
-        f"{rng.randrange(1, 9999)} {rng.choice(_STREETS)} "
-        f"{rng.choice(_STREET_TYPES)}"
+        f"{1 + _below(rng, 9998)} {_STREETS[_below(rng, len(_STREETS))]} "
+        f"{_STREET_TYPES[_below(rng, len(_STREET_TYPES))]}"
     )
-    city = rng.choice(_CITIES)
-    cuisine = rng.choice(_CUISINES)
+    city = _CITIES[_below(rng, len(_CITIES))]
+    cuisine = _CUISINES[_below(rng, len(_CUISINES))]
     return {
         "name": name,
         "address": street,
@@ -209,25 +228,19 @@ def make_restaurants(seed: int = 7) -> DataSet:
     entities = [
         _restaurant_entity(rng, used) for _ in range(RESTAURANT_ENTITIES)
     ]
-    rows = []
-    for eid, ent in enumerate(entities):
-        rows.append(
-            (
-                eid,
-                [ent["name"], ent["address"], ent["city"], ent["phone"], ent["cuisine"]],
-            )
-        )
+    rows = [
+        (str(eid), ent["name"], ent["address"], ent["city"], ent["phone"],
+         ent["cuisine"])
+        for eid, ent in enumerate(entities)
+    ]
     duplicated = rng.sample(
         range(RESTAURANT_ENTITIES), RESTAURANT_RECORDS - RESTAURANT_ENTITIES
     )
     for eid in duplicated:
-        rows.append((eid, _restaurant_duplicate(rng, entities[eid])))
+        rows.append((str(eid), *_restaurant_duplicate(rng, entities[eid])))
     rng.shuffle(rows)
-    records = tuple(
-        (str(eid), *map(str, fields)) for eid, fields in rows
-    )
     return DataSet(
-        records=records,
+        records=tuple(rows),
         schema=("entity_id", "name", "address", "city", "phone", "cuisine"),
     )
 
@@ -251,6 +264,10 @@ _LAST_NAMES = [
     "stauffer", "tremblay", "underwood", "villanueva", "wainwright",
     "yankovic",
 ]
+
+# every (first, last) pair, built once: sample's draws depend only on the
+# population's length and k
+_AUTHORS = tuple((f, l) for f in _FIRST_NAMES for l in _LAST_NAMES)
 
 _TITLE_WORDS = [
     "adaptive", "algorithms", "analysis", "approximate", "bayesian",
@@ -307,25 +324,23 @@ def _citation_sizes(rng: random.Random) -> list[int]:
     spare = CITATION_RECORDS - CITATION_ENTITIES
     sizes = [1 + int(spare * w / total_weight) for w in weights]
     while sum(sizes) < CITATION_RECORDS:
-        sizes[rng.randrange(CITATION_ENTITIES)] += 1
+        sizes[_below(rng, CITATION_ENTITIES)] += 1
     while sum(sizes) > CITATION_RECORDS:
-        i = rng.randrange(CITATION_ENTITIES)
+        i = _below(rng, CITATION_ENTITIES)
         if sizes[i] > 1:
             sizes[i] -= 1
     return sizes
 
 
 def _citation_entity(rng: random.Random) -> dict:
-    authors = rng.sample(
-        [(f, l) for f in _FIRST_NAMES for l in _LAST_NAMES],
-        rng.randrange(1, 4),
-    )
-    title = " ".join(rng.sample(_TITLE_WORDS, rng.randrange(4, 8)))
-    return {"authors": authors, "title": title, "venue": rng.choice(_VENUES)}
+    authors = rng.sample(_AUTHORS, 1 + _below(rng, 3))
+    title = " ".join(rng.sample(_TITLE_WORDS, 4 + _below(rng, 4)))
+    return {"authors": authors, "title": title,
+            "venue": _VENUES[_below(rng, len(_VENUES))]}
 
 
 def _format_authors(rng: random.Random, authors: list[tuple[str, str]]) -> str:
-    style = rng.randrange(3)
+    style = _below(rng, 3)
     parts = []
     for first, last in authors:
         if rng.random() < 0.12:
@@ -350,7 +365,7 @@ def _citation_record(rng: random.Random, ent: dict) -> list[str]:
         title = _typo_in_phrase(rng, title)
     if rng.random() < 0.1:
         title = " ".join(title.split()[:-1])
-    venue = rng.choice(ent["venue"])
+    venue = ent["venue"][_below(rng, len(ent["venue"]))]
     if rng.random() < 0.1:
         venue = _typo_in_phrase(rng, venue)
     if rng.random() < 0.045:
@@ -372,9 +387,8 @@ def make_citations(seed: int = 11) -> DataSet:
     rows = []
     for eid, (ent, size) in enumerate(zip(entities, sizes)):
         for _ in range(size):
-            rows.append((eid, _citation_record(rng, ent)))
+            rows.append((str(eid), *_citation_record(rng, ent)))
     rng.shuffle(rows)
-    records = tuple((str(eid), *map(str, fields)) for eid, fields in rows)
     return DataSet(
-        records=records, schema=("entity_id", "author", "title", "venue")
+        records=tuple(rows), schema=("entity_id", "author", "title", "venue")
     )

@@ -335,6 +335,61 @@ class TestOverflowingWeights:
         assert (out / "clusters.txt").exists()
 
 
+class TestTinyWeights:
+    """Equal weights that are a power of two scale every score, and tau,
+    exactly, so the clusters are those at unit weights however small or large
+    the power. Weights small enough to make a score subnormal are a usage
+    error."""
+
+    @pytest.fixture(scope="class")
+    def citations_29(self, tmp_path_factory):
+        data = synth.make_citations()
+        path = tmp_path_factory.mktemp("citations_29") / "citations.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(data.schema)
+            writer.writerows(data.records[:29])
+        return str(path)
+
+    def run(self, runner, path, out, weight, command="run"):
+        return runner.invoke(main, [
+            command, "--input", path, "--truth-column", "entity_id",
+            "--output-dir", str(out), "--weights", ",".join([repr(weight)] * 3),
+        ])
+
+    @pytest.mark.parametrize("weight", [2.0**-600, 2.0**600])
+    def test_scaled_weights_keep_clusters(self, runner, citations_29, tmp_path,
+                                          weight):
+        for w, out in ((1.0, tmp_path / "unit"), (weight, tmp_path / "scaled")):
+            assert self.run(runner, citations_29, out, w).exit_code == 0
+        unit, scaled = tmp_path / "unit", tmp_path / "scaled"
+        assert ((scaled / "clusters.txt").read_bytes()
+                == (unit / "clusters.txt").read_bytes())
+        tau = json.loads((unit / "manifest.json").read_text())["tau_used"]
+        assert json.loads((scaled / "manifest.json").read_text())["tau_used"] == (
+            tau * weight)
+
+    def test_scaled_weights_keep_sweep_auto_tau(self, runner, citations_29,
+                                                tmp_path):
+        weight = 2.0**-600
+        taus = []
+        for w in (1.0, weight):
+            out = tmp_path / repr(w)
+            assert self.run(runner, citations_29, out, w, "sweep").exit_code == 0
+            taus.append(json.loads((out / "manifest.json").read_text())["tau_auto"])
+        assert taus[1] == taus[0] * weight
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_subnormal_scores_are_usage_error(self, runner, citations_29,
+                                              tmp_path, command):
+        out = tmp_path / "out"
+        result = self.run(runner, citations_29, out, 5e-324, command)
+        assert result.exit_code == 2
+        assert "no score is subnormal" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
 def _bad_path_args(case, tmp_path, small_csv):
     """The command line of one bad-path case, and the message it gives."""
     folder = tmp_path / "folder"

@@ -180,6 +180,22 @@ class TestThresholdFromH:
             with pytest.raises(ValueError, match="not finite: mean H is inf"):
                 threshold_from_h(np.array([1e308, 1e308, 0.5]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.just(0.0) | st.floats(1e-3, 4.0), min_size=2, max_size=40),
+        st.integers(1, 1000),
+        st.sampled_from([1, -1]),
+    )
+    @example([0.0, 0.25, 0.5, 1.0, 1.0], 600, -1)
+    @example([0.0, 0.25, 0.5, 1.0, 1.0], 600, 1)
+    def test_scales_with_h(self, values, k, sign):
+        # H times 2**k, a power of two that keeps every value a normal float,
+        # scales tau exactly: sigma(H) must not underflow to 0 for tiny H or
+        # overflow to inf for huge H and leave tau at the mean
+        h = np.array(values)
+        scale = 2.0 ** (sign * k)
+        assert threshold_from_h(h * scale) == threshold_from_h(h) * scale
+
 
 class TestThresholdAndGroup:
     def test_edges_at_or_above_tau(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -20,6 +21,7 @@ from softdedupe.corpus import (
 from softdedupe.similarity import (
     METHOD_SOFT_TFIDF,
     METHOD_TFIDF,
+    SPARSE_FLOOR,
     SimilarityParams,
     build_jw_matrix,
     build_tfidf,
@@ -457,6 +459,24 @@ class TestSimilarityParams:
         with pytest.raises(ValueError, match="finite sum"):
             SimilarityParams(weights=(1.0, 1.7e308, 1.7e308))
         assert SimilarityParams(weights=(1.0, 1e308)).weights == (1.0, 1e308)
+
+    def test_weights_giving_subnormal_scores_rejected(self):
+        with pytest.raises(ValueError, match="no score is subnormal"):
+            SimilarityParams(weights=(5e-324,) * 3)
+        with pytest.raises(ValueError, match="no score is subnormal"):
+            SimilarityParams(weights=(1.0, 1e-300))
+        tiny = 2.0**-600
+        assert SimilarityParams(weights=(tiny,) * 3).weights == (tiny,) * 3
+
+    def test_smallest_weights_give_normal_scores(self, citations):
+        # weights just above the bound: every nonzero field score is at least
+        # SPARSE_FLOOR and adjust divides by at most 3, so no score is subnormal
+        data, _ = citations
+        data = DataSet(records=data.records[:60], schema=data.schema)
+        w = 2 * sys.float_info.min * data.a / SPARSE_FLOOR
+        sim = pipeline.build_similarity(data, WORD, SimilarityParams(weights=(w,) * 3))
+        nonzero = sim[np.isfinite(sim) & (sim != 0)]
+        assert nonzero.size and nonzero.min() >= sys.float_info.min
 
 
 @st.composite
