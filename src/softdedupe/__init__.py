@@ -26,7 +26,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ["ClusterSet", "ThresholdedGraph", "auto_threshold", "group",
-         "needs_refinement", "refine_all", "refine_cluster", "threshold"],
+         "refine_all", "threshold"],
         "clustering",
     ),
     **dict.fromkeys(["MetricsReport", "evaluate"], "evaluation"),

@@ -5,9 +5,10 @@ every pair scoring >= tau, found by a breadth-first search over each
 record's row of that graph packed into the bits of an int. Refinement
 reuses the same packed rows, and scores every single-record removal from
 one depth-first search of each cluster's links. A sweep takes its
-clusterings at every tau from one maximum spanning forest of the score
-array instead (single linkage), so no graph is built per tau. A partition
-is a ClusterSet: an array of one cluster label per record.
+clusterings at every tau from the merges of one maximum spanning forest of
+the score array instead (single linkage, forest_merges), so no graph is
+built per tau. A partition is a ClusterSet: an array of one cluster label
+per record.
 """
 
 from __future__ import annotations
@@ -96,21 +97,6 @@ class ClusterSet:
         _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
         return ClusterSet(np.argsort(np.argsort(first))[inverse])
 
-    @staticmethod
-    def from_groups(groups: Iterable[Iterable[int]]) -> "ClusterSet":
-        """The partition into nonempty, disjoint `groups` covering 0..n-1."""
-        groups = [list(g) for g in groups]
-        records = np.array([v for g in groups for v in g], dtype=np.int64)
-        found = np.sort(records)
-        if not all(groups):
-            raise ValueError("empty cluster")
-        if (found[1:] == found[:-1]).any():
-            raise ValueError("clusters are not disjoint")
-        if not np.array_equal(found, np.arange(len(found))):
-            raise ValueError("clusters do not cover a contiguous index range")
-        owner = np.repeat(np.arange(len(groups)), list(map(len, groups)))
-        return ClusterSet.from_labels(owner[np.argsort(records)])
-
 
 def h_statistics(sim: np.ndarray) -> np.ndarray:
     """H_i = max over j != i of SIM_{i,j}; sim has NaN on its diagonal."""
@@ -168,7 +154,7 @@ def threshold(sim: np.ndarray, tau: float) -> ThresholdedGraph:
     """Link every record pair whose similarity is >= tau: a view of sim,
     after a warning when tau lies outside the nontrivial interval.
 
-    A NaN tau is a ValueError: no pair compares >= NaN, and single_linkage
+    A NaN tau is a ValueError: no pair compares >= NaN, and forest_merges
     merges only at comparable thresholds.
     """
     if isnan(tau):
@@ -246,22 +232,6 @@ def forest_merges(sim: np.ndarray,
         while merged < len(w) and w[merged] >= tau:
             merged += 1
         yield list(zip(i[start:merged].tolist(), j[start:merged].tolist()))
-
-
-def single_linkage(sim: np.ndarray, taus: Sequence[float]) -> Iterator[ClusterSet]:
-    """The clusters at each tau of the descending `taus`, in that order: the
-    components of the graph linking every pair with sim >= tau, from one
-    maximum spanning forest (see forest_merges), without threshold's
-    warning.
-
-    An edge gives its second end's cluster the label of its first end's, in
-    one comparison over the label array.
-    """
-    label = np.arange(len(sim))
-    for edges in forest_merges(sim, taus):
-        for u, v in edges:
-            label[label == label[v]] = label[u]
-        yield ClusterSet.from_labels(label)
 
 
 def group(graph: ThresholdedGraph) -> ClusterSet:
@@ -443,8 +413,8 @@ class _Removals:
 
 
 def _refine(members: list[int], links: dict[int, int]) -> list[list[int]] | None:
-    """refine_cluster on the sorted `members`, whose rows `links` holds, or
-    None for a stable cluster."""
+    """The pieces refine_all splits the sorted `members` into, whose rows
+    `links` holds, or None for a stable cluster."""
     p = len(members)
     if p <= 2:
         return None
@@ -467,30 +437,17 @@ def _refine(members: list[int], links: dict[int, int]) -> list[list[int]] | None
     return out
 
 
-def needs_refinement(cluster: Sequence[int], graph: ThresholdedGraph) -> bool:
-    """True when removing some single record disconnects the remainder."""
-    members = sorted(cluster)
-    return _refine(members, _links(graph, members)) is not None
-
-
-def refine_cluster(cluster: Sequence[int], graph: ThresholdedGraph) -> list[list[int]]:
-    """Split an unstable cluster by removing and re-attaching one record.
-
-    The removed record maximizes the mean strength of the remaining
-    subclusters; it is then re-added to the subcluster maximizing the
-    strength of the union. Ties pick the lowest record / subcluster index.
-    """
-    members = sorted(cluster)
-    pieces = _refine(members, _links(graph, members))
-    if pieces is None:
-        raise ValueError("refine_cluster called on a stable cluster")
-    return pieces
-
-
 def refine_all(
     clusters: ClusterSet, graph: ThresholdedGraph, iterate: bool = False
 ) -> ClusterSet:
     """Replace every unstable cluster by its refinement.
+
+    A cluster is unstable when removing some single record disconnects the
+    rest. Its refinement removes the record that maximizes the mean
+    strength (the share of record pairs linked) of the pieces left, then
+    re-adds it to the piece whose union with it is strongest. Ties pick the
+    lowest record, and the piece with the lowest least record. A record
+    that rejoins its only piece leaves the cluster whole.
 
     By default one pass is made; with iterate=True the pass repeats until
     no cluster is unstable. Only clusters of three or more records are

@@ -12,7 +12,8 @@ order of each cell's first record, and the cluster sizes. MergeMetrics gives
 the same reports for a partition that only ever merges clusters, as a sweep
 down a single-linkage forest does: it updates the integer tallies per merge
 and recomputes only the NMI terms of clusters that grew, so a sweep pays per
-threshold for what changed instead of a full evaluate.
+threshold for what changed instead of a full evaluate. Its union-find also
+gives the partition itself, which a refined sweep refines.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ def _contingency(
 
 
 def _z_rand(n: int, n_c: int, n_g: int, w: int) -> float | None:
+    """Standard deviations separating the overlap w of n_c and n_g
+    co-clustered pairs from its null mean. The null model draws the n_c
+    pairs uniformly from the C(n,2) possible pairs (hypergeometric), with
+    cluster sizes fixed."""
     t = comb(n, 2)
     if t < 2 or n_c == 0 or n_g == 0:
         return None
@@ -86,15 +91,6 @@ def _z_rand(n: int, n_c: int, n_g: int, w: int) -> float | None:
     if var <= 0:
         return None
     return (w - mean) / math.sqrt(var)
-
-
-def z_rand(c: ClusterSet, c_true: ClusterSet) -> float | None:
-    """Standard deviations separating the pair overlap from its null mean.
-
-    The null model draws |C| co-clustered pairs uniformly from the C(n,2)
-    possible pairs (hypergeometric), with cluster sizes fixed.
-    """
-    return evaluate(c, c_true).z_rand
 
 
 def _entropy(sizes: np.ndarray, n: int) -> float:
@@ -176,6 +172,7 @@ class MergeMetrics:
     the cells whose cluster grew since the last report, with evaluate's
     arithmetic, and adds every term in least-record order; an absorbed
     cell's slot holds 0.0, which adds nothing to the +0.0 start.
+    partition() reads the partition itself off the union-find.
     """
 
     def __init__(self, c_true: ClusterSet):
@@ -244,6 +241,21 @@ class MergeMetrics:
         cells[b] = {}
         self.grown.discard(b)
         self.grown.add(a)
+
+    def partition(self) -> ClusterSet:
+        """The partition now. Pointer jumping over the parent links takes
+        every record to its root; the least records, where size_at is
+        nonzero, number the clusters in order."""
+        root = np.fromiter(self.parent, dtype=np.int64, count=self.n)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        least = np.flatnonzero(self.size_at)
+        number = np.zeros(self.n, dtype=np.int64)
+        number[root[least]] = np.arange(len(least))
+        return ClusterSet(number[root])
 
     def report(self, tau: float | None = None) -> MetricsReport:
         """evaluate(the partition now, the truth, tau)."""

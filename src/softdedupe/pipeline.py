@@ -103,12 +103,13 @@ def sweep_thresholds(
 
     The clusterings come from one maximum spanning forest (single linkage):
     one O(n^2) pass over sim, whose edges then merge from the highest tau
-    down. Without refinement, evaluation.MergeMetrics updates every metric
-    as each edge merges two clusters, so a tau costs only the NMI terms of
-    the clusters that grew since the tau before it; no partition is built.
-    A refined sweep takes each tau's clusters from clustering.single_linkage,
-    refines them on a view of sim at that tau, which reads only the rows of
-    records in clusters of three or more, and evaluates the result.
+    down into one evaluation.MergeMetrics. Unrefined, it updates every
+    metric as each edge merges two clusters, so a tau costs only the NMI
+    terms of the clusters that grew since the tau before it; no partition
+    is built. A refined sweep reads each tau's partition off the same
+    union-find (MergeMetrics.partition, kept while no edge merges), refines
+    it on a view of sim at that tau, which reads only the rows of records
+    in clusters of three or more, and evaluates the result.
     """
     interval = clustering.nontrivial_interval(sim)
     if taus is None:
@@ -125,21 +126,21 @@ def sweep_thresholds(
     if len(sim) != truth.n:
         raise ValueError("partitions cover different numbers of records")
     points.reverse()  # the forest merges from the highest tau down
-    descending = [tau for tau, _ in points]
-    rows = []
-    if refine:
-        forest = clustering.single_linkage(sim, descending)
-        for (tau, is_auto), clusters in zip(points, forest):
+    metrics = evaluation.MergeMetrics(truth)
+    merges = clustering.forest_merges(sim, [tau for tau, _ in points])
+    rows, clusters = [], None
+    for (tau, is_auto), edges in zip(points, merges):
+        for u, v in edges:
+            metrics.merge(u, v)
+        if refine:
+            if edges or clusters is None:
+                clusters = metrics.partition()
             graph = clustering.ThresholdedGraph(tau=tau, scores=sim)
-            clusters = clustering.refine_all(clusters, graph, iterate=iterate)
-            rows.append((tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau)))
-    else:
-        metrics = evaluation.MergeMetrics(truth)
-        merges = clustering.forest_merges(sim, descending)
-        for (tau, is_auto), edges in zip(points, merges):
-            for u, v in edges:
-                metrics.merge(u, v)
-            rows.append((tau, is_auto, metrics.report(tau)))
+            refined = clustering.refine_all(clusters, graph, iterate=iterate)
+            report = evaluation.evaluate(refined, truth, tau=tau)
+        else:
+            report = metrics.report(tau)
+        rows.append((tau, is_auto, report))
     return rows[::-1]
 
 

@@ -56,6 +56,9 @@ class SimilarityParams:
     def __post_init__(self):
         if not self.prefix_factor >= 0.0 or self.max_prefix < 0:
             raise ValueError("prefix_factor and max_prefix must be >= 0")
+        # inf * 0 is NaN, which the bound below would let through
+        if not math.isfinite(self.prefix_factor):
+            raise ValueError(f"prefix_factor must be finite, got {self.prefix_factor}")
         if self.prefix_factor * self.max_prefix > 1.0 + 1e-12:
             raise ValueError("prefix_factor * max_prefix must be <= 1")
         if not 0.0 <= self.theta < 1.0:

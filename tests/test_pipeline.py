@@ -13,7 +13,13 @@ from softdedupe.corpus import DataSet, TokenizerConfig
 from softdedupe.similarity import SimilarityParams
 
 from conftest import imputed_fields
-from oracles import batched_refine_all, components, two_pass_impute_mode
+from oracles import (
+    batched_refine_all,
+    components,
+    from_groups,
+    single_linkage,
+    two_pass_impute_mode,
+)
 
 WORD = TokenizerConfig(mode="word")
 
@@ -135,7 +141,7 @@ class TestClusterRecords:
         with mock.patch.object(clustering, "max_spanning_forest",
                                side_effect=AssertionError):
             clusters, tau = pipeline.cluster_records(sim, tau, refine, iterate)
-        expected = next(clustering.single_linkage(sim, [tau]))
+        expected = next(single_linkage(sim, [tau]))
         if refine:
             graph = clustering.ThresholdedGraph(tau=tau, scores=sim)
             expected = clustering.refine_all(expected, graph, iterate=iterate)
@@ -144,7 +150,7 @@ class TestClusterRecords:
     @pytest.mark.parametrize("refine", [False, True])
     def test_sweep_builds_forest(self, refine):
         sim = pipeline.build_similarity(small_dataset(), WORD, SimilarityParams())
-        truth = clustering.ClusterSet.from_groups([[0, 1], [2], [3, 4], [5]])
+        truth = from_groups([[0, 1], [2], [3, 4], [5]])
         with mock.patch.object(clustering, "max_spanning_forest",
                                wraps=clustering.max_spanning_forest) as forest:
             pipeline.sweep_thresholds(sim, truth, grid_size=10, refine=refine)
@@ -155,7 +161,7 @@ class TestSweepThresholds:
     def setup_method(self):
         data = small_dataset()
         self.sim = pipeline.build_similarity(data, WORD, SimilarityParams())
-        self.truth = clustering.ClusterSet.from_groups(
+        self.truth = from_groups(
             [[0, 1], [2], [3, 4], [5]]
         )
 
@@ -317,7 +323,7 @@ def per_tau_sweep(sim, truth, grid_size):
     taus = [float(t) for t in np.linspace(lo, hi, grid_size + 1)[1:]]
     points = sorted([(t, False) for t in taus]
                     + [(clustering.auto_threshold(sim), True)], reverse=True)
-    forest = clustering.single_linkage(sim, [tau for tau, _ in points])
+    forest = single_linkage(sim, [tau for tau, _ in points])
     rows = [(tau, is_auto, evaluation.evaluate(clusters, truth, tau=tau))
             for (tau, is_auto), clusters in zip(points, forest)]
     return rows[::-1]

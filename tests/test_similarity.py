@@ -440,6 +440,12 @@ class TestSimilarityParams:
         with pytest.raises(ValueError, match="must be >= 0"):
             SimilarityParams(**kwargs)
 
+    @pytest.mark.parametrize("max_prefix", [0, 4])
+    def test_prefix_factor_finite(self, max_prefix):
+        # inf * 0 is NaN, which the bound on the product lets through
+        with pytest.raises(ValueError, match="prefix_factor must be finite"):
+            SimilarityParams(prefix_factor=math.inf, max_prefix=max_prefix)
+
     def test_theta_range(self):
         with pytest.raises(ValueError):
             SimilarityParams(theta=1.0)
