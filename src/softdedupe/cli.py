@@ -12,13 +12,10 @@ module sets OPENBLAS_NUM_THREADS to 1 in os.environ when it is unset; set it
 yourself to override it. OpenBLAS reads the variable once, when numpy loads,
 so it only takes effect if numpy is not loaded yet.
 
-Most of a small command's CPU time is fixed cost. On the four benchmark
-commands (medians of nine runs each, own CPU time from wait4, Python 3.11,
-numpy 2.4, a shared 2-CPU VM): the interpreter with its site hooks takes
-66-69 ms, importing numpy 91-114 ms, click 11-15 ms and this package
-53-68 ms (20-29 ms with cached bytecode), the command's own work (read,
-score, group, refine, write) 107-175 ms, and the interpreter's teardown
-(clearing the modules and a final garbage collection) 43-51 ms. The console
+Most of a small command's CPU time is fixed cost: starting the interpreter
+and importing numpy, click and this package take longer than the command's
+own work (read, score, group, refine, write), and so would the interpreter's
+teardown (clearing the modules and a final garbage collection). The console
 script and `python -m softdedupe.cli` end through script(), which skips the
 teardown; main() called in process (click's CliRunner, benchmark/traced.py,
 a library caller) returns or raises as usual, and its interpreter tears
@@ -257,12 +254,17 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
     full = _read(load_dataset, p["input_path"], header=not p["no_header"],
                  delimiter=p["delimiter"])
     truth_col = p.get("truth_column")
+    if truth_col and p.get("truth_file"):
+        raise click.UsageError("give --truth-column or --truth-file, not both")
     if truth_col and truth_col not in full.schema:
         raise click.UsageError(f"unknown field name: {truth_col!r}")
     if p.get("fields"):
         names = _field_names(p["fields"], full.schema)
     else:
         names = [f for f in full.schema if f != truth_col]
+    if truth_col in names:
+        raise click.UsageError(
+            f"the truth column {truth_col!r} cannot also be compared (--fields)")
     if not names:
         raise click.UsageError("no fields to compare (see --fields)")
     dataset = full.select_fields(names)

@@ -9,10 +9,9 @@ features is missing. The field's lexicon is its sorted distinct features.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import BinaryIO, Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 DEFAULT_STOP_WORDS = frozenset({"and", "the", "or", "none", "na", ""})
 
@@ -90,32 +89,26 @@ class TokenizerConfig:
 
 
 def load_dataset(
-    source: str | TextIO | BinaryIO,
-    schema: list[str] | None = None,
+    source: str | TextIO,
     header: bool = True,
     delimiter: str = ",",
 ) -> DataSet:
     """Read delimited text into a DataSet.
 
-    `source` is a path or an open text/byte stream. With header=True the
-    first row gives the field names unless an explicit schema is passed.
+    `source` is a path or an open text stream. With header=True the first
+    row gives the field names, else they are field_0, field_1, ....
     Entry strings are preserved verbatim apart from outer whitespace.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8", newline="") as fh:
-            return load_dataset(fh, schema=schema, header=header, delimiter=delimiter)
-    if isinstance(source.read(0), bytes):  # type: ignore[union-attr]
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")  # type: ignore[arg-type]
+            return load_dataset(fh, header=header, delimiter=delimiter)
 
-    reader = csv.reader(source, delimiter=delimiter)
-    rows = list(reader)
+    rows = list(csv.reader(source, delimiter=delimiter))
     if header and rows:
-        head = [c.strip() for c in rows.pop(0)]
-        if schema is None:
-            schema = head
+        schema = [c.strip() for c in rows.pop(0)]
     if not rows:
         raise LoadError("input contains no data rows")
-    if schema is None:
+    if not header:
         schema = [f"field_{k}" for k in range(len(rows[0]))]
     a = len(schema)
     records = []

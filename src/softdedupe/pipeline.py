@@ -49,9 +49,8 @@ def build_similarity(
     field's missing entries take its mode entry's tokens (see
     sparsity.impute_tokens), drawing from one seeded generator in field
     order. Each field's scores are built as the composite takes them and go
-    once they are added, so the composite and one field are held at a time:
-    u x u scores of the field's u distinct TF-IDF rows, expanded to u x n
-    columns for the sum.
+    once they are added, so the composite, one field's u x u scores of its
+    u distinct TF-IDF rows and one block of the sum are held at a time.
     """
     if sparsity_mode not in ("adjust", "impute"):
         raise ValueError(f"unknown sparsity mode: {sparsity_mode!r}")

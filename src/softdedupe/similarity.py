@@ -458,17 +458,18 @@ class FieldScores:
     def blocks(self, weight: float = 1.0):
         """The n x n field times weight, as (lo, hi, rows lo..hi-1) for each
         block of row_blocks; each record's own score is 1, so weight. Each
-        block is a new array, gathered from the u x n scores of each
-        distinct row against every record (distinct itself when whole)."""
+        block is a new array: rows lo..hi-1 of distinct when whole, else
+        rows entry[lo:hi] of distinct, then their columns entry. Besides
+        distinct, a grouped field holds one block and those rows of
+        distinct at a time, never a u x n array."""
         n = self.n
         whole = len(self.distinct) == n
-        columns = self.distinct if whole else np.take(self.distinct, self.entry,
-                                                      axis=1)
         for lo, hi in row_blocks(n, n):
             if whole:
-                block = columns[lo:hi] * weight
+                block = self.distinct[lo:hi] * weight
             else:
-                block = np.take(columns, self.entry[lo:hi], axis=0)
+                block = np.take(np.take(self.distinct, self.entry[lo:hi], axis=0),
+                                self.entry, axis=1)
                 if weight != 1.0:
                     block *= weight
             block[np.arange(hi - lo), np.arange(lo, hi)] = weight

@@ -190,10 +190,14 @@ class TestRun:
         # JSON's 1e999 loads as inf
         ("run", {"prefix_factor": 1e999, "max_prefix": 0},
          "prefix_factor must be finite"),
+        # beside the --truth-column flag
+        ("sweep", {"truth_file": os.devnull},
+         "give --truth-column or --truth-file, not both"),
     ], ids=["weights_list", "unknown_key", "untyped_seed", "long_delimiter",
             "float_max_prefix", "float_seed", "boolean_grid", "null_grid",
             "null_theta", "list_refine", "list_seed", "list_output_dir",
-            "list_fields", "object_mode", "infinite_prefix_factor"])
+            "list_fields", "object_mode", "infinite_prefix_factor",
+            "truth_file_and_column"])
     def test_bad_config_is_usage_error(
         self, runner, small_csv, tmp_path, command, config, message
     ):
@@ -234,9 +238,14 @@ class TestRun:
         (SMALL_CSV, ["--tau", "nan"], "'auto' or a finite number"),
         (SMALL_CSV, ["--fields", ","], "no fields to compare"),
         ("id\ne1\ne2\n", ["--truth-column", "id"], "no fields to compare"),
+        (SMALL_CSV, ["--truth-column", "id", "--truth-file", os.devnull],
+         "give --truth-column or --truth-file, not both"),
+        (SMALL_CSV, ["--fields", "name,id", "--truth-column", "id"],
+         "the truth column 'id' cannot also be compared"),
     ], ids=["ragged_csv", "empty_field", "nan_weight", "negative_prefix_factor",
             "infinite_prefix_factor", "text_tau", "nan_tau", "no_fields",
-            "only_truth_column"])
+            "only_truth_column", "truth_column_and_file",
+            "truth_column_as_field"])
     def test_bad_input_is_usage_error(self, runner, tmp_path, text, args, message):
         path = tmp_path / "input.csv"
         path.write_text(text)

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -22,6 +23,7 @@ from softdedupe.similarity import (
     METHOD_SOFT_TFIDF,
     METHOD_TFIDF,
     SPARSE_FLOOR,
+    FieldScores,
     SimilarityParams,
     build_jw_matrix,
     build_tfidf,
@@ -422,6 +424,24 @@ class TestComposite:
         _, t2, j2 = field_pipeline(["a b", "c d", "e f"])
         with pytest.raises(ValueError):
             composite([soft_tfidf_field(t1, j1), soft_tfidf_field(t2, j2)])
+
+    def test_grouped_field_holds_no_column_copy(self):
+        # a grouped field expands from its u x u scores one block at a time:
+        # no u x n array (3.2 MB here) is built beside the n x n composite
+        u, n = 400, 1_000
+        rng = np.random.default_rng(0)
+        half = rng.random((u, u))
+        scores = FieldScores(half + half.T, rng.integers(0, u, n))
+        tracemalloc.start()
+        try:
+            composite([scores])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the composite, the block being added, the next one and the rows of
+        # distinct that it is gathered from
+        rows = similarity.BLOCK_ENTRIES // n
+        assert peak < (n * n + 2 * rows * n + rows * u) * 8 + 65_536
 
 
 class TestSimilarityParams:
