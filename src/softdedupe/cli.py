@@ -203,7 +203,7 @@ def pipeline_options(fn):
                      default="adjust", show_default=True),
         click.option("--refine/--no-refine", default=False, show_default=True),
         click.option("--iterate-refine", is_flag=True, default=False,
-                     help="Iterate refinement to a fixed point."),
+                     help="Iterate refinement to a fixed point (needs --refine)."),
         click.option("--truth-column", default=None,
                      help="Input column holding ground-truth entity ids."),
         click.option("--truth-file", type=click.Path(exists=True, dir_okay=False),
@@ -251,6 +251,8 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
         raise click.UsageError("--input is required")
     if not os.path.exists(p["input_path"]):
         raise click.UsageError(f"input file not found: {p['input_path']}")
+    if p["iterate_refine"] and not p["refine"]:
+        raise click.UsageError("--iterate-refine needs --refine")
     full = _read(load_dataset, p["input_path"], header=not p["no_header"],
                  delimiter=p["delimiter"])
     truth_col = p.get("truth_column")

@@ -108,6 +108,8 @@ def h_statistics(sim: np.ndarray) -> np.ndarray:
 def threshold_from_h(h: np.ndarray) -> float:
     """mu(H) + sigma(H), falling back to mu(H) when that reaches max(H). A
     mean that is not finite, as when the sum of H overflows, is a ValueError.
+    The fallback is capped at max(H), which a rounded mean can exceed (ten
+    equal H), so that tau always links the best pair.
 
     sigma is taken of H times 2**-e, where 2**e is the power of two just
     above max |H|, and scaled back by 2**e. Both scalings are exact on
@@ -122,7 +124,8 @@ def threshold_from_h(h: np.ndarray) -> float:
             raise ValueError(f"automatic threshold is not finite: mean H is {mean}")
         e = frexp(float(np.abs(h).max()))[1]
         tau = mean + float(np.ldexp(np.ldexp(h, -e).std(ddof=1), e))
-    return tau if tau < float(h.max()) else mean
+    top = float(h.max())
+    return tau if tau < top else min(mean, top)
 
 
 def auto_threshold(sim: np.ndarray) -> float:

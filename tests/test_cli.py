@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -193,11 +194,13 @@ class TestRun:
         # beside the --truth-column flag
         ("sweep", {"truth_file": os.devnull},
          "give --truth-column or --truth-file, not both"),
+        # iterating alone used to be ignored, giving unrefined clusters
+        ("sweep", {"iterate_refine": True}, "--iterate-refine needs --refine"),
     ], ids=["weights_list", "unknown_key", "untyped_seed", "long_delimiter",
             "float_max_prefix", "float_seed", "boolean_grid", "null_grid",
             "null_theta", "list_refine", "list_seed", "list_output_dir",
             "list_fields", "object_mode", "infinite_prefix_factor",
-            "truth_file_and_column"])
+            "truth_file_and_column", "iterate_without_refine"])
     def test_bad_config_is_usage_error(
         self, runner, small_csv, tmp_path, command, config, message
     ):
@@ -242,10 +245,11 @@ class TestRun:
          "give --truth-column or --truth-file, not both"),
         (SMALL_CSV, ["--fields", "name,id", "--truth-column", "id"],
          "the truth column 'id' cannot also be compared"),
+        (SMALL_CSV, ["--iterate-refine"], "--iterate-refine needs --refine"),
     ], ids=["ragged_csv", "empty_field", "nan_weight", "negative_prefix_factor",
             "infinite_prefix_factor", "text_tau", "nan_tau", "no_fields",
             "only_truth_column", "truth_column_and_file",
-            "truth_column_as_field"])
+            "truth_column_as_field", "iterate_without_refine"])
     def test_bad_input_is_usage_error(self, runner, tmp_path, text, args, message):
         path = tmp_path / "input.csv"
         path.write_text(text)
@@ -305,6 +309,41 @@ class TestFailedRunOutputFolder:
         out.mkdir()
         self.fail(runner, tmp_path, args, out / "new")
         assert os.listdir(out) == []
+
+
+class TestRoundedMeanH:
+    """Ten records in five exact pairs, each pair sharing one of three fields,
+    so every record's best score H is 1/3, whose mean rounds above it. The
+    automatic threshold must still link the pairs."""
+
+    @pytest.fixture
+    def pairs_csv(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        rows = [f"{i // 2},key{i // 2},a{i},b{i}" for i in range(10)]
+        path.write_text("\n".join(["entity_id,f1,f2,f3", *rows]) + "\n")
+        return str(path)
+
+    def test_run_links_the_pairs(self, runner, pairs_csv, tmp_path):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # tau outside the nontrivial interval
+            result = run_cli(runner, ["run", "--input", pairs_csv,
+                                      "--truth-column", "entity_id",
+                                      "--output-dir", str(out)])
+        assert result.exit_code == 0
+        assert json.loads((out / "manifest.json").read_text())["tau_used"] == 1 / 3
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert (metrics["c"], metrics["recall"]) == (5, 1.0)
+
+    def test_sweep_auto_row_links_the_pairs(self, runner, pairs_csv, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli(runner, ["sweep", "--input", pairs_csv,
+                                  "--truth-column", "entity_id", "--grid", "5",
+                                  "--output-dir", str(out)])
+        assert result.exit_code == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["c"] for row in rows if row["auto"]] == ["5"]
 
 
 class TestOverflowingWeights:
@@ -686,19 +725,6 @@ class TestStartup:
     def test_preset_thread_count_wins(self):
         code = "import os, softdedupe.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
         assert run_python(code, OPENBLAS_NUM_THREADS="2") == "2"
-
-    def test_every_export_resolves(self):
-        code = (
-            "import softdedupe\n"
-            "names = softdedupe.__all__\n"
-            "assert len(set(names)) == len(names) > 0\n"
-            "missing = [n for n in names if n not in dir(softdedupe)]\n"
-            "star = {}\n"
-            "exec('from softdedupe import *', star)\n"
-            "unbound = [n for n in names if n not in star]\n"
-            "print(missing, unbound, hasattr(softdedupe, 'no_such_name'))\n"
-        )
-        assert run_python(code) == "[] [] False"
 
 
 class TestScript:

@@ -172,6 +172,13 @@ class TestThresholdFromH:
         # zero spread: mean + std equals max exactly, so the mean is used
         assert threshold_from_h(np.array([4.0, 4.0, 4.0])) == 4.0
 
+    def test_rounded_mean_capped_at_max(self):
+        # the mean of ten equal H rounds one ulp above them, and a tau above
+        # every H would link no pair and leave every record a singleton
+        h = np.full(10, 1 / 3)
+        assert h.mean() > h.max()
+        assert threshold_from_h(h) == h.max()
+
     def test_auto_threshold_uses_h(self):
         assert auto_threshold(FOUR) == threshold_from_h(h_statistics(FOUR))
 

@@ -378,6 +378,35 @@ class TestOnePassSweep:
         assert evaluate.call_count == (len(rows) if refine else 0)
 
 
+class TestRecordOrder:
+    """Metamorphic: shuffling the records permutes the scores bit for bit, and
+    the clusters at an explicit tau. The automatic tau is not compared: it
+    sums H in record order, so a shuffle can move it by an ulp."""
+
+    @pytest.mark.parametrize("method", ["soft_tfidf", "tfidf"])
+    @pytest.mark.parametrize("mode", ["word", "ngram"])
+    @pytest.mark.parametrize("name", ["restaurants", "citations"])
+    def test_shuffle_permutes_scores_and_clusters(self, scores, name, mode, method):
+        data, _ = scores.datasets[name]
+        order = np.random.default_rng(5).permutation(data.n)
+        shuffled = DataSet(records=tuple(data.records[i] for i in order),
+                           schema=data.schema)
+        sim = scores.get(name, mode=mode, method=method)
+        sim_shuffled = pipeline.build_similarity(
+            shuffled, TokenizerConfig(mode=mode), SimilarityParams(method=method),
+            seed=1)
+        assert sim_shuffled.tobytes() == sim[np.ix_(order, order)].tobytes()
+
+        tau = clustering.auto_threshold(sim)
+        lo, hi = clustering.nontrivial_interval(sim_shuffled)
+        assert lo < tau <= hi
+        clusters, _ = pipeline.cluster_records(sim, tau)
+        clusters_shuffled, _ = pipeline.cluster_records(sim_shuffled, tau)
+        assert clusters_shuffled == clustering.ClusterSet.from_labels(
+            clusters.labels[order])
+        assert 1 < clusters.c < data.n
+
+
 class TestDegrade:
     def test_blank_count_is_exact(self, restaurants):
         data, _ = restaurants
