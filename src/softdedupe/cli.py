@@ -40,6 +40,7 @@ from decimal import Decimal
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import evaluation, pipeline
 from .clustering import ClusterSet, read_clusters, write_clusters
@@ -75,36 +76,6 @@ def _usage_errors(prefix: str = "", errors=ValueError):
         yield
     except errors as exc:
         raise click.UsageError(f"{prefix}{exc}") from exc
-
-
-def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
-    """Fill in parameters from a JSON config file; explicit flags win.
-
-    Keys are parameter names. Each value is a string, number or boolean,
-    converted and checked by its parameter's type as a flag's text would be;
-    null, a list or an object has no flag text and is a UsageError.
-    """
-    if not config_path:
-        return
-    with _usage_errors(f"{config_path}: ", (OSError, ValueError)):
-        with open(config_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    if not isinstance(data, dict):
-        raise click.UsageError(f"{config_path}: top level must be a JSON object")
-    params = {p.name: p for p in ctx.command.params if p.name != "config"}
-    for key, value in data.items():
-        if key not in params:
-            raise click.UsageError(f"unknown config key: {key!r}")
-        if not isinstance(value, (str, int, float)):
-            raise click.UsageError(
-                f"config key {key!r} must be a string, number or boolean, "
-                f"got {json.dumps(value)}"
-            )
-        source = ctx.get_parameter_source(key)
-        if source is None or source.name == "DEFAULT":
-            if isinstance(value, (int, float)):  # bool too: the flag's text
-                value = json.dumps(value)
-            ctx.params[key] = params[key].type_cast_value(ctx, value)
 
 
 def _parse_tau(value) -> float | None:
@@ -169,13 +140,40 @@ def _output_file(ctx, param, value):
     return value
 
 
+def _config_defaults(ctx, param, path):
+    """--config's callback, run before any other option's: the JSON object at
+    `path` becomes the command's default map. Each value is a string, number
+    or boolean and reaches click as flag text (a number or boolean as its
+    JSON text), so click converts and checks it as the flag's, and a flag on
+    the command line wins. Other values and unknown keys are UsageErrors."""
+    if path is None:
+        return
+    with _usage_errors(f"{path}: ", (OSError, ValueError)):
+        with open(path, encoding="utf-8-sig") as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise click.UsageError(f"{path}: top level must be a JSON object")
+    names = {p.name for p in ctx.command.params if p is not param}
+    for key, value in data.items():
+        if key not in names:
+            raise click.UsageError(f"unknown config key: {key!r}")
+        if not isinstance(value, (str, int, float)):
+            raise click.UsageError(
+                f"config key {key!r} must be a string, number or boolean, "
+                f"got {json.dumps(value)}"
+            )
+    ctx.default_map = {key: value if isinstance(value, str) else json.dumps(value)
+                       for key, value in data.items()}
+
+
 def pipeline_options(fn):
     opts = [
         click.option("--config", type=click.Path(exists=True, dir_okay=False),
-                     default=None,
+                     default=None, is_eager=True, expose_value=False,
+                     callback=_config_defaults,
                      help="JSON file with option defaults (flags override)."),
-        click.option("--input", "input_path", type=click.Path(dir_okay=False),
-                     default=None,
+        click.option("--input", "input_path",
+                     type=click.Path(exists=True, dir_okay=False), default=None,
                      help="Delimited input file."),
         click.option("--delimiter", type=_Delimiter(), default=",",
                      show_default=True),
@@ -243,14 +241,11 @@ def _field_names(spec: str, schema) -> list[str]:
     return names
 
 
-def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
+def _resolve(p: dict, require_truth: bool = False) -> ResolvedRun:
     """The run's inputs and settings, each checked; run and sweep check their
     threshold options before calling this."""
-    p = ctx_params
     if not p.get("input_path"):
         raise click.UsageError("--input is required")
-    if not os.path.exists(p["input_path"]):
-        raise click.UsageError(f"input file not found: {p['input_path']}")
     if p["iterate_refine"] and not p["refine"]:
         raise click.UsageError("--iterate-refine needs --refine")
     full = _read(load_dataset, p["input_path"], header=not p["no_header"],
@@ -306,7 +301,7 @@ def _resolve(ctx_params: dict, require_truth: bool = False) -> ResolvedRun:
         tok_config = tok_config.with_stop_words(
             _read(load_stop_words, p["stop_words_path"]))
     # every option of the command but --config, with --fields as resolved
-    manifest = {key: value for key, value in p.items() if key != "config"}
+    manifest = dict(p)
     manifest["fields"] = ",".join(names)
     return ResolvedRun(
         dataset=dataset,
@@ -381,11 +376,8 @@ def main():
 @pipeline_options
 @click.option("--tau", default="auto", show_default=True,
               help="Clustering threshold: 'auto' or a number.")
-@click.pass_context
-def run(ctx, **kwargs):
+def run(**p):
     """Run the full pipeline once and write cluster assignments."""
-    _apply_config_file(ctx, ctx.params.get("config"))
-    p = ctx.params
     tau_arg = _parse_tau(p["tau"])
     run_spec = _resolve(p)
     with _output_folder(run_spec.output_dir):
@@ -415,21 +407,33 @@ def run(ctx, **kwargs):
               default=200, show_default=True,
               help="Grid size over the nontrivial interval when no explicit range.")
 @click.pass_context
-def sweep(ctx, **kwargs):
+def sweep(ctx, **p):
     """Evaluate the clustering over a range of thresholds."""
-    _apply_config_file(ctx, ctx.params.get("config"))
-    p = ctx.params
     taus = None
-    if p["tau_start"] is not None or p["tau_stop"] is not None:
-        if p["tau_start"] is None or p["tau_stop"] is None or not p["tau_step"]:
+    names = ("tau_start", "tau_stop", "tau_step")
+    bounds = tuple(p[name] for name in names)
+    if any(x is not None for x in bounds):
+        if any(x is None for x in bounds):
             raise click.UsageError("--tau-start/--tau-stop/--tau-step go together")
-        if not all(map(math.isfinite, (p["tau_start"], p["tau_stop"], p["tau_step"]))):
-            raise click.UsageError("--tau-start/--tau-stop/--tau-step must be finite")
-        if p["tau_step"] <= 0:
-            raise click.UsageError("--tau-step must be positive")
-        taus = tau_grid(p["tau_start"], p["tau_stop"], p["tau_step"])
-        if not taus:
-            raise click.UsageError("empty threshold range")
+
+        def on_command_line(name):
+            return ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE
+
+        grid_flag = on_command_line("grid")
+        if grid_flag and any(map(on_command_line, names)):
+            raise click.UsageError(
+                "give --grid or --tau-start/--tau-stop/--tau-step, not both")
+        # a flag beats the config file; from the config file alone, the range
+        # beats the grid
+        if not grid_flag:
+            if not all(map(math.isfinite, bounds)):
+                raise click.UsageError(
+                    "--tau-start/--tau-stop/--tau-step must be finite")
+            if p["tau_step"] <= 0:
+                raise click.UsageError("--tau-step must be positive")
+            taus = tau_grid(*bounds)
+            if not taus:
+                raise click.UsageError("empty threshold range")
     run_spec = _resolve(p, require_truth=True)
     with _output_folder(run_spec.output_dir):
         scores = _build_similarity(run_spec)

@@ -491,9 +491,10 @@ def write_clusters(clusters: ClusterSet, path: str) -> None:
 
 
 def read_clusters(path: str) -> ClusterSet:
-    """Read a cluster assignment file written by write_clusters."""
+    """Read a cluster assignment file written by write_clusters (UTF-8, after
+    a byte-order mark if it starts with one)."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for number, line in enumerate(fh, 1):
             try:
                 if line.strip():

@@ -95,12 +95,13 @@ def load_dataset(
 ) -> DataSet:
     """Read delimited text into a DataSet.
 
-    `source` is a path or an open text stream. With header=True the first
+    `source` is a path (UTF-8, after a byte-order mark if it starts with
+    one) or an open text stream. With header=True the first
     row gives the field names, else they are field_0, field_1, ....
     Entry strings are preserved verbatim apart from outer whitespace.
     """
     if isinstance(source, str):
-        with open(source, encoding="utf-8", newline="") as fh:
+        with open(source, encoding="utf-8-sig", newline="") as fh:
             return load_dataset(fh, header=header, delimiter=delimiter)
 
     rows = list(csv.reader(source, delimiter=delimiter))
@@ -120,8 +121,9 @@ def load_dataset(
 
 
 def load_stop_words(path: str) -> frozenset[str]:
-    """Read a stop-word file, one token per line."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a stop-word file, one token per line (UTF-8, after a byte-order
+    mark if it starts with one)."""
+    with open(path, encoding="utf-8-sig") as fh:
         return frozenset(line.strip().casefold() for line in fh)
 
 

@@ -19,6 +19,8 @@ from softdedupe import cli, pipeline, synth
 from softdedupe.cli import SWEEP_COLUMNS, main, tau_grid
 from softdedupe.clustering import ClusterSet, write_clusters
 
+TAU_RANGE = ["--tau-start", "0.1", "--tau-stop", "0.5", "--tau-step", "0.1"]
+
 SMALL_CSV = """id,name,city
 e1,Joe Bruin,Westwood
 e1,Joe Bruin,Westwood
@@ -196,11 +198,17 @@ class TestRun:
          "give --truth-column or --truth-file, not both"),
         # iterating alone used to be ignored, giving unrefined clusters
         ("sweep", {"iterate_refine": True}, "--iterate-refine needs --refine"),
+        # a step alone used to be ignored, giving the default grid
+        ("sweep", {"tau_step": 0.05},
+         "--tau-start/--tau-stop/--tau-step go together"),
+        ("sweep", {"tau_start": 0.1, "tau_stop": 0.5, "tau_step": 0},
+         "--tau-step must be positive"),
     ], ids=["weights_list", "unknown_key", "untyped_seed", "long_delimiter",
             "float_max_prefix", "float_seed", "boolean_grid", "null_grid",
             "null_theta", "list_refine", "list_seed", "list_output_dir",
             "list_fields", "object_mode", "infinite_prefix_factor",
-            "truth_file_and_column", "iterate_without_refine"])
+            "truth_file_and_column", "iterate_without_refine", "step_alone",
+            "zero_step"])
     def test_bad_config_is_usage_error(
         self, runner, small_csv, tmp_path, command, config, message
     ):
@@ -229,32 +237,42 @@ class TestRun:
         assert result.exit_code == 2
         assert message in result.output
 
-    @pytest.mark.parametrize("text, args, message", [
-        ("name,city\nJoe,Westwood\nJoan\n", [], "row 1 has 1 columns"),
-        ("name,city\nJoe,\nJoan,\n", [], "no features"),
-        (SMALL_CSV, ["--truth-column", "id", "--weights", "nan,1"],
+    @pytest.mark.parametrize("command, text, args, message", [
+        ("run", "name,city\nJoe,Westwood\nJoan\n", [], "row 1 has 1 columns"),
+        ("run", "name,city\nJoe,\nJoan,\n", [], "no features"),
+        ("run", SMALL_CSV, ["--truth-column", "id", "--weights", "nan,1"],
          "finite and positive"),
-        (SMALL_CSV, ["--prefix-factor", "-0.2"], "must be >= 0"),
-        (SMALL_CSV, ["--prefix-factor", "inf", "--max-prefix", "0"],
+        ("run", SMALL_CSV, ["--prefix-factor", "-0.2"], "must be >= 0"),
+        ("run", SMALL_CSV, ["--prefix-factor", "inf", "--max-prefix", "0"],
          "prefix_factor must be finite"),
-        (SMALL_CSV, ["--tau", "abc"], "'auto' or a finite number"),
-        (SMALL_CSV, ["--tau", "nan"], "'auto' or a finite number"),
-        (SMALL_CSV, ["--fields", ","], "no fields to compare"),
-        ("id\ne1\ne2\n", ["--truth-column", "id"], "no fields to compare"),
-        (SMALL_CSV, ["--truth-column", "id", "--truth-file", os.devnull],
+        ("run", SMALL_CSV, ["--tau", "abc"], "'auto' or a finite number"),
+        ("run", SMALL_CSV, ["--tau", "nan"], "'auto' or a finite number"),
+        ("run", SMALL_CSV, ["--fields", ","], "no fields to compare"),
+        ("run", "id\ne1\ne2\n", ["--truth-column", "id"], "no fields to compare"),
+        ("run", SMALL_CSV, ["--truth-column", "id", "--truth-file", os.devnull],
          "give --truth-column or --truth-file, not both"),
-        (SMALL_CSV, ["--fields", "name,id", "--truth-column", "id"],
+        ("run", SMALL_CSV, ["--fields", "name,id", "--truth-column", "id"],
          "the truth column 'id' cannot also be compared"),
-        (SMALL_CSV, ["--iterate-refine"], "--iterate-refine needs --refine"),
+        ("run", SMALL_CSV, ["--iterate-refine"], "--iterate-refine needs --refine"),
+        # a step alone used to be ignored, giving the default grid
+        ("sweep", SMALL_CSV, ["--truth-column", "id", "--tau-step", "0.05"],
+         "--tau-start/--tau-stop/--tau-step go together"),
+        ("sweep", SMALL_CSV, ["--truth-column", "id", *TAU_RANGE[:4],
+                              "--tau-step", "0"], "--tau-step must be positive"),
+        # the grid used to be dropped
+        ("sweep", SMALL_CSV, ["--truth-column", "id", *TAU_RANGE, "--grid", "7"],
+         "give --grid or --tau-start/--tau-stop/--tau-step, not both"),
     ], ids=["ragged_csv", "empty_field", "nan_weight", "negative_prefix_factor",
             "infinite_prefix_factor", "text_tau", "nan_tau", "no_fields",
             "only_truth_column", "truth_column_and_file",
-            "truth_column_as_field", "iterate_without_refine"])
-    def test_bad_input_is_usage_error(self, runner, tmp_path, text, args, message):
+            "truth_column_as_field", "iterate_without_refine",
+            "step_alone", "zero_step", "range_and_grid"])
+    def test_bad_input_is_usage_error(self, runner, tmp_path, command, text, args,
+                                      message):
         path = tmp_path / "input.csv"
         path.write_text(text)
         result = runner.invoke(main, [
-            "run", "--input", str(path), "--output-dir", str(tmp_path / "out"),
+            command, "--input", str(path), "--output-dir", str(tmp_path / "out"),
             *args,
         ])
         assert result.exit_code == 2
@@ -466,6 +484,10 @@ def _bad_path_args(case, tmp_path, small_csv):
         "run_config": ([*run, "--config", str(folder)], is_dir),
         "run_stop_words_not_utf8": ([*run, "--stop-words", str(latin1)],
                                     "'utf-8' codec can't decode"),
+        "run_input_not_utf8": (["run", "--input", str(latin1)],
+                               "'utf-8' codec can't decode"),
+        "run_config_not_utf8": ([*run, "--config", str(latin1)],
+                                "'utf-8' codec can't decode"),
         "run_output_dir_is_file": (["run", "--input", small_csv,
                                     "--output-dir", str(a_file)],
                                    f"'{a_file}' is a file"),
@@ -501,7 +523,8 @@ def _bad_path_args(case, tmp_path, small_csv):
 
 @pytest.mark.parametrize("case", [
     "run_input", "run_stop_words", "run_truth_file", "run_config",
-    "run_stop_words_not_utf8", "run_output_dir_is_file",
+    "run_stop_words_not_utf8", "run_input_not_utf8", "run_config_not_utf8",
+    "run_output_dir_is_file",
     "run_output_dir_under_file", "sweep_output_dir_under_file",
     "degrade_input", "degrade_output", "degrade_output_no_dir",
     "eval_clusters", "eval_truth", "eval_output", "eval_output_no_dir",
@@ -514,6 +537,53 @@ def test_bad_path_is_usage_error(runner, tmp_path, small_csv, case):
         result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """An input that starts with a UTF-8 byte-order mark, as spreadsheet
+    programs write it, gives the same outputs as the same text without one."""
+
+    @staticmethod
+    def inputs(folder, bom):
+        """The files of every case, each with the mark if bom is set."""
+        folder.mkdir()
+        texts = {
+            "small.csv": SMALL_CSV,
+            "headless.csv": SMALL_CSV.split("\n", 1)[1],
+            "stop.txt": "westwood\nhollywood\n",
+            "truth.txt": "".join(f"{i} {row.split(',')[0]}\n" for i, row in
+                                 enumerate(SMALL_CSV.splitlines()[1:])),
+            "config.json": json.dumps({"truth_column": "id", "theta": 0.8}),
+        }
+        for name, text in texts.items():
+            (folder / name).write_text(BOM * bom + text, encoding="utf-8")
+        return folder
+
+    @pytest.mark.parametrize("args", [
+        ["--input", "{}/small.csv", "--truth-column", "id"],
+        ["--input", "{}/headless.csv", "--no-header", "--truth-column", "field_0"],
+        ["--input", "{}/small.csv", "--truth-column", "id",
+         "--stop-words", "{}/stop.txt"],
+        ["--input", "{}/small.csv", "--fields", "name,city",
+         "--truth-file", "{}/truth.txt"],
+        ["--input", "{}/small.csv", "--config", "{}/config.json"],
+    ], ids=["csv", "csv_no_header", "stop_words", "truth_file", "config"])
+    def test_same_outputs(self, runner, tmp_path, args):
+        outputs = []
+        for bom in (False, True):
+            folder = self.inputs(tmp_path / f"bom{bom:d}", bom)
+            out = folder / "out"
+            result = run_cli(runner, [
+                "run", *(arg.format(folder) for arg in args),
+                "--output-dir", str(out),
+            ])
+            assert result.exit_code == 0, result.output
+            outputs.append([result.output, (out / "clusters.txt").read_bytes(),
+                            (out / "metrics.json").read_bytes()])
+        assert outputs[1] == outputs[0]
 
 
 MANIFEST_KEYS = {
@@ -598,6 +668,35 @@ class TestSweep:
         # float accumulation ends 0.1..0.3 at 0.30000000000000004, which as
         # a threshold drops a pair scored exactly 0.3
         assert tau_grid(start, stop, step) == want
+
+    @pytest.mark.parametrize("args, config, want", [
+        (TAU_RANGE, {"grid": 7}, [0.1, 0.2, 0.3, 0.4, 0.5]),
+        (["--grid", "4"], {"tau_start": 0.1, "tau_stop": 0.5, "tau_step": 0.1},
+         4),
+        ([], {"grid": 7, "tau_start": 0.1, "tau_stop": 0.5, "tau_step": 0.1},
+         [0.1, 0.2, 0.3, 0.4, 0.5]),
+    ], ids=["range_flags_config_grid", "grid_flag_config_range", "config_both"])
+    def test_flag_beats_config_range_or_grid(self, runner, small_csv, tmp_path,
+                                             args, config, want):
+        # a flag beats the config file; from the config alone the range wins,
+        # and a grid flag beside a range flag is a usage error
+        # (test_bad_input_is_usage_error)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        result = run_cli(runner, [
+            "sweep", "--input", small_csv, "--truth-column", "id",
+            "--config", str(path), *args, "--output-dir", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        explicit = [float(r["tau"]) for r in rows if r["auto"] != "auto"]
+        if isinstance(want, int):  # grid points over the nontrivial interval
+            assert len(explicit) == want
+            assert 0.1 not in explicit
+        else:
+            assert explicit == want
 
     def test_partial_range_is_error(self, runner, small_csv):
         result = runner.invoke(main, [

@@ -383,18 +383,14 @@ class TestRecordOrder:
     the clusters at an explicit tau. The automatic tau is not compared: it
     sums H in record order, so a shuffle can move it by an ulp."""
 
-    @pytest.mark.parametrize("method", ["soft_tfidf", "tfidf"])
-    @pytest.mark.parametrize("mode", ["word", "ngram"])
-    @pytest.mark.parametrize("name", ["restaurants", "citations"])
-    def test_shuffle_permutes_scores_and_clusters(self, scores, name, mode, method):
-        data, _ = scores.datasets[name]
+    @staticmethod
+    def check(data, sim, tok_config, params, sparsity="adjust"):
+        """Score the records shuffled and compare with sim permuted."""
         order = np.random.default_rng(5).permutation(data.n)
         shuffled = DataSet(records=tuple(data.records[i] for i in order),
                            schema=data.schema)
-        sim = scores.get(name, mode=mode, method=method)
         sim_shuffled = pipeline.build_similarity(
-            shuffled, TokenizerConfig(mode=mode), SimilarityParams(method=method),
-            seed=1)
+            shuffled, tok_config, params, sparsity_mode=sparsity, seed=1)
         assert sim_shuffled.tobytes() == sim[np.ix_(order, order)].tobytes()
 
         tau = clustering.auto_threshold(sim)
@@ -405,6 +401,30 @@ class TestRecordOrder:
         assert clusters_shuffled == clustering.ClusterSet.from_labels(
             clusters.labels[order])
         assert 1 < clusters.c < data.n
+
+    @pytest.mark.parametrize("method", ["soft_tfidf", "tfidf"])
+    @pytest.mark.parametrize("mode", ["word", "ngram"])
+    @pytest.mark.parametrize("name", ["restaurants", "citations"])
+    def test_shuffle_permutes_scores_and_clusters(self, scores, name, mode, method):
+        data, _ = scores.datasets[name]
+        self.check(data, scores.get(name, mode=mode, method=method),
+                   TokenizerConfig(mode=mode), SimilarityParams(method=method))
+
+    def test_shuffle_with_weights(self, scores):
+        data, _ = scores.datasets["restaurants"]
+        params = SimilarityParams(weights=(2.0, 0.5, 1.0, 3.0, 0.25))
+        sim = pipeline.build_similarity(data, WORD, params, seed=1)
+        self.check(data, sim, WORD, params)
+
+    def test_shuffle_with_impute(self, scores):
+        # a tie between fill entries is drawn from their sorted case-folded
+        # keys, and entries that share a key have the same tokens, so the
+        # fill's tokens do not depend on which record comes first
+        data, _ = scores.datasets["citations"]
+        assert any(not tokens for k in range(data.a)
+                   for tokens in corpus.tokenize_field(data, k, WORD))
+        self.check(data, scores.get("citations", sparsity="impute"), WORD,
+                   SimilarityParams(), sparsity="impute")
 
 
 class TestDegrade:
