@@ -36,6 +36,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from decimal import Decimal
 
 import click
@@ -368,8 +369,14 @@ def _write_sweep_table(path: str, rows: list[tuple[float, bool, MetricsReport]])
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Duplicate detection via (soft) TF-IDF similarity and threshold clustering."""
+    # a shown warning is one line, without Python's source path and code
+    # line; the filters still decide whether it shows, hides or raises
+    saved = warnings.formatwarning
+    warnings.formatwarning = lambda msg, cat, *_: f"{cat.__name__}: {msg}\n"
+    ctx.call_on_close(lambda: setattr(warnings, "formatwarning", saved))
 
 
 @main.command()

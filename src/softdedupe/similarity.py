@@ -443,9 +443,7 @@ class FieldScores:
     Records v != r score distinct[entry[v], entry[r]], and each record's own
     score is 1. distinct is the symmetric u x u array of the scores of the
     field's u distinct rows; its diagonal is the score of two different
-    records with the same row. A field whose grouping would keep more than
-    half the pairs (2u^2 > n^2) keeps every row whole: then distinct is
-    n x n and entry is 0..n-1.
+    records with the same row.
     """
 
     distinct: np.ndarray
@@ -458,20 +456,15 @@ class FieldScores:
     def blocks(self, weight: float = 1.0):
         """The n x n field times weight, as (lo, hi, rows lo..hi-1) for each
         block of row_blocks; each record's own score is 1, so weight. Each
-        block is a new array: rows lo..hi-1 of distinct when whole, else
-        rows entry[lo:hi] of distinct, then their columns entry. Besides
-        distinct, a grouped field holds one block and those rows of
-        distinct at a time, never a u x n array."""
+        block is a new array: rows entry[lo:hi] of distinct, then their
+        columns entry. Besides distinct, the field holds one block and
+        those rows of distinct at a time, never a u x n array."""
         n = self.n
-        whole = len(self.distinct) == n
         for lo, hi in row_blocks(n, n):
-            if whole:
-                block = self.distinct[lo:hi] * weight
-            else:
-                block = np.take(np.take(self.distinct, self.entry[lo:hi], axis=0),
-                                self.entry, axis=1)
-                if weight != 1.0:
-                    block *= weight
+            block = np.take(np.take(self.distinct, self.entry[lo:hi], axis=0),
+                            self.entry, axis=1)
+            if weight != 1.0:
+                block *= weight
             block[np.arange(hi - lo), np.arange(lo, hi)] = weight
             yield lo, hi, block
 
@@ -544,9 +537,7 @@ def _distinct_rows(tfidf: SparseRows) -> tuple[SparseRows, np.ndarray]:
     as one opaque item, so rows compare as byte strings (np.unique(axis=0)
     compares them column by column, about four times slower). So entries
     whose features differ only in order, or in a feature of idf 0, share a
-    row. When grouping would keep more than half the pairs (2u^2 > n^2),
-    every row is kept whole instead, in order: expanding a grouped field
-    costs one more pass over its n^2 scores than adding a whole one.
+    row.
     """
     n = tfidf.shape[0]
     sizes = np.diff(tfidf.indptr)
@@ -560,8 +551,6 @@ def _distinct_rows(tfidf: SparseRows) -> tuple[SparseRows, np.ndarray]:
     items = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))
     _, first, entry = np.unique(items.reshape(-1), return_index=True,
                                 return_inverse=True)
-    if 2 * len(first) ** 2 > n * n:
-        return tfidf, np.arange(n)
     _, pos = _spans(tfidf.indptr[first], tfidf.indptr[first + 1])
     indptr = np.zeros(len(first) + 1, dtype=np.int64)
     np.cumsum(sizes[first], out=indptr[1:])

@@ -948,6 +948,59 @@ class TestScriptMatchesMain:
             assert "out/manifest.json" in files
 
 
+class TestWarningLines:
+    """A command shows each warning as one line, `UserWarning: message`,
+    without the source path and code line; the warning filters still
+    decide whether it shows."""
+
+    @staticmethod
+    def stderr(tmp_path, args, flags=()):
+        src = str(Path(softdedupe.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "softdedupe.cli", *args],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr
+
+    def test_run_prints_one_line(self, small_csv, tmp_path):
+        err = self.stderr(tmp_path, ["run", "--input", small_csv, "--tau", "5",
+                                     "--output-dir", "out"])
+        [line] = err.splitlines()
+        assert line.startswith(
+            "UserWarning: tau=5.0 outside the nontrivial interval")
+        assert ".py:" not in err
+
+    def test_sweep_prints_one_line_each(self, small_csv, tmp_path):
+        err = self.stderr(tmp_path, [
+            "sweep", "--input", small_csv, "--truth-column", "id",
+            "--tau-start", "5", "--tau-stop", "7", "--tau-step", "1",
+            "--output-dir", "out"])
+        lines = err.splitlines()
+        assert len(lines) == 3
+        for line, tau in zip(lines, ("5.0", "6.0", "7.0")):
+            assert line.startswith(
+                f"UserWarning: tau={tau} outside the nontrivial interval")
+        assert ".py:" not in err
+
+    def test_ignore_filter_hides(self, small_csv, tmp_path):
+        assert self.stderr(tmp_path, ["run", "--input", small_csv, "--tau", "5",
+                                      "--output-dir", "out"],
+                           flags=["-W", "ignore"]) == ""
+
+    @pytest.mark.parametrize("tau, code", [("5", 0), ("nan", 2)])
+    def test_main_restores_the_formatter(self, runner, small_csv, tmp_path,
+                                         tau, code):
+        before = warnings.formatwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = runner.invoke(main, ["run", "--input", small_csv,
+                                          "--tau", tau, "--output-dir",
+                                          str(tmp_path / "out")])
+        assert result.exit_code == code
+        assert warnings.formatwarning is before
+
+
 def test_blas_thread_count_keeps_outputs(tmp_path):
     # the program's BLAS calls, build_jw_matrix's shared-character product
     # and adjust's shared-field product, sum small integers, exact under any

@@ -52,6 +52,9 @@ CASES = {
     "citations-sweep-ngram-tfidf": (
         "citations", ("sweep", "--mode", "ngram", "--method", "tfidf",
                       "--grid", "40")),
+    # soft 3-gram features, where three of the five restaurant fields have
+    # nearly as many distinct TF-IDF rows as records
+    "restaurants-run-ngram": ("restaurants", ("run", "--mode", "ngram")),
 }
 
 DIGESTS = {
@@ -86,6 +89,10 @@ DIGESTS = {
     'restaurants-run': {
         'clusters.txt': 'e15ebc2cd1556d7e601409b3d396a8a419c473814e68e7ba621ef98fd0fded21',
         'metrics.json': '9c6e559d49f03a1a25cc9e91fbbd89616db38bba8ae8386c5745ea8faa26a95e',
+    },
+    'restaurants-run-ngram': {
+        'clusters.txt': '07bc8e8c3546dca666fc3ba6f6fb4aa5ba1174bb8e4acf1c66891c9eefe68894',
+        'metrics.json': 'bfe4a3a052d56c83d391cd1e4e7735f45dde40f67063a80bb0f0aff9a6361594',
     },
     'restaurants-run-tfidf-refine-0.3': {
         'clusters.txt': '7d6b18db9247d9db032b67e165f4ad47dae88f2873b6f2c474ae736dc95b2be6',

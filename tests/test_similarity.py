@@ -561,6 +561,15 @@ IDF_ZERO_CASE = DataSet(
     )),
     schema=("a", "b"),
 )
+# every record has a row of its own in each field, and the rows' order by
+# size differs from the records' order
+ALL_DISTINCT_CASE = DataSet(
+    records=tuple(zip(
+        ["dd ee ff", "dd", "ee ff", "ff", "ee dd"],
+        ["qq rr", "rr", "qq", "ss qq rr", "ss"],
+    )),
+    schema=("a", "b"),
+)
 BLOCK_SIZES = [1, 2, 7, 64, 1 << 16]
 
 
@@ -614,20 +623,14 @@ class TestFieldScores:
 
     @staticmethod
     def check_grouping(tfidf, scores):
-        # records share an entry exactly when their rows are bit-identical,
-        # unless grouping would keep more than half the pairs
-        n = tfidf.shape[0]
+        # records share an entry exactly when their rows are bit-identical
         _, inverse = np.unique(tfidf.toarray().view(np.int64), axis=0,
                                return_inverse=True)
         inverse = inverse.reshape(-1)
         u = int(inverse.max()) + 1
-        if 2 * u * u > n * n:
-            assert scores.distinct.shape == (n, n)
-            assert np.array_equal(scores.entry, np.arange(n))
-        else:
-            assert scores.distinct.shape == (u, u)
-            assert np.array_equal(scores.entry[:, None] == scores.entry,
-                                  inverse[:, None] == inverse)
+        assert scores.distinct.shape == (u, u)
+        assert np.array_equal(scores.entry[:, None] == scores.entry,
+                              inverse[:, None] == inverse)
 
     @settings(max_examples=100, deadline=None)
     @given(oracle_cases())
@@ -644,8 +647,18 @@ class TestFieldScores:
         assert soft_a.entry[0] == soft_a.entry[1] == soft_a.entry[2]
         assert plain_a.entry[4] == plain_a.entry[5] != plain_a.entry[3]
         self.check_grouping(tfidf_a, soft_a)
+        # every record has a row of its own in field b
         for scores in (soft_b, plain_b):
-            assert np.array_equal(scores.entry, np.arange(8))
+            assert sorted(scores.entry) == list(range(8))
+
+    def test_every_row_distinct(self):
+        # rows sort by their size first, so entry is not the record order
+        for tfidf, soft, plain in field_scores(ALL_DISTINCT_CASE, WORD,
+                                               SimilarityParams()):
+            for scores in (soft, plain):
+                self.check_grouping(tfidf, scores)
+                assert sorted(scores.entry) == list(range(5))
+                assert not np.array_equal(scores.entry, np.arange(5))
 
     def test_same_row_pairs_score_the_distinct_diagonal(self):
         _, soft, plain = next(field_scores(IDF_ZERO_CASE, WORD,
@@ -675,6 +688,13 @@ class TestScipyOracle:
         for theta in (0.0, 0.9):
             case = (IDF_ZERO_CASE, TokenizerConfig(mode=mode),
                     SimilarityParams(theta=theta, weights=(1.7, 0.5)))
+            assert_matches_scipy(case, block_entries)
+
+    @pytest.mark.parametrize("block_entries", BLOCK_SIZES)
+    def test_all_distinct_case_matches_scipy(self, block_entries):
+        for theta in (0.0, 0.9):
+            case = (ALL_DISTINCT_CASE, WORD,
+                    SimilarityParams(theta=theta, weights=(0.5, 1.7)))
             assert_matches_scipy(case, block_entries)
 
     def test_sum_order_changes_bits(self):
