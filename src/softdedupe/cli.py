@@ -32,7 +32,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import contextlib
 import csv as csv_module
-import dataclasses
 import json
 import math
 import sys
@@ -40,7 +39,6 @@ import warnings
 from decimal import Decimal
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from . import evaluation, pipeline
@@ -115,13 +113,19 @@ def tau_grid(start: float, stop: float, step: float) -> list[float]:
 
 
 class _Delimiter(click.ParamType):
-    """A field delimiter: one character, as the csv module requires."""
+    """A field delimiter: one character, as the csv module requires, other
+    than its quote character and the line breaks, which it cannot tell from
+    a delimiter: a file degrade writes with one of them does not read back as
+    the same records."""
 
     name = "character"
 
     def convert(self, value, param, ctx):
         if not isinstance(value, str) or len(value) != 1:
             self.fail(f"must be one character, got {value!r}", param, ctx)
+        if value in '"\r\n':
+            self.fail("must be one character other than a quote or line "
+                      f"break, got {value!r}", param, ctx)
         return value
 
 
@@ -184,18 +188,21 @@ def pipeline_options(fn):
                      help="Comma-separated field names to use "
                           "(default: all except the truth column)."),
         click.option("--mode", type=click.Choice(["word", "ngram"]),
-                     default="word", show_default=True),
-        click.option("--ngram-size", default=3, show_default=True),
+                     default=TokenizerConfig.mode, show_default=True),
+        click.option("--ngram-size", default=TokenizerConfig.ngram_size,
+                     show_default=True),
         click.option("--stop-words", "stop_words_path",
                      type=click.Path(exists=True, dir_okay=False), default=None,
                      help="Extra stop words, one per line."),
         click.option("--no-case-fold", is_flag=True, default=False),
         click.option("--method",
                      type=click.Choice([METHOD_TFIDF, METHOD_SOFT_TFIDF]),
-                     default=METHOD_SOFT_TFIDF, show_default=True),
-        click.option("--theta", default=0.90, show_default=True),
-        click.option("--prefix-factor", default=0.1, show_default=True),
-        click.option("--max-prefix", default=4, show_default=True),
+                     default=SimilarityParams.method, show_default=True),
+        click.option("--theta", default=SimilarityParams.theta, show_default=True),
+        click.option("--prefix-factor", default=SimilarityParams.prefix_factor,
+                     show_default=True),
+        click.option("--max-prefix", default=SimilarityParams.max_prefix,
+                     show_default=True),
         click.option("--weights", default=None,
                      help="Comma-separated per-field weights."),
         click.option("--sparsity", type=click.Choice(["adjust", "impute"]),
@@ -217,20 +224,6 @@ def pipeline_options(fn):
     return fn
 
 
-@dataclasses.dataclass
-class ResolvedRun:
-    dataset: DataSet
-    truth: ClusterSet | None
-    tok_config: TokenizerConfig
-    params: SimilarityParams
-    sparsity: str
-    refine: bool
-    iterate: bool
-    seed: int
-    output_dir: str
-    manifest: dict
-
-
 def _field_names(spec: str, schema) -> list[str]:
     """The comma-separated field names in spec, each in schema and listed once."""
     names = [f.strip() for f in spec.split(",") if f.strip()]
@@ -242,8 +235,9 @@ def _field_names(spec: str, schema) -> list[str]:
     return names
 
 
-def _resolve(p: dict, require_truth: bool = False) -> ResolvedRun:
-    """The run's inputs and settings, each checked; run and sweep check their
+def _resolve(p: dict, require_truth: bool = False):
+    """The data set of the compared fields, the truth (or None), the tokenizer
+    config and the similarity params, each checked; run and sweep check their
     threshold options before calling this."""
     if not p.get("input_path"):
         raise click.UsageError("--input is required")
@@ -301,21 +295,7 @@ def _resolve(p: dict, require_truth: bool = False) -> ResolvedRun:
     if p.get("stop_words_path"):
         tok_config = tok_config.with_stop_words(
             _read(load_stop_words, p["stop_words_path"]))
-    # every option of the command but --config, with --fields as resolved
-    manifest = dict(p)
-    manifest["fields"] = ",".join(names)
-    return ResolvedRun(
-        dataset=dataset,
-        truth=truth,
-        tok_config=tok_config,
-        params=params,
-        sparsity=p["sparsity"],
-        refine=p["refine"],
-        iterate=p["iterate_refine"],
-        seed=p["seed"],
-        output_dir=p["output_dir"],
-        manifest=manifest,
-    )
+    return dataset, truth, tok_config, params
 
 
 @contextlib.contextmanager
@@ -340,20 +320,32 @@ def _output_folder(path: str):
         raise
 
 
-def _build_similarity(run: ResolvedRun) -> np.ndarray:
-    with _usage_errors():  # e.g. a field with no features in any record
-        return pipeline.build_similarity(
-            run.dataset, run.tok_config, run.params,
-            sparsity_mode=run.sparsity, seed=run.seed,
-        )
+@contextlib.contextmanager
+def _scores(p: dict, require_truth: bool = False):
+    """run's and sweep's shared start: resolve the options in p, make the
+    output folder and score the records, yielding the truth (or None) and the
+    scores inside _output_folder. p["fields"] becomes the compared fields as
+    resolved, so that p is the manifest: every option but --config."""
+    dataset, truth, tok_config, params = _resolve(p, require_truth)
+    p["fields"] = ",".join(dataset.schema)
+    with _output_folder(p["output_dir"]):
+        with _usage_errors():  # e.g. a field with no features in any record
+            scores = pipeline.build_similarity(
+                dataset, tok_config, params,
+                sparsity_mode=p["sparsity"], seed=p["seed"],
+            )
+        yield truth, scores
 
 
-def _write_manifest(run: ResolvedRun, extra: dict) -> None:
-    manifest = dict(run.manifest, **extra)
-    path = os.path.join(run.output_dir, "manifest.json")
+def _write_text(path: str, text: str) -> None:
+    """Write `text` and a newline to `path`, in UTF-8."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _write_manifest(p: dict, **extra) -> None:
+    _write_text(os.path.join(p["output_dir"], "manifest.json"),
+                json.dumps(dict(p, **extra), indent=2, sort_keys=True))
 
 
 def _write_sweep_table(path: str, rows: list[tuple[float, bool, MetricsReport]]):
@@ -386,22 +378,17 @@ def main(ctx):
 def run(**p):
     """Run the full pipeline once and write cluster assignments."""
     tau_arg = _parse_tau(p["tau"])
-    run_spec = _resolve(p)
-    with _output_folder(run_spec.output_dir):
-        scores = _build_similarity(run_spec)
+    with _scores(p) as (truth, scores):
         with _usage_errors("--weights: "):  # no finite automatic threshold
             clusters, tau_used = pipeline.cluster_records(
-                scores, tau_arg, refine=run_spec.refine, iterate=run_spec.iterate
+                scores, tau_arg, refine=p["refine"], iterate=p["iterate_refine"]
             )
-        _write_manifest(run_spec, {"tau_used": tau_used})
-        write_clusters(clusters, os.path.join(run_spec.output_dir, "clusters.txt"))
-        if run_spec.truth is not None:
-            report = evaluation.evaluate(clusters, run_spec.truth, tau=tau_used)
-            with open(
-                os.path.join(run_spec.output_dir, "metrics.json"), "w", encoding="utf-8"
-            ) as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
+        _write_manifest(p, tau_used=tau_used)
+        write_clusters(clusters, os.path.join(p["output_dir"], "clusters.txt"))
+        if truth is not None:
+            report = evaluation.evaluate(clusters, truth, tau=tau_used)
+            _write_text(os.path.join(p["output_dir"], "metrics.json"),
+                        report.to_json())
     click.echo(f"tau={tau_used:.6g} clusters={clusters.c} n={clusters.n}")
 
 
@@ -441,19 +428,15 @@ def sweep(ctx, **p):
             taus = tau_grid(*bounds)
             if not taus:
                 raise click.UsageError("empty threshold range")
-    run_spec = _resolve(p, require_truth=True)
-    with _output_folder(run_spec.output_dir):
-        scores = _build_similarity(run_spec)
+    with _scores(p, require_truth=True) as (truth, scores):
         with _usage_errors("--weights: "):  # no finite automatic threshold
             rows = pipeline.sweep_thresholds(
-                scores, run_spec.truth, taus=taus, grid_size=p["grid"],
-                refine=run_spec.refine, iterate=run_spec.iterate,
+                scores, truth, taus=taus, grid_size=p["grid"],
+                refine=p["refine"], iterate=p["iterate_refine"],
             )
-        _write_manifest(run_spec, {
-            "tau_auto": next(tau for tau, is_auto, _ in rows if is_auto),
-        })
-        _write_sweep_table(os.path.join(run_spec.output_dir, "sweep.csv"), rows)
-    click.echo(f"wrote {len(rows)} sweep rows to {run_spec.output_dir}/sweep.csv")
+        _write_manifest(p, tau_auto=next(tau for tau, is_auto, _ in rows if is_auto))
+        _write_sweep_table(os.path.join(p["output_dir"], "sweep.csv"), rows)
+    click.echo(f"wrote {len(rows)} sweep rows to {p['output_dir']}/sweep.csv")
 
 
 @main.command()
@@ -494,12 +477,9 @@ def eval_cmd(clusters_path, truth_path, output_path):
         raise click.UsageError(
             f"clusterings cover different record counts: {clusters.n} vs {truth.n}"
         )
-    report = evaluation.evaluate(clusters, truth)
-    text = report.to_json()
+    text = evaluation.evaluate(clusters, truth).to_json()
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        _write_text(output_path, text)
     else:
         click.echo(text)
 

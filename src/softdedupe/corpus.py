@@ -98,13 +98,19 @@ def load_dataset(
     `source` is a path (UTF-8, after a byte-order mark if it starts with
     one) or an open text stream. With header=True the first
     row gives the field names, else they are field_0, field_1, ....
-    Entry strings are preserved verbatim apart from outer whitespace.
+    Entry strings are preserved verbatim apart from outer whitespace. Text
+    the csv reader rejects (a field over its size limit, say) is a LoadError
+    naming the reader's line.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8-sig", newline="") as fh:
             return load_dataset(fh, header=header, delimiter=delimiter)
 
-    rows = list(csv.reader(source, delimiter=delimiter))
+    reader = csv.reader(source, delimiter=delimiter)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise LoadError(f"line {reader.line_num}: {exc}") from exc
     if header and rows:
         schema = [c.strip() for c in rows.pop(0)]
     if not rows:

@@ -15,9 +15,10 @@ import pytest
 from click.testing import CliRunner
 
 import softdedupe
-from softdedupe import cli, pipeline, synth
+from softdedupe import cli, clustering, corpus, pipeline, synth
 from softdedupe.cli import SWEEP_COLUMNS, main, tau_grid
 from softdedupe.clustering import ClusterSet, write_clusters
+from softdedupe.similarity import SimilarityParams
 
 TAU_RANGE = ["--tau-start", "0.1", "--tau-stop", "0.5", "--tau-step", "0.1"]
 
@@ -462,6 +463,10 @@ class TestTinyWeights:
         assert not out.exists()
 
 
+# one field past the csv module's default limit of 131,072 characters
+HUGE_FIELD_CSV = f"name,city\n{'x' * 131_073},Venice\nJoe,Westwood\n"
+
+
 def _bad_path_args(case, tmp_path, small_csv):
     """The command line of one bad-path case, and the message it gives."""
     folder = tmp_path / "folder"
@@ -472,6 +477,9 @@ def _bad_path_args(case, tmp_path, small_csv):
     latin1.write_bytes("caf\xe9\n".encode("latin-1"))
     a_file = tmp_path / "a_file"
     a_file.write_text("")
+    huge = tmp_path / "huge.csv"
+    huge.write_text(HUGE_FIELD_CSV)
+    too_large = f"{huge}: line 2: field larger than field limit (131072)"
     run = ["run", "--input", small_csv, "--output-dir", str(tmp_path / "out")]
     is_dir = f"'{folder}' is a directory"
     under_file = ["--output-dir", str(a_file / "sub")]
@@ -488,6 +496,7 @@ def _bad_path_args(case, tmp_path, small_csv):
                                "'utf-8' codec can't decode"),
         "run_config_not_utf8": ([*run, "--config", str(latin1)],
                                 "'utf-8' codec can't decode"),
+        "run_input_field_too_large": (["run", "--input", str(huge)], too_large),
         "run_output_dir_is_file": (["run", "--input", small_csv,
                                     "--output-dir", str(a_file)],
                                    f"'{a_file}' is a file"),
@@ -505,6 +514,10 @@ def _bad_path_args(case, tmp_path, small_csv):
         "degrade_output_no_dir": (["degrade", "--input", small_csv, "--output",
                                    str(no_dir / "x.csv"), "--fields", "city",
                                    "--seed", "1"], no_dir_msg),
+        "degrade_input_field_too_large": (["degrade", "--input", str(huge),
+                                           "--output", str(tmp_path / "x.csv"),
+                                           "--fields", "city", "--seed", "1"],
+                                          too_large),
         "eval_clusters": (["eval", "--clusters", str(folder), "--truth",
                            str(clusters)], is_dir),
         "eval_truth": (["eval", "--clusters", str(clusters), "--truth",
@@ -524,9 +537,10 @@ def _bad_path_args(case, tmp_path, small_csv):
 @pytest.mark.parametrize("case", [
     "run_input", "run_stop_words", "run_truth_file", "run_config",
     "run_stop_words_not_utf8", "run_input_not_utf8", "run_config_not_utf8",
-    "run_output_dir_is_file",
+    "run_input_field_too_large", "run_output_dir_is_file",
     "run_output_dir_under_file", "sweep_output_dir_under_file",
     "degrade_input", "degrade_output", "degrade_output_no_dir",
+    "degrade_input_field_too_large",
     "eval_clusters", "eval_truth", "eval_output", "eval_output_no_dir",
     "synth_output", "synth_output_no_dir",
 ])
@@ -613,6 +627,61 @@ def test_manifest_keys(runner, small_csv, tmp_path, args, extra):
     assert set(manifest) == MANIFEST_KEYS | extra
     assert manifest["fields"] == "city,name"
     assert manifest["theta"] == 0.8
+
+
+MANIFEST_DEFAULTS = {
+    "delimiter": ",", "no_header": False, "mode": "word", "ngram_size": 3,
+    "stop_words_path": None, "no_case_fold": False, "method": "soft_tfidf",
+    "theta": 0.9, "prefix_factor": 0.1, "max_prefix": 4, "weights": None,
+    "sparsity": "adjust", "refine": False, "iterate_refine": False,
+    "truth_column": None, "truth_file": None, "seed": 0,
+}
+
+
+@pytest.mark.parametrize("args, config, want", [
+    # a config value, a flag over a config value, a given tau
+    (["run", "--max-prefix", "2", "--tau", "0.5"],
+     {"theta": 0.8, "max_prefix": 3, "refine": True},
+     {"theta": 0.8, "max_prefix": 2, "refine": True, "tau": "0.5",
+      "tau_used": 0.5}),
+    (["run", "--sparsity", "impute"], {"seed": 7, "no_case_fold": True},
+     {"seed": 7, "no_case_fold": True, "sparsity": "impute", "tau": "auto",
+      "tau_used": "auto"}),
+    # the grid flag beats the config's range, which the manifest still lists
+    (["sweep", "--grid", "5", "--method", "tfidf"],
+     {"tau_start": 0.1, "tau_stop": 0.3, "tau_step": 0.1, "grid": 9,
+      "method": "soft_tfidf", "mode": "ngram"},
+     {"tau_start": 0.1, "tau_stop": 0.3, "tau_step": 0.1, "grid": 5,
+      "method": "tfidf", "mode": "ngram", "tau_auto": "auto"}),
+    (["sweep", *TAU_RANGE], {"ngram_size": 4},
+     {"tau_start": 0.1, "tau_stop": 0.5, "tau_step": 0.1, "grid": 200,
+      "ngram_size": 4, "tau_auto": "auto"}),
+], ids=["run_tau", "run_auto", "sweep_grid", "sweep_range"])
+def test_manifest_values(runner, small_csv, tmp_path, args, config, want):
+    # every value, defaults included; "auto" stands for the automatic
+    # threshold, worked out here from the library
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    result = run_cli(runner, [
+        *args, "--input", small_csv, "--truth-column", "id", "--fields",
+        " name, city,", "--config", str(path), "--output-dir", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    want = {**MANIFEST_DEFAULTS, "input_path": small_csv, "fields": "name,city",
+            "truth_column": "id", "output_dir": str(out), **want}
+    for key in ("tau_used", "tau_auto"):
+        if want.get(key) == "auto":
+            dataset = corpus.load_dataset(small_csv).select_fields(["name", "city"])
+            tok = corpus.TokenizerConfig(
+                mode=want["mode"], ngram_size=want["ngram_size"],
+                case_fold=not want["no_case_fold"])
+            params = SimilarityParams(theta=want["theta"], method=want["method"])
+            scores = pipeline.build_similarity(
+                dataset, tok, params, sparsity_mode=want["sparsity"],
+                seed=want["seed"])
+            want[key] = clustering.auto_threshold(scores)
+    assert json.loads((out / "manifest.json").read_text()) == want
 
 
 class TestSweep:
@@ -1061,7 +1130,9 @@ def test_same_output_with_scipy_blocked(citations_csv, tmp_path, args, outputs):
         assert blocked == (tmp_path / "open" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two_chars"])
+@pytest.mark.parametrize("delimiter", ["", ";;", '"', "\r", "\n"],
+                         ids=["empty", "two_chars", "quote", "carriage_return",
+                              "line_feed"])
 @pytest.mark.parametrize("command", ["run", "sweep", "degrade"])
 def test_delimiter_must_be_one_character(
     runner, small_csv, tmp_path, command, delimiter

@@ -46,6 +46,12 @@ class TestLoadDataset:
         with pytest.raises(LoadError, match="row 1"):
             load_dataset(io.StringIO("a,b\n1,2\n3\n"))
 
+    def test_reader_error_names_the_line(self):
+        # the csv module's own error (csv.Error) is not a ValueError
+        text = "a,b\n1,2\n" + "x" * 131_073 + ",3\n"
+        with pytest.raises(LoadError, match=r"^line 3: field larger than field limit"):
+            load_dataset(io.StringIO(text))
+
     def test_empty_input(self):
         with pytest.raises(LoadError):
             load_dataset(io.StringIO(""))
