@@ -37,6 +37,7 @@ import math
 import sys
 import warnings
 from decimal import Decimal
+from pathlib import PurePath
 
 import click
 from click.core import ParameterSource
@@ -205,8 +206,8 @@ def pipeline_options(fn):
                      show_default=True),
         click.option("--weights", default=None,
                      help="Comma-separated per-field weights."),
-        click.option("--sparsity", type=click.Choice(["adjust", "impute"]),
-                     default="adjust", show_default=True),
+        click.option("--sparsity", type=click.Choice(pipeline.SPARSITY_MODES),
+                     default=pipeline.SPARSITY_MODES[0], show_default=True),
         click.option("--refine/--no-refine", default=False, show_default=True),
         click.option("--iterate-refine", is_flag=True, default=False,
                      help="Iterate refinement to a fixed point (needs --refine)."),
@@ -265,7 +266,7 @@ def _resolve(p: dict, require_truth: bool = False):
 
     truth = None
     if truth_col:
-        truth = ClusterSet.from_labels(full.column(full.field_index(truth_col)))
+        truth = ClusterSet(full.column(full.field_index(truth_col)))
     elif p.get("truth_file"):
         truth = _read(read_clusters, p["truth_file"])
     if truth is not None and truth.n != dataset.n:
@@ -300,22 +301,23 @@ def _resolve(p: dict, require_truth: bool = False):
 
 @contextlib.contextmanager
 def _output_folder(path: str):
-    """Create the folder `path`, and any missing parents, before the block's
-    work; if the block fails, remove those of them that are still empty."""
-    made = []  # the folders this creates, deepest first
-    folder = os.path.abspath(path)
-    while not os.path.lexists(folder):
-        made.append(folder)
-        folder = os.path.dirname(folder)
+    """Create the folder `path`, and any missing parents, one at a time along
+    the path as written (new/../out makes new too), before the block's work;
+    if the block fails, remove those of them that are still empty."""
+    made = []  # the folders this created, outermost first
     try:
         try:
-            os.makedirs(path, exist_ok=True)
+            # as in os.makedirs, a file fails the folder below it
+            for folder in [*reversed(PurePath(path).parents), path]:
+                if not os.path.exists(folder):
+                    os.mkdir(folder)
+                    made.append(folder)
         except OSError as exc:
             raise click.UsageError(f"--output-dir: {exc}") from exc
         yield
     except BaseException:
-        for folder in made:
-            with contextlib.suppress(OSError):  # not empty, or never made
+        for folder in reversed(made):
+            with contextlib.suppress(OSError):  # no longer empty
                 os.rmdir(folder)
         raise
 
@@ -398,7 +400,7 @@ def run(**p):
 @click.option("--tau-stop", type=float, default=None)
 @click.option("--tau-step", type=float, default=None)
 @click.option("--grid", type=click.IntRange(min=1, max=MAX_SWEEP_POINTS),
-              default=200, show_default=True,
+              default=pipeline.GRID_SIZE, show_default=True,
               help="Grid size over the nontrivial interval when no explicit range.")
 @click.pass_context
 def sweep(ctx, **p):

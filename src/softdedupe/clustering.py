@@ -60,16 +60,19 @@ class ThresholdedGraph:
 class ClusterSet:
     """A partition of the records 0..n-1 as the read-only int64 array `labels`:
     record i is in cluster labels[i], and the clusters are numbered 0..c-1 in
-    order of their least record. Partitions are equal when their labels are."""
+    order of their least record, whatever labels it is given: records whose
+    labels are equal as numpy array items share a cluster. Partitions are
+    equal when their labels are."""
 
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64)
-        # each label is >= 0 and at most one above every label before it
-        if labels.ndim != 1 or (labels < 0).any() or (
-                np.diff(np.maximum.accumulate(labels), prepend=-1) > 1).any():
-            raise ValueError("labels must number clusters 0, 1, ... by least record")
+        if np.ndim(self.labels) != 1:
+            raise ValueError("labels must be one-dimensional")
+        _, first, inverse = np.unique(self.labels, return_index=True,
+                                      return_inverse=True)
+        # each distinct label's rank by its first record
+        labels = np.argsort(np.argsort(first))[inverse].astype(np.int64)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
@@ -90,12 +93,6 @@ class ClusterSet:
         order = np.argsort(self.labels, kind="stable").tolist()
         ends = np.cumsum(np.bincount(self.labels)).tolist()
         return tuple(tuple(order[lo:hi]) for lo, hi in zip([0, *ends], ends))
-
-    @staticmethod
-    def from_labels(labels: Sequence) -> "ClusterSet":
-        """Records whose labels are equal as numpy array items share a cluster."""
-        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        return ClusterSet(np.argsort(np.argsort(first))[inverse])
 
 
 def h_statistics(sim: np.ndarray) -> np.ndarray:
@@ -242,21 +239,20 @@ def group(graph: ThresholdedGraph) -> ClusterSet:
     their least record.
 
     Every record's row is read once as packed bits (see _links). From each
-    record not yet labelled, in record order, a breadth-first search takes
-    the union of its frontier's rows, less the records already found, as
-    the next frontier: O(n^2 / 64) word operations on the bit sets, linear
-    in the bits read (Hopcroft & Tarjan 1973). A record with no link is its
-    own cluster at once.
+    record not yet labelled, in record order, a breadth-first search labels
+    what it reaches with that record, taking the union of its frontier's
+    rows, less the records already found, as the next frontier: O(n^2 / 64)
+    word operations on the bit sets, linear in the bits read (Hopcroft &
+    Tarjan 1973). A record with no link is its own cluster at once.
     """
     n = len(graph.scores)
     rows = _links(graph, range(n))
     label = [-1] * n
     found = 0  # the records of clusters with a link, as bits
-    c = 0
     for r in range(n):
         if label[r] >= 0:
             continue
-        label[r] = c
+        label[r] = r
         if rows[r]:
             found |= 1 << r
             frontier = rows[r] & ~found
@@ -266,12 +262,11 @@ def group(graph: ThresholdedGraph) -> ClusterSet:
                 while frontier:
                     low = frontier & -frontier
                     v = low.bit_length() - 1
-                    label[v] = c
+                    label[v] = r
                     reach |= rows[v]
                     frontier ^= low
                 frontier = reach & ~found
-        c += 1
-    return ClusterSet(np.array(label, dtype=np.int64))
+    return ClusterSet(label)
 
 
 def _share(entries: int, p: int) -> float:
@@ -481,7 +476,7 @@ def refine_all(
             fresh += 1
         if iterate:
             pending += [piece for piece in pieces if len(piece) > 2]
-    return ClusterSet.from_labels(labels)
+    return ClusterSet(labels)
 
 
 def write_clusters(clusters: ClusterSet, path: str) -> None:
@@ -508,4 +503,4 @@ def read_clusters(path: str) -> ClusterSet:
     pairs.sort()
     if [i for i, _ in pairs] != list(range(len(pairs))):
         raise ValueError("cluster file does not cover records 0..n-1 exactly once")
-    return ClusterSet.from_labels([lab for _, lab in pairs])
+    return ClusterSet([lab for _, lab in pairs])

@@ -243,19 +243,14 @@ class MergeMetrics:
         self.grown.add(a)
 
     def partition(self) -> ClusterSet:
-        """The partition now. Pointer jumping over the parent links takes
-        every record to its root; the least records, where size_at is
-        nonzero, number the clusters in order."""
+        """The partition now: pointer jumping over the parent links takes
+        every record to its root, which labels its cluster."""
         root = np.fromiter(self.parent, dtype=np.int64, count=self.n)
         while True:
             up = root[root]
             if np.array_equal(up, root):
-                break
+                return ClusterSet(root)
             root = up
-        least = np.flatnonzero(self.size_at)
-        number = np.zeros(self.n, dtype=np.int64)
-        number[root[least]] = np.arange(len(least))
-        return ClusterSet(number[root])
 
     def report(self, tau: float | None = None) -> MetricsReport:
         """evaluate(the partition now, the truth, tau)."""

@@ -18,6 +18,11 @@ from .corpus import DataSet, TokenizerConfig, build_lexicon, tokenize_field
 from .evaluation import MetricsReport
 from .similarity import METHOD_SOFT_TFIDF, SimilarityParams
 
+# build_similarity's ways with missing entries, the default first; and the
+# thresholds a sweep takes over the nontrivial interval when given none
+SPARSITY_MODES = ("adjust", "impute")
+GRID_SIZE = 200
+
 
 def _field_scores(
     tokens: list[list[str]], params: SimilarityParams
@@ -35,7 +40,7 @@ def build_similarity(
     dataset: DataSet,
     tok_config: TokenizerConfig,
     params: SimilarityParams,
-    sparsity_mode: str = "adjust",
+    sparsity_mode: str = SPARSITY_MODES[0],
     seed: int | None = None,
 ) -> np.ndarray:
     """Score every record pair: a dense float64 n x n array, NaN diagonal.
@@ -52,7 +57,7 @@ def build_similarity(
     once they are added, so the composite, one field's u x u scores of its
     u distinct TF-IDF rows and one block of the sum are held at a time.
     """
-    if sparsity_mode not in ("adjust", "impute"):
+    if sparsity_mode not in SPARSITY_MODES:
         raise ValueError(f"unknown sparsity mode: {sparsity_mode!r}")
     fields = [tokenize_field(dataset, k, tok_config) for k in range(dataset.a)]
     if sparsity_mode == "impute":
@@ -92,7 +97,7 @@ def sweep_thresholds(
     sim: np.ndarray,
     truth: ClusterSet,
     taus: Sequence[float] | None = None,
-    grid_size: int = 200,
+    grid_size: int = GRID_SIZE,
     refine: bool = False,
     iterate: bool = False,
 ) -> list[tuple[float, bool, MetricsReport]]:

@@ -120,9 +120,9 @@ def jaro(s1: str, s2: str) -> float:
     return (m / len1 + m / len2 + (m - t) / m) / 3.0
 
 
-def jaro_winkler(
-    s1: str, s2: str, prefix_factor: float = 0.1, max_prefix: int = 4
-) -> float:
+def jaro_winkler(s1: str, s2: str,
+                 prefix_factor: float = SimilarityParams.prefix_factor,
+                 max_prefix: int = SimilarityParams.max_prefix) -> float:
     """Jaro similarity with Winkler's bonus for a shared prefix."""
     j = jaro(s1, s2)
     prefix = 0

@@ -60,7 +60,7 @@ def presence(data, tok_config):
 @pytest.fixture(scope="session")
 def restaurants():
     full = synth.make_restaurants()
-    truth = ClusterSet.from_labels(full.column(0))
+    truth = ClusterSet(full.column(0))
     data = full.select_fields(["name", "address", "city", "phone", "cuisine"])
     return data, truth
 
@@ -68,7 +68,7 @@ def restaurants():
 @pytest.fixture(scope="session")
 def citations():
     full = synth.make_citations()
-    truth = ClusterSet.from_labels(full.column(0))
+    truth = ClusterSet(full.column(0))
     data = full.select_fields(["author", "title", "venue"])
     return data, truth
 

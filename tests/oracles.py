@@ -139,7 +139,7 @@ def from_groups(groups):
     if not np.array_equal(found, np.arange(len(found))):
         raise ValueError("clusters do not cover a contiguous index range")
     owner = np.repeat(np.arange(len(groups)), list(map(len, groups)))
-    return ClusterSet.from_labels(owner[np.argsort(records)])
+    return ClusterSet(owner[np.argsort(records)])
 
 
 # oracle_splits stacks removal graphs until they hold this many adjacency
@@ -451,7 +451,7 @@ def single_linkage(sim, taus):
     for edges in clustering.forest_merges(sim, taus):
         for u, v in edges:
             label[label == label[v]] = label[u]
-        yield ClusterSet.from_labels(label)
+        yield ClusterSet(label)
 
 
 def adjacency(graph):
@@ -471,7 +471,7 @@ def labels(csr):
 
 def components(graph):
     """Connected components of the graph, by scipy."""
-    return ClusterSet.from_labels(labels(adjacency(graph)))
+    return ClusterSet(labels(adjacency(graph)))
 
 
 def induced(csr, members):
@@ -514,7 +514,7 @@ def oracle_splits(i, j, p):
         entries = np.bincount(np.take(lab, ci), minlength=size).tolist()
         pieces = [[] for _ in range(count)]
         shares = [[] for _ in range(count)]
-        for vertices in ClusterSet.from_labels(lab).clusters:
+        for vertices in ClusterSet(lab).clusters:
             c = vertices[0] // p
             if vertices[0] != lo + c * (p + 1):
                 pieces[c].append([v - c * p for v in vertices])

@@ -246,8 +246,8 @@ def test_criterion_10_pair_model_moments_match_monte_carlo():
         n = r.randint(4, 12)
         labels_c = [r.randint(0, 3) for _ in range(n)]
         labels_g = [r.randint(0, 3) for _ in range(n)]
-        c = ClusterSet.from_labels(labels_c)
-        g = ClusterSet.from_labels(labels_g)
+        c = ClusterSet(labels_c)
+        g = ClusterSet(labels_g)
         t = comb(n, 2)
         n_c = sum(comb(len(x), 2) for x in c.clusters)
         n_g = sum(comb(len(x), 2) for x in g.clusters)

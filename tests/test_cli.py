@@ -107,6 +107,21 @@ class TestRun:
             )
         assert outputs[0] == outputs[1]
 
+    def test_blank_lines_skipped(self, runner, small_csv, tmp_path):
+        # a trailing blank line, as editors leave, and one between records
+        blank = tmp_path / "blank.csv"
+        head, tail = SMALL_CSV.split("e2,")
+        blank.write_text(f"{head}\ne2,{tail}\n")
+        outputs = []
+        for path, name in ((small_csv, "plain"), (blank, "blank")):
+            out = tmp_path / name
+            result = run_cli(runner, ["run", "--input", str(path), "--truth-column",
+                                      "id", "--output-dir", str(out)])
+            assert result.exit_code == 0
+            outputs.append([(out / f).read_bytes()
+                            for f in ("clusters.txt", "metrics.json")])
+        assert outputs[0] == outputs[1]
+
     def test_unknown_field_exits_with_usage_error(self, runner, small_csv):
         result = runner.invoke(main, [
             "run", "--input", small_csv, "--fields", "name,bogus",
@@ -315,6 +330,11 @@ class TestFailedRunOutputFolder:
         self.fail(runner, tmp_path, args, tmp_path / "new" / "deeper")
         assert sorted(os.listdir(tmp_path)) == ["input.csv"]
 
+    def test_folder_the_path_leaves_removed(self, runner, tmp_path, args):
+        # the path passes through new on its way to deeper
+        self.fail(runner, tmp_path, args, tmp_path / "new" / ".." / "deeper")
+        assert sorted(os.listdir(tmp_path)) == ["input.csv"]
+
     def test_existing_folder_kept(self, runner, tmp_path, args):
         out = tmp_path / "out"
         out.mkdir()
@@ -472,7 +492,7 @@ def _bad_path_args(case, tmp_path, small_csv):
     folder = tmp_path / "folder"
     folder.mkdir()
     clusters = tmp_path / "clusters.txt"
-    write_clusters(ClusterSet.from_labels([0, 0, 1]), str(clusters))
+    write_clusters(ClusterSet([0, 0, 1]), str(clusters))
     latin1 = tmp_path / "stop.txt"
     latin1.write_bytes("caf\xe9\n".encode("latin-1"))
     a_file = tmp_path / "a_file"
@@ -988,9 +1008,9 @@ class TestScriptMatchesMain:
          "UserWarning: tau=5.0 outside the nontrivial interval"),
     ], ids=["run", "sweep", "eval", "missing_input", "trivial_tau"])
     def test_same_results(self, small_csv, tmp_path, args, code, shown):
-        write_clusters(ClusterSet.from_labels([0, 0, 1, 2, 2, 3]),
+        write_clusters(ClusterSet([0, 0, 1, 2, 2, 3]),
                        str(tmp_path / "clusters.txt"))
-        write_clusters(ClusterSet.from_labels([0, 0, 1, 2, 3, 3]),
+        write_clusters(ClusterSet([0, 0, 1, 2, 3, 3]),
                        str(tmp_path / "truth.txt"))
         args = [a.format(csv=small_csv, clusters=tmp_path / "clusters.txt",
                          truth=tmp_path / "truth.txt") for a in args]
@@ -1190,8 +1210,8 @@ class TestEval:
     def test_scores_two_cluster_files(self, runner, tmp_path):
         a = str(tmp_path / "a.txt")
         b = str(tmp_path / "b.txt")
-        write_clusters(ClusterSet.from_labels([0, 0, 1, 2]), a)
-        write_clusters(ClusterSet.from_labels([0, 0, 1, 1]), b)
+        write_clusters(ClusterSet([0, 0, 1, 2]), a)
+        write_clusters(ClusterSet([0, 0, 1, 1]), b)
         result = run_cli(runner, ["eval", "--clusters", a, "--truth", b])
         assert result.exit_code == 0
         payload = json.loads(result.output)
@@ -1199,7 +1219,7 @@ class TestEval:
 
     def test_output_file(self, runner, tmp_path):
         a = str(tmp_path / "a.txt")
-        write_clusters(ClusterSet.from_labels([0, 0, 1]), a)
+        write_clusters(ClusterSet([0, 0, 1]), a)
         out = tmp_path / "metrics.json"
         result = run_cli(runner, [
             "eval", "--clusters", a, "--truth", a, "--output", str(out),
@@ -1210,8 +1230,8 @@ class TestEval:
     def test_size_mismatch(self, runner, tmp_path):
         a = str(tmp_path / "a.txt")
         b = str(tmp_path / "b.txt")
-        write_clusters(ClusterSet.from_labels([0, 0, 1]), a)
-        write_clusters(ClusterSet.from_labels([0, 0]), b)
+        write_clusters(ClusterSet([0, 0, 1]), a)
+        write_clusters(ClusterSet([0, 0]), b)
         result = runner.invoke(main, ["eval", "--clusters", a, "--truth", b])
         assert result.exit_code == 2
 

@@ -52,6 +52,15 @@ class TestLoadDataset:
         with pytest.raises(LoadError, match=r"^line 3: field larger than field limit"):
             load_dataset(io.StringIO(text))
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_blank_lines_skipped(self, header):
+        # a trailing blank line, as editors leave, and blank lines between
+        # records; a record of empty entries is a line of delimiters, and stays
+        rows = "Joe,Rome\n\nJoan,Rome\n,\n\n"
+        ds = load_dataset(io.StringIO("name,city\n" * header + rows), header=header)
+        assert ds.records == (("Joe", "Rome"), ("Joan", "Rome"), ("", ""))
+        assert ds.schema == (("name", "city") if header else ("field_0", "field_1"))
+
     def test_empty_input(self):
         with pytest.raises(LoadError):
             load_dataset(io.StringIO(""))

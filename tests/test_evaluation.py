@@ -71,9 +71,9 @@ class TestPurity:
     @settings(max_examples=50)
     def test_purity_never_drops_when_splitting(self, labels, _ignored):
         n = len(labels)
-        truth = ClusterSet.from_labels(labels)
+        truth = ClusterSet(labels)
         rng = random.Random(n)
-        coarse = ClusterSet.from_labels([rng.randint(0, 1) for _ in range(n)])
+        coarse = ClusterSet([rng.randint(0, 1) for _ in range(n)])
         # split every cluster of `coarse` into singletons
         fine = cs(*[[i] for i in range(n)])
         assert evaluate(fine, truth).purity >= evaluate(coarse, truth).purity - 1e-12
@@ -135,15 +135,15 @@ class TestZRand:
         rng = random.Random(4)
         labels_c = [0, 0, 1, 1, 2, 2, 2, 3]
         labels_g = [0, 0, 0, 1, 1, 2, 3, 3]
-        c = ClusterSet.from_labels(labels_c)
+        c = ClusterSet(labels_c)
         n_c = sum(comb(len(r), 2) for r in c.clusters)
-        n_g = sum(comb(len(r), 2) for r in ClusterSet.from_labels(labels_g).clusters)
+        n_g = sum(comb(len(r), 2) for r in ClusterSet(labels_g).clusters)
         t = comb(len(labels_c), 2)
         draws = []
         for _ in range(4000):
             shuffled = labels_g[:]
             rng.shuffle(shuffled)
-            truth = ClusterSet.from_labels(shuffled)
+            truth = ClusterSet(shuffled)
             over = sum(comb(cnt, 2) for cnt in _contingency(c, truth)[2].tolist())
             draws.append(over)
         mc_mean = sum(draws) / len(draws)
@@ -176,8 +176,8 @@ class TestNmi:
     @given(labels_strategy)
     @settings(max_examples=50)
     def test_symmetric_and_bounded(self, labels):
-        a = ClusterSet.from_labels(labels)
-        b = ClusterSet.from_labels(labels[::-1])
+        a = ClusterSet(labels)
+        b = ClusterSet(labels[::-1])
         ab = evaluate(a, b).nmi
         assert ab == pytest.approx(evaluate(b, a).nmi)
         assert 0.0 <= ab <= 1.0
@@ -203,8 +203,8 @@ class TestContingency:
     def test_matches_dict_loop(self, data):
         n = data.draw(st.integers(min_value=1, max_value=40))
         labels = st.lists(st.integers(0, 6), min_size=n, max_size=n)
-        c = ClusterSet.from_labels(data.draw(labels))
-        c_true = ClusterSet.from_labels(data.draw(labels))
+        c = ClusterSet(data.draw(labels))
+        c_true = ClusterSet(data.draw(labels))
         rows, cols, counts = _contingency(c, c_true)
         # the cells' order is the order of NMI's float sum
         table = dict(zip(zip(rows.tolist(), cols.tolist()), counts.tolist()))
@@ -228,8 +228,8 @@ class TestOracle:
     def test_matches_dict_evaluate(self, data):
         n = data.draw(st.integers(min_value=1, max_value=60))
         labels = data.draw(partitions(n))
-        c = ClusterSet.from_labels(labels)
-        truth = ClusterSet.from_labels(data.draw(st.one_of(
+        c = ClusterSet(labels)
+        truth = ClusterSet(data.draw(st.one_of(
             st.just(labels), partitions(n)
         )))
         assert_same(evaluate(c, truth, tau=0.5), dict_evaluate(c, truth, tau=0.5))
@@ -249,7 +249,7 @@ class TestMergeMetrics:
         # merges along a random forest, in random order, reported after every
         # `every` merges and at the end
         n = data.draw(st.integers(min_value=1, max_value=60))
-        truth = ClusterSet.from_labels(data.draw(partitions(n)))
+        truth = ClusterSet(data.draw(partitions(n)))
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         order = rng.sample(range(n), n)
         edges = [(order[k], order[rng.randrange(k)]) for k in range(1, n)]
@@ -263,7 +263,7 @@ class TestMergeMetrics:
                 metrics.merge(u, v)
                 label[label == label[v]] = label[u]
             if k % every == 0 or k == len(edges):
-                want = evaluate(ClusterSet.from_labels(label), truth, tau=k / 2)
+                want = evaluate(ClusterSet(label), truth, tau=k / 2)
                 assert_same(metrics.report(tau=k / 2), want)
 
     @given(st.data())
@@ -280,7 +280,7 @@ class TestMergeMetrics:
         np.fill_diagonal(sim, np.nan)
         taus = sorted(data.draw(st.lists(st.sampled_from(grid), min_size=1,
                                          max_size=10)), reverse=True)
-        metrics = MergeMetrics(ClusterSet.from_labels(data.draw(partitions(n))))
+        metrics = MergeMetrics(ClusterSet(data.draw(partitions(n))))
         oracle = single_linkage(sim, taus)
         for edges, want in zip(clustering.forest_merges(sim, taus), oracle):
             for u, v in edges:
@@ -290,7 +290,7 @@ class TestMergeMetrics:
     def test_partition_of_a_deep_tree(self):
         # the absorbed root 2 keeps record 1 two links below root 4, and the
         # roots 4 and 5 come in the other order than the least records 1, 0
-        metrics = MergeMetrics(ClusterSet.from_labels(range(6)))
+        metrics = MergeMetrics(ClusterSet(range(6)))
         for u, v in [(4, 3), (2, 1), (4, 2), (5, 0)]:
             metrics.merge(u, v)
         assert metrics.parent == [5, 2, 4, 4, 4, 5]
@@ -307,7 +307,7 @@ class TestMergeMetrics:
         # has ratio 7 * 3 / (4 * 5) = 1.05, whose np.log is 1 ulp below its
         # math.log, and that ulp reaches the NMI
         assert float(np.log(np.array([1.05]))[0]) != math.log(1.05)
-        truth = ClusterSet.from_labels([0, 0, 0, 1, 0, 0, 1])
+        truth = ClusterSet([0, 0, 0, 1, 0, 0, 1])
         metrics = MergeMetrics(truth)
         for u, v in [(0, 1), (4, 5), (0, 2), (4, 6), (0, 3)]:
             metrics.merge(u, v)

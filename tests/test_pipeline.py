@@ -189,7 +189,7 @@ class TestSweepThresholds:
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_truth_of_other_size_is_error(self, refine):
-        truth = clustering.ClusterSet.from_labels([0, 0, 1, 2, 2])
+        truth = clustering.ClusterSet([0, 0, 1, 2, 2])
         with pytest.raises(ValueError, match="different numbers of records"):
             pipeline.sweep_thresholds(self.sim, truth, grid_size=5, refine=refine)
 
@@ -249,7 +249,7 @@ def tied_sweeps(draw):
         if np.isnan(sim[i]).all():
             j = (i + 1) % n
             sim[i, j] = sim[j, i] = draw(st.sampled_from(grid))
-    truth = clustering.ClusterSet.from_labels(
+    truth = clustering.ClusterSet(
         draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     if draw(st.booleans()):
         return sim, truth, None, draw(st.integers(1, 8))
@@ -285,7 +285,7 @@ def chained_sweeps(draw):
     names = np.array(draw(st.permutations(range(n))))
     sim[np.ix_(names, names)] = sim.copy()
     np.fill_diagonal(sim, np.nan)
-    truth = clustering.ClusterSet.from_labels(
+    truth = clustering.ClusterSet(
         draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     return sim, truth, None, draw(st.integers(1, 8))
 
@@ -312,7 +312,7 @@ def forest_sweeps(draw):
     truth = draw(st.sampled_from(["one", "singletons", "labels"]))
     labels = {"one": np.zeros(n, dtype=int), "singletons": np.arange(n),
               "labels": rng.integers(0, draw(st.integers(1, n)), n)}[truth]
-    return sim, clustering.ClusterSet.from_labels(labels), None, draw(
+    return sim, clustering.ClusterSet(labels), None, draw(
         st.integers(1, 60))
 
 
@@ -364,12 +364,13 @@ class TestOnePassSweep:
         expected, expected_warnings = with_warnings(
             oracle_sweep, sim, truth, taus, grid_size, refine, iterate)
         fail = {} if refine else {"side_effect": AssertionError}
+        partition = evaluation.MergeMetrics.partition if refine else AssertionError
         with mock.patch.object(clustering, "threshold", side_effect=AssertionError), \
                 mock.patch.object(clustering, "group", side_effect=AssertionError), \
                 mock.patch.object(evaluation, "evaluate", wraps=evaluation.evaluate,
                                   **fail) as evaluate, \
-                mock.patch.object(clustering.ClusterSet, "from_labels",
-                                  wraps=clustering.ClusterSet.from_labels, **fail):
+                mock.patch.object(evaluation.MergeMetrics, "partition", autospec=True,
+                                  side_effect=partition):
             rows, warned = with_warnings(
                 pipeline.sweep_thresholds, sim, truth, taus=taus,
                 grid_size=grid_size, refine=refine, iterate=iterate)
@@ -398,7 +399,7 @@ class TestRecordOrder:
         assert lo < tau <= hi
         clusters, _ = pipeline.cluster_records(sim, tau)
         clusters_shuffled, _ = pipeline.cluster_records(sim_shuffled, tau)
-        assert clusters_shuffled == clustering.ClusterSet.from_labels(
+        assert clusters_shuffled == clustering.ClusterSet(
             clusters.labels[order])
         assert 1 < clusters.c < data.n
 
