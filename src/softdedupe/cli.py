@@ -31,7 +31,8 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import contextlib
-import csv as csv_module
+import csv
+import dataclasses
 import json
 import math
 import sys
@@ -44,7 +45,8 @@ from click.core import ParameterSource
 
 from . import evaluation, pipeline
 from .clustering import ClusterSet, read_clusters, write_clusters
-from .corpus import DataSet, TokenizerConfig, load_dataset, load_stop_words
+from .corpus import (DELIMITER, MODES, TokenizerConfig, load_dataset,
+                     load_stop_words, write_dataset)
 from .evaluation import MetricsReport
 from .similarity import METHOD_SOFT_TFIDF, METHOD_TFIDF, SimilarityParams
 
@@ -53,11 +55,9 @@ from .similarity import METHOD_SOFT_TFIDF, METHOD_TFIDF, SimilarityParams
 # count before any threshold is built
 MAX_SWEEP_POINTS = 100_000
 
-SWEEP_COLUMNS = [
-    "tau", "auto", "n", "c", "c_true", "purity", "inverse_purity",
-    "harmonic_mean", "rel_cluster_error", "precision", "recall", "f1",
-    "z_rand", "rel_z_rand", "nmi",
-]
+# the threshold, its automatic mark, then the report's fields but its tau
+SWEEP_COLUMNS = ["tau", "auto", *(f.name for f in dataclasses.fields(MetricsReport)
+                                  if f.name != "tau")]
 
 
 def _fmt(value) -> str:
@@ -181,14 +181,14 @@ def pipeline_options(fn):
         click.option("--input", "input_path",
                      type=click.Path(exists=True, dir_okay=False), default=None,
                      help="Delimited input file."),
-        click.option("--delimiter", type=_Delimiter(), default=",",
+        click.option("--delimiter", type=_Delimiter(), default=DELIMITER,
                      show_default=True),
         click.option("--no-header", is_flag=True, default=False,
                      help="Input has no header row."),
         click.option("--fields", default=None,
                      help="Comma-separated field names to use "
                           "(default: all except the truth column)."),
-        click.option("--mode", type=click.Choice(["word", "ngram"]),
+        click.option("--mode", type=click.Choice(MODES),
                      default=TokenizerConfig.mode, show_default=True),
         click.option("--ngram-size", default=TokenizerConfig.ngram_size,
                      show_default=True),
@@ -352,7 +352,7 @@ def _write_manifest(p: dict, **extra) -> None:
 
 def _write_sweep_table(path: str, rows: list[tuple[float, bool, MetricsReport]]):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv_module.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         # each report's fields are read in place: dataclasses.asdict would
         # deep-copy every report
@@ -450,7 +450,7 @@ def sweep(ctx, **p):
               help="Comma-separated fields to blank entries from.")
 @click.option("--fraction", type=float, default=0.30, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--delimiter", type=_Delimiter(), default=",", show_default=True)
+@click.option("--delimiter", type=_Delimiter(), default=DELIMITER, show_default=True)
 @click.option("--no-header", is_flag=True, default=False)
 def degrade(input_path, output_path, fields, fraction, seed, delimiter, no_header):
     """Blank a random fraction of entries per field to induce sparsity."""
@@ -460,7 +460,7 @@ def degrade(input_path, output_path, fields, fraction, seed, delimiter, no_heade
         degraded = pipeline.degrade(
             dataset, _field_names(fields, dataset.schema), fraction, seed
         )
-    _write_csv(degraded, output_path, delimiter)
+    write_dataset(degraded, output_path, header=not no_header, delimiter=delimiter)
     click.echo(f"wrote degraded dataset to {output_path}")
 
 
@@ -501,15 +501,8 @@ def synth_cmd(which, output_path, seed):
         dataset = synth.make_restaurants(**({} if seed is None else {"seed": seed}))
     else:
         dataset = synth.make_citations(**({} if seed is None else {"seed": seed}))
-    _write_csv(dataset, output_path, ",")
+    write_dataset(dataset, output_path)
     click.echo(f"wrote {dataset.n} records to {output_path}")
-
-
-def _write_csv(dataset: DataSet, path: str, delimiter: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv_module.writer(fh, delimiter=delimiter)
-        writer.writerow(dataset.schema)
-        writer.writerows(dataset.records)
 
 
 def script() -> None:

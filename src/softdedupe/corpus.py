@@ -15,9 +15,8 @@ from typing import Iterable, Sequence, TextIO
 
 DEFAULT_STOP_WORDS = frozenset({"and", "the", "or", "none", "na", ""})
 
-
-class LoadError(ValueError):
-    """Raised when delimited input cannot be turned into a DataSet."""
+DELIMITER = ","  # the default field delimiter of a data set's text
+MODES = ("word", "ngram")  # the tokenizer modes, the default first
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,13 @@ class TokenizerConfig:
     all-whitespace grams. Stop words are removed case-insensitively.
     """
 
-    mode: str = "word"
+    mode: str = MODES[0]
     ngram_size: int = 3
     stop_words: frozenset[str] = DEFAULT_STOP_WORDS
     case_fold: bool = True
 
     def __post_init__(self):
-        if self.mode not in ("word", "ngram"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown tokenizer mode: {self.mode!r}")
         if self.ngram_size < 1:
             raise ValueError("ngram_size must be >= 1")
@@ -88,11 +87,8 @@ class TokenizerConfig:
         return replace(self, stop_words=self.stop_words | frozenset(extra))
 
 
-def load_dataset(
-    source: str | TextIO,
-    header: bool = True,
-    delimiter: str = ",",
-) -> DataSet:
+def load_dataset(source: str | TextIO, header: bool = True,
+                 delimiter: str = DELIMITER) -> DataSet:
     """Read delimited text into a DataSet.
 
     `source` is a path (UTF-8, after a byte-order mark if it starts with
@@ -100,31 +96,42 @@ def load_dataset(
     row gives the field names, else they are field_0, field_1, ....
     Entry strings are preserved verbatim apart from outer whitespace. Blank
     lines are skipped (a record of empty entries reads as delimiters or "").
-    Text the csv reader rejects (a field over its size limit, say) is a
-    LoadError naming the reader's line.
+    A record with the wrong column count, or text the csv reader rejects (a
+    field over its size limit, say), is a ValueError naming the reader's line.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8-sig", newline="") as fh:
             return load_dataset(fh, header=header, delimiter=delimiter)
 
     reader = csv.reader(source, delimiter=delimiter)
-    try:
-        rows = [row for row in reader if row]
+    try:  # each row, with the line of the input it ends on
+        rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
-        raise LoadError(f"line {reader.line_num}: {exc}") from exc
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
     if header and rows:
-        schema = [c.strip() for c in rows.pop(0)]
+        schema = [c.strip() for c in rows.pop(0)[1]]
     if not rows:
-        raise LoadError("input contains no data rows")
+        raise ValueError("input contains no data rows")
     if not header:
-        schema = [f"field_{k}" for k in range(len(rows[0]))]
+        schema = [f"field_{k}" for k in range(len(rows[0][1]))]
     a = len(schema)
     records = []
-    for i, row in enumerate(rows):
+    for line, row in rows:
         if len(row) != a:
-            raise LoadError(f"row {i} has {len(row)} columns, expected {a}")
+            raise ValueError(f"line {line}: {len(row)} columns, expected {a}")
         records.append(tuple(cell.strip() for cell in row))
     return DataSet(records=tuple(records), schema=tuple(schema))
+
+
+def write_dataset(dataset: DataSet, path: str, header: bool = True,
+                  delimiter: str = DELIMITER) -> None:
+    """Write a DataSet to `path` in UTF-8 as load_dataset reads it back with
+    the same header and delimiter: the field names first if header=True."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        if header:
+            writer.writerow(dataset.schema)
+        writer.writerows(dataset.records)
 
 
 def load_stop_words(path: str) -> frozenset[str]:

@@ -47,6 +47,9 @@ class MetricsReport:
     the geometric mean of the two entropies.
     """
 
+    n: int
+    c: int
+    c_true: int
     purity: float
     inverse_purity: float
     harmonic_mean: float
@@ -57,9 +60,6 @@ class MetricsReport:
     z_rand: float | None
     rel_z_rand: float | None
     nmi: float
-    n: int
-    c: int
-    c_true: int
     tau: float | None = None
 
     def to_json(self) -> str:
@@ -110,6 +110,9 @@ def _report(n: int, c: int, c_true: int, best_c: int, best_t: int, n_c: int,
     z_self = _z_rand(n, n_g, n_g, n_g)
     denom = math.sqrt(entropy_c * entropy_t)
     return MetricsReport(
+        n=n,
+        c=c,
+        c_true=c_true,
         purity=pur,
         inverse_purity=inv,
         harmonic_mean=2 * pur * inv / (pur + inv) if pur + inv > 0 else 0.0,
@@ -120,9 +123,6 @@ def _report(n: int, c: int, c_true: int, best_c: int, best_t: int, n_c: int,
         z_rand=z,
         rel_z_rand=None if z is None or not z_self else z / z_self,
         nmi=min(max(info / denom, 0.0), 1.0) if denom > 0 else 0.0,
-        n=n,
-        c=c,
-        c_true=c_true,
         tau=tau,
     )
 

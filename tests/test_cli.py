@@ -254,7 +254,7 @@ class TestRun:
         assert message in result.output
 
     @pytest.mark.parametrize("command, text, args, message", [
-        ("run", "name,city\nJoe,Westwood\nJoan\n", [], "row 1 has 1 columns"),
+        ("run", "name,city\nJoe,Westwood\nJoan\n", [], "line 3: 1 columns"),
         ("run", "name,city\nJoe,\nJoan,\n", [], "no features"),
         ("run", SMALL_CSV, ["--truth-column", "id", "--weights", "nan,1"],
          "finite and positive"),
@@ -1186,6 +1186,33 @@ class TestDegrade:
         assert [r["id"] for r in rows] == [r["id"] for r in orig]
         blanked = sum(1 for r, o in zip(rows, orig) if r["city"] != o["city"])
         assert blanked == 3  # round(0.5 * 6)
+
+    def test_writes_the_format_it_read(self, runner, tmp_path):
+        # a headerless input gives a headerless output, which reads back as
+        # the same records, blanks aside
+        in_path, out_path = tmp_path / "in.csv", tmp_path / "out.csv"
+        delimiter = ";"
+        in_path.write_text(SMALL_CSV.split("\n", 1)[1].replace(",", delimiter))
+        result = run_cli(runner, [
+            "degrade", "--input", str(in_path), "--output", str(out_path),
+            "--fields", "field_2", "--fraction", "0.5", "--seed", "1",
+            "--no-header", "--delimiter", delimiter,
+        ])
+        assert result.exit_code == 0
+        orig = corpus.load_dataset(str(in_path), header=False, delimiter=delimiter)
+        got = corpus.load_dataset(str(out_path), header=False, delimiter=delimiter)
+        assert got.n == orig.n == 6
+        assert got.select_fields(["field_0", "field_1"]) == orig.select_fields(
+            ["field_0", "field_1"])
+        assert got.column(2).count("") == 3
+        result = run_cli(runner, [
+            "run", "--input", str(out_path), "--no-header", "--delimiter",
+            delimiter, "--fields", "field_1,field_2",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 0
+        assert result.output.endswith(" n=6\n")
+        assert len((tmp_path / "out" / "clusters.txt").read_text().splitlines()) == 6
 
     def test_unknown_field(self, runner, small_csv, tmp_path):
         result = runner.invoke(main, [

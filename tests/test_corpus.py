@@ -1,19 +1,21 @@
 import io
+import os
 import sys
+import tempfile
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softdedupe.corpus import (
     DEFAULT_STOP_WORDS,
     DataSet,
-    LoadError,
     TokenizerConfig,
     build_lexicon,
     load_dataset,
     tokenize,
     tokenize_field,
+    write_dataset,
 )
 
 from oracles import two_fold_tokenize
@@ -43,13 +45,22 @@ class TestLoadDataset:
         assert ds.records[0] == ("Bistro, The", "main st")
 
     def test_malformed_row_names_the_row(self):
-        with pytest.raises(LoadError, match="row 1"):
+        with pytest.raises(ValueError, match="^line 3: 1 columns, expected 2$"):
             load_dataset(io.StringIO("a,b\n1,2\n3\n"))
+
+    @pytest.mark.parametrize("text", [
+        "name,city\nJoe,Rome\n\nJoan\n",
+        'name,city\n"Joe\nBloggs",Rome\nJoan\n',
+    ], ids=["blank_line", "two_line_entry"])
+    def test_malformed_row_names_its_file_line(self, text):
+        # the line in the file, not the index among the records
+        with pytest.raises(ValueError, match="^line 4: 1 columns, expected 2$"):
+            load_dataset(io.StringIO(text))
 
     def test_reader_error_names_the_line(self):
         # the csv module's own error (csv.Error) is not a ValueError
         text = "a,b\n1,2\n" + "x" * 131_073 + ",3\n"
-        with pytest.raises(LoadError, match=r"^line 3: field larger than field limit"):
+        with pytest.raises(ValueError, match=r"^line 3: field larger than field limit"):
             load_dataset(io.StringIO(text))
 
     @pytest.mark.parametrize("header", [True, False])
@@ -62,9 +73,9 @@ class TestLoadDataset:
         assert ds.schema == (("name", "city") if header else ("field_0", "field_1"))
 
     def test_empty_input(self):
-        with pytest.raises(LoadError):
+        with pytest.raises(ValueError):
             load_dataset(io.StringIO(""))
-        with pytest.raises(LoadError):
+        with pytest.raises(ValueError):
             load_dataset(io.StringIO("a,b\n"))
 
     @pytest.mark.parametrize("header", ["name,name,entity_id", "name, name ,entity_id"])
@@ -74,6 +85,46 @@ class TestLoadDataset:
             load_dataset(io.StringIO(f"{header}\nx,y,1\n"))
         with pytest.raises(ValueError, match="'name' appears twice"):
             DataSet(records=(("x", "y"),), schema=("name", "name"))
+
+
+DELIMITERS = [",", ";", "\t", "|"]
+
+# an entry holds the delimiters, quotes, line breaks, spaces, non-ASCII text,
+# any other character but a surrogate (not UTF-8), NUL (which the csv reader
+# rejects before Python 3.11) and the byte-order mark (which load_dataset
+# skips at the start of a file), or nothing; but no outer whitespace, which
+# load_dataset strips
+ENTRIES = st.text(
+    st.one_of(st.sampled_from([*DELIMITERS, '"', "\r", "\n", " ", "é", "東", "İ"]),
+              st.characters(exclude_categories=["Cs"],
+                            exclude_characters="\x00\ufeff")),
+    max_size=6,
+).filter(lambda entry: entry == entry.strip())
+
+
+@st.composite
+def written_datasets(draw):
+    """A data set of 1-4 fields and 1-20 records, and whether its file has a
+    header: distinct field names if so, else field_0, field_1, ...."""
+    a, header = draw(st.integers(1, 4)), draw(st.booleans())
+    schema = (draw(st.lists(ENTRIES, min_size=a, max_size=a, unique=True))
+              if header else [f"field_{k}" for k in range(a)])
+    records = draw(st.lists(st.tuples(*[ENTRIES] * a), min_size=1, max_size=20))
+    return DataSet(records=tuple(records), schema=tuple(schema)), header
+
+
+class TestWriteDataset:
+    @settings(deadline=None)
+    @given(written_datasets(), st.sampled_from(DELIMITERS))
+    @example((DataSet(records=(("",), ("a\r\nb",)), schema=("",)), True), "\t")
+    @example((DataSet(records=(("", ""),), schema=("field_0", "field_1")), False),
+             "|")
+    def test_round_trip(self, case, delimiter):
+        dataset, header = case
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "data.csv")
+            write_dataset(dataset, path, header=header, delimiter=delimiter)
+            assert load_dataset(path, header=header, delimiter=delimiter) == dataset
 
 
 class TestTokenize:

@@ -4,7 +4,8 @@ test oracles. Kept apart from test_cli.py, which must import with the
 runtime dependencies and pytest alone.
 
 The reference takes the program's scores (whose bits the similarity tests
-check against scipy), automatic threshold and sweep grid. It groups every
+check against scipy), built with the command's weights, sparsity mode and
+seed, its automatic threshold and its sweep grid. It groups every
 threshold with scipy's components, refines with the batched refinement and
 evaluates with the dict-based evaluation, so that grouping, the spanning
 forest, refinement, MergeMetrics, the partition numbering and the writers
@@ -36,9 +37,10 @@ from oracles import (
     from_groups,
 )
 
-# near-duplicate words, and words that fold to one another
+# near-duplicate words, words that fold to one another, and non-ASCII words
 WORDS = ["joe", "joan", "bruin", "lurin", "mary", "smith", "smyth", "venice",
-         "westwood", "café", "cafe", "Zürich", "Straße", "STRASSE", "grill"]
+         "westwood", "café", "cafe", "Zürich", "Straße", "STRASSE", "grill",
+         "naïve", "naive", "Ångström", "İstanbul", "istanbul", "東京", "東京都"]
 
 
 @st.composite
@@ -87,9 +89,14 @@ class TestCommandsMatchOracles:
     @given(tables(), st.sampled_from(["word", "ngram"]),
            st.sampled_from(["tfidf", "soft_tfidf"]),
            st.sampled_from([[], ["--refine"], ["--refine", "--iterate-refine"]]),
-           st.data())
-    def test_run_and_sweep(self, table, mode, method, refining, data):
+           st.one_of(st.none(), st.integers(0, 3)), st.data())
+    def test_run_and_sweep(self, table, mode, method, refining, seed, data):
         refine, iterate = "--refine" in refining, "--iterate-refine" in refining
+        # per-field weights, or none; impute with a seed, or adjust
+        weights = data.draw(st.none() | st.lists(
+            st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=len(table[0]) - 1,
+            max_size=len(table[0]) - 1).map(tuple), label="weights")
+        sparsity = "adjust" if seed is None else "impute"
         with tempfile.TemporaryDirectory() as folder:
             folder = Path(folder)
             path = folder / "input.csv"
@@ -100,9 +107,16 @@ class TestCommandsMatchOracles:
                 records.column(0)).clusters)
             sim = pipeline.build_similarity(
                 records.select_fields(records.schema[1:]),
-                TokenizerConfig(mode=mode), SimilarityParams(method=method))
+                TokenizerConfig(mode=mode),
+                SimilarityParams(method=method, weights=weights),
+                sparsity_mode=sparsity, seed=seed)
             args = ["--input", str(path), "--truth-column", "entity_id",
-                    "--mode", mode, "--method", method, *refining]
+                    "--mode", mode, "--method", method, *refining,
+                    "--sparsity", sparsity]
+            if weights is not None:
+                args += ["--weights", ",".join(map(str, weights))]
+            if seed is not None:
+                args += ["--seed", str(seed)]
             runner = CliRunner()
 
             # run, at the automatic tau or at one of the scores
